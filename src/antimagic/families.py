@@ -76,24 +76,64 @@ def make_arrangement(kind, size):
     """
     if not isinstance(size, int) or isinstance(size, bool):
         raise InvalidParameterError(f"arrangement size must be an int, got {size!r}")
-    if kind == CONSECUTIVE_PATH:
-        if size < 2:
-            raise InvalidParameterError(f"{kind} needs size >= 2, got {size}")
-        edges = tuple((i, i + 1) for i in range(1, size))
-        traversal = tuple(range(1, size + 1))
-    elif kind == SKIP_PATH:
-        if size < 2:
-            raise InvalidParameterError(f"{kind} needs size >= 2, got {size}")
-        edges = tuple((i, i + 2) for i in range(1, size - 1)) + ((size - 1, size),)
-        traversal = _skip_traversal(size)
-    elif kind == SKIP_CYCLE:
-        if size < 3:
-            raise InvalidParameterError(f"{kind} needs size >= 3, got {size}")
-        edges = ((1, 2),) + tuple((i, i + 2) for i in range(1, size - 1)) + ((size - 1, size),)
-        traversal = _skip_traversal(size)
-    else:
+    if kind not in (CONSECUTIVE_PATH, SKIP_PATH, SKIP_CYCLE):
         raise InvalidParameterError(f"unknown arrangement kind {kind!r}")
+    least = 3 if kind == SKIP_CYCLE else 2
+    if size < least:
+        raise InvalidParameterError(f"{kind} needs size >= {least}, got {size}")
+    count = _factor_edge_count(kind, size)
+    edges = tuple(_factor_edge_endpoints(kind, size, k) for k in range(1, count + 1))
+    traversal = tuple(range(1, size + 1)) if kind == CONSECUTIVE_PATH else _skip_traversal(size)
     return Arrangement(kind, size, edges, traversal)
+
+
+def _factor_edge_count(kind, size):
+    return size if kind == SKIP_CYCLE else size - 1
+
+
+def _factor_edge_endpoints(kind, size, k):
+    """(lower, upper) endpoint of listing edge ``k``, in O(1).
+
+    ``k`` may be an int or an integer array; ints give ints.  Range checks are
+    the caller's.
+    """
+    if kind == CONSECUTIVE_PATH:
+        return k, k + 1
+    if kind == SKIP_PATH:
+        return k, k + 2 - (k == size - 1)
+    return k - 1 + (k == 1), k + 1 - (k == size)
+
+
+def _factor_edge_index(kind, size, a, b):
+    """Listing index of the factor edge (a, b), a < b."""
+    k = a + 1 if kind == SKIP_CYCLE and b != 2 else a
+    if 1 <= k <= _factor_edge_count(kind, size) and _factor_edge_endpoints(kind, size, k) == (a, b):
+        return k
+    raise InvalidParameterError(f"{kind} of size {size} has no edge ({a}, {b})")
+
+
+def _factor_edges_at(kind, size, v):
+    """Listing indices of the factor edges meeting vertex ``v``, ascending.
+
+    A listing index lies within two of its edge's endpoints or is one of the
+    last two, so six candidates cover every edge at ``v``.
+    """
+    count = _factor_edge_count(kind, size)
+    candidates = sorted({v - 2, v - 1, v, v + 1, size - 1, size})
+    return [k for k in candidates if 1 <= k <= count and v in _factor_edge_endpoints(kind, size, k)]
+
+
+def _factor_edges_with_lower(kind, size, x):
+    """(listing index, upper endpoint) of factor edges whose lower endpoint is x, by upper."""
+    if not 1 <= x < size:
+        return []
+    if kind != SKIP_CYCLE:
+        ks = (x,)
+    elif x == 1:
+        ks = (1, 2)  # the closing edge (1, 2), then (1, 3)
+    else:
+        ks = (x + 1,)
+    return [(k, _factor_edge_endpoints(kind, size, k)[1]) for k in ks]
 
 
 @dataclass(frozen=True)
@@ -155,33 +195,41 @@ class FamilySpec:
         return self.n + 1
 
 
+def factor_kinds(spec):
+    """Arrangement kinds and sizes ``(row_kind, col_kind, rows, cols)`` of ``spec``'s factors.
+
+    ``col_kind`` is ``None`` for standalone paths and cycles.  For lattices
+    the naming depends on the shape: with 2 <= m <= n the rows carry the skip
+    naming and the columns the consecutive one; a single-row grid (m = 1,
+    n >= 2) puts the skip naming on its long side; shapes with m > n mirror
+    the transposed shape.
+    """
+    rows, cols = spec.row_count(), spec.col_count()
+    m, n = spec.m, spec.n
+    if spec.family == PATH:
+        return SKIP_PATH, None, rows, cols
+    if spec.family == CYCLE:
+        return SKIP_CYCLE, None, rows, cols
+    if spec.family == PRISM:
+        return SKIP_CYCLE, SKIP_PATH if n >= 2 else CONSECUTIVE_PATH, rows, cols
+    if m == 1 and n == 1:
+        return CONSECUTIVE_PATH, CONSECUTIVE_PATH, rows, cols
+    if m == 1:
+        return CONSECUTIVE_PATH, SKIP_PATH, rows, cols
+    if n == 1 or m <= n:
+        return SKIP_PATH, CONSECUTIVE_PATH, rows, cols
+    return CONSECUTIVE_PATH, SKIP_PATH, rows, cols
+
+
 def factor_arrangements(spec):
     """Arrangements for the row factor and the column factor of ``spec``.
 
-    The column arrangement is ``None`` for standalone paths and cycles.  For
-    lattices the naming depends on the shape: with 2 <= m <= n the rows carry
-    the skip naming and the columns the consecutive one; a single-row grid
-    (m = 1, n >= 2) puts the skip naming on its long side; shapes with m > n
-    mirror the transposed shape.
+    The column arrangement is ``None`` for standalone paths and cycles; see
+    :func:`factor_kinds` for which naming each factor carries.
     """
-    if spec.family == PATH:
-        return make_arrangement(SKIP_PATH, spec.m + 1), None
-    if spec.family == CYCLE:
-        return make_arrangement(SKIP_CYCLE, spec.m), None
-    m, n = spec.m, spec.n
-    if spec.family == PRISM:
-        rows = make_arrangement(SKIP_CYCLE, m)
-        cols = make_arrangement(SKIP_PATH if n >= 2 else CONSECUTIVE_PATH, n + 1)
-        return rows, cols
-    if m == 1 and n == 1:
-        return make_arrangement(CONSECUTIVE_PATH, 2), make_arrangement(CONSECUTIVE_PATH, 2)
-    if m == 1:
-        return make_arrangement(CONSECUTIVE_PATH, 2), make_arrangement(SKIP_PATH, n + 1)
-    if n == 1:
-        return make_arrangement(SKIP_PATH, m + 1), make_arrangement(CONSECUTIVE_PATH, 2)
-    if m <= n:
-        return make_arrangement(SKIP_PATH, m + 1), make_arrangement(CONSECUTIVE_PATH, n + 1)
-    return make_arrangement(CONSECUTIVE_PATH, m + 1), make_arrangement(SKIP_PATH, n + 1)
+    row_kind, col_kind, rows, cols = factor_kinds(spec)
+    col_arr = make_arrangement(col_kind, cols) if col_kind is not None else None
+    return make_arrangement(row_kind, rows), col_arr
 
 
 @dataclass
@@ -191,19 +239,8 @@ class Graph:
     spec: FamilySpec | None
     vertices: list
     edges: list
-    adjacency: dict
     row_arrangement: Arrangement | None = None
     col_arrangement: Arrangement | None = None
-
-
-def _adjacency(vertices, edges):
-    adj = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    return adj
 
 
 def build_graph(spec):
@@ -228,7 +265,7 @@ def build_graph(spec):
     edges.sort()
     if len(edges) != spec.edge_count():
         raise AssertionError(f"edge count mismatch for {spec}")
-    return Graph(spec, vertices, edges, _adjacency(vertices, edges), row_arr, col_arr)
+    return Graph(spec, vertices, edges, row_arr, col_arr)
 
 
 def graph_from_edges(edges):
@@ -242,7 +279,7 @@ def graph_from_edges(edges):
         seen.add((a, b))
     vertices = sorted({v for e in edges for v in e})
     edges = sorted(edges)
-    return Graph(None, vertices, edges, _adjacency(vertices, edges))
+    return Graph(None, vertices, edges)
 
 
 def k2_graph():

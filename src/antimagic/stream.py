@@ -1,12 +1,19 @@
 """Closed-form edge labels and bounded-memory verification for huge grids and prisms.
 
-Everything the materialized labelers compute by dealing out lists has an
-O(1)-per-edge closed form under the skip namings.  This module exposes those
-forms (``closed_form_label``), an edge iterator that never materializes the
-graph, and ``stream_verify``, which recomputes every vertex sum in a column
-sweep and checks bijectivity and sum distinctness exactly, spilling sorted
-value buckets to disk so live state stays proportional to one column plus a
-fixed chunk.
+Everything the materialized labelers compute by dealing out lists has a
+closed form under the skip namings: each construction hands out one block of
+labels per factor edge.  A construction here is two block functions, the
+labels of the first-factor copy in column j (indexed by factor edge) and of
+second-factor edge k (indexed by row), plus O(1) scalar lookups and their
+inverse.  One shared derivation turns the blocks into vertex sums: column j's
+sums are its first-factor block gathered over the row factor's vertex-edge
+incidence, plus the blocks of the second-factor edges meeting column j.
+
+On top of these sit ``closed_form_label``, an edge iterator that never
+materializes the graph, and ``stream_verify``, which sweeps the columns,
+computes each block once per column, and checks bijectivity and sum
+distinctness exactly, spilling sorted value buckets to disk so live state
+stays at one column of the normalized orientation plus the bucket chunks.
 """
 
 from __future__ import annotations
@@ -27,6 +34,12 @@ from .families import (
     SKIP_CYCLE,
     SKIP_PATH,
     FamilySpec,
+    _factor_edge_count,
+    _factor_edge_endpoints,
+    _factor_edge_index,
+    _factor_edges_at,
+    _factor_edges_with_lower,
+    factor_kinds,
 )
 from .labelings import (
     even_block_label,
@@ -93,115 +106,92 @@ def _merge_value_vec(m, n, p):
     return np.where(p <= head, 2 * p - 1, tail)
 
 
-def _skip_incident(size, j):
-    """Listing indices of skip-path edges meeting vertex j."""
-    out = []
-    if j - 2 >= 1:
-        out.append(j - 2)
-    if j <= size - 2:
-        out.append(j)
-    if j >= size - 1:
-        out.append(size - 1)
-    return out
+def _incidence(kind, size):
+    """Vertex -> edge incidence of a factor, as 0-based offsets.
+
+    Every factor vertex meets one or two edges.  Returns ``(a, b, single)``:
+    vertex ``v`` meets edges ``a[v]`` and ``b[v]``, which coincide for the
+    degree-1 vertices listed in ``single``.
+    """
+    k = np.arange(1, _factor_edge_count(kind, size) + 1, dtype=np.int64)
+    ends = np.concatenate(_factor_edge_endpoints(kind, size, k)) - 1
+    edge_of = np.concatenate((k, k))[np.argsort(ends, kind="stable")] - 1
+    degree = np.bincount(ends, minlength=size)
+    last = np.cumsum(degree) - 1
+    return edge_of[last - degree + 1], edge_of[last], np.flatnonzero(degree == 1)
 
 
-def _ring_incident(m, i):
-    """Listing indices of skip-cycle edges meeting vertex i (always two)."""
-    out = []
-    if i <= 2:
-        out.append(1)
-    if 3 <= i <= m:
-        out.append(i - 1)
-    if i <= m - 2:
-        out.append(i + 1)
-    if i >= m - 1:
-        out.append(m)
-    return sorted(out)
+class _Forms:
+    """One construction's closed forms, in the normalized orientation.
+
+    A construction hands out its labels block by block.  A subclass gives its
+    two block functions as int64 arrays: ``first_block(j)``, the labels of
+    the first-factor copy in column ``j`` indexed by factor edge, and
+    ``second_block(k)``, the labels of second-factor edge ``k`` indexed by
+    row.  Its scalar ``first_label``, ``second_label`` and ``invert`` stay
+    pure int arithmetic.  Column sums and label arrays derive from the blocks
+    here, once for every construction.
+    """
+
+    def __init__(self, spec):
+        self.m, self.n = spec.m, spec.n
+        self.row_kind, self.col_kind, self.rows, self.cols = factor_kinds(spec)
+
+    @cached_property
+    def _row_incidence(self):
+        return _incidence(self.row_kind, self.rows)
+
+    def live_size(self):
+        """Values the forms keep between columns."""
+        return sum(a.size for a in self._row_incidence)
+
+    def column_sums(self, j, keep=None):
+        """Vertex sums of column ``j``, rows ascending.
+
+        The first-factor block at ``j`` is gathered over the row factor's
+        incidence, and the blocks of the second-factor edges meeting column
+        ``j`` add in row by row.  Each block is computed once.  ``keep``, if
+        given, is handed the blocks whose labels column ``j`` owns while they
+        are live: its first-factor copy, then second-factor edge ``j``.
+        """
+        a, b, single = self._row_incidence
+        block = self.first_block(j)
+        sums = block[a] + block[b]
+        sums[single] -= block[a[single]]
+        if keep is not None:
+            keep(block)
+        for k in _factor_edges_at(self.col_kind, self.cols, j):
+            block = self.second_block(k)
+            sums += block
+            if keep is not None and k == j:
+                keep(block)
+        return sums
+
+    def column_label_arrays(self, j):
+        """The label blocks column ``j`` owns; over all columns, every label once."""
+        out = []
+        self.column_sums(j, out.append)
+        return out
 
 
-def _factor_kinds(spec):
-    """Arrangement kinds and sizes of both factors, in spec's own orientation."""
-    if spec.family == PRISM:
-        col_kind = SKIP_PATH if spec.n >= 2 else CONSECUTIVE_PATH
-        return SKIP_CYCLE, col_kind, spec.m, spec.n + 1
-    m, n = spec.m, spec.n
-    if m == 1 and n == 1:
-        return CONSECUTIVE_PATH, CONSECUTIVE_PATH, 2, 2
-    if m == 1:
-        return CONSECUTIVE_PATH, SKIP_PATH, 2, n + 1
-    if n == 1:
-        return SKIP_PATH, CONSECUTIVE_PATH, m + 1, 2
-    if m <= n:
-        return SKIP_PATH, CONSECUTIVE_PATH, m + 1, n + 1
-    return CONSECUTIVE_PATH, SKIP_PATH, m + 1, n + 1
-
-
-def _factor_edge_endpoints(kind, size, k):
-    if kind == CONSECUTIVE_PATH:
-        if 1 <= k <= size - 1:
-            return k, k + 1
-    elif kind == SKIP_PATH:
-        if k == size - 1:
-            return size - 1, size
-        if 1 <= k <= size - 2:
-            return k, k + 2
-    else:
-        if k == 1:
-            return 1, 2
-        if k == size:
-            return size - 1, size
-        if 2 <= k <= size - 1:
-            return k - 1, k + 1
-    raise InvalidParameterError(f"{kind} of size {size} has no edge {k}")
-
-
-def _factor_edge_index(kind, size, a, b):
-    if kind == CONSECUTIVE_PATH:
-        if b == a + 1 and 1 <= a <= size - 1:
-            return a
-    elif kind == SKIP_PATH:
-        if b == a + 2 and 1 <= a <= size - 2:
-            return a
-        if (a, b) == (size - 1, size):
-            return size - 1
-    else:
-        if (a, b) == (1, 2):
-            return 1
-        if b == a + 2 and 1 <= a <= size - 2:
-            return a + 1
-        if (a, b) == (size - 1, size):
-            return size
-    raise InvalidParameterError(f"{kind} of size {size} has no edge ({a}, {b})")
-
-
-def _factor_edges_with_lower(kind, size, x):
-    """(listing index, upper endpoint) of factor edges whose lower endpoint is x."""
-    out = []
-    if kind == CONSECUTIVE_PATH:
-        if 1 <= x <= size - 1:
-            out.append((x, x + 1))
-    elif kind == SKIP_PATH:
-        if 1 <= x <= size - 2:
-            out.append((x, x + 2))
-        elif x == size - 1:
-            out.append((size - 1, size))
-    else:
-        if x == 1:
-            out.append((1, 2))
-        if 1 <= x <= size - 2:
-            out.append((x + 1, x + 2))
-        if x == size - 1:
-            out.append((size, size))
-        out.sort(key=lambda pair: pair[1])
-    return out
-
-
-class _GridForms:
+class _GridForms(_Forms):
     """Closed forms for the general grid construction (2 <= m <= n)."""
 
-    def __init__(self, m, n):
-        self.m, self.n = m, n
-        self.rows, self.cols = m + 1, n + 1
+    @cached_property
+    def _usual(self):
+        return np.array([skip_path_edge_is_usual(self.m + 1, k) for k in range(1, self.m + 1)])
+
+    def live_size(self):
+        return super().live_size() + self._usual.size
+
+    def first_block(self, j):
+        m, n = self.m, self.n
+        k = np.arange(1, m + 1, dtype=np.int64)
+        return np.where(self._usual, even_block_label(m, n, k, j, True), even_block_label(m, n, k, j, False))
+
+    def second_block(self, k):
+        i = np.arange(1, self.m + 2, dtype=np.int64)
+        return _merge_value_vec(self.m, self.n, (i - 1) * self.n + k)
 
     def first_label(self, k, j):
         if not (1 <= k <= self.m and 1 <= j <= self.n + 1):
@@ -212,48 +202,6 @@ class _GridForms:
         if not (1 <= i <= self.m + 1 and 1 <= k <= self.n):
             raise InvalidParameterError(f"no column edge (i={i}, k={k}) in {self.m}x{self.n} grid")
         return merge_value(self.m, self.n, (i - 1) * self.n + k)
-
-    @cached_property
-    def _row_aggregates(self):
-        m, n = self.m, self.n
-        base = np.zeros(m + 1, dtype=np.int64)
-        usual_count = np.zeros(m + 1, dtype=np.int64)
-        mirrored_count = np.zeros(m + 1, dtype=np.int64)
-        for i in range(1, m + 2):
-            for k in _skip_incident(m + 1, i):
-                base[i - 1] += 2 * (k - 1) * (n + 1)
-                if skip_path_edge_is_usual(m + 1, k):
-                    usual_count[i - 1] += 1
-                else:
-                    mirrored_count[i - 1] += 1
-        usual_edges = np.array(
-            [skip_path_edge_is_usual(m + 1, k) for k in range(1, m + 1)], dtype=bool
-        )
-        ivec = np.arange(1, m + 2, dtype=np.int64)
-        kvec = np.arange(1, m + 1, dtype=np.int64)
-        return base, usual_count, mirrored_count, usual_edges, ivec, kvec
-
-    def live_size(self):
-        return sum(a.size for a in self._row_aggregates)
-
-    def column_sums(self, j):
-        m, n = self.m, self.n
-        base, cu, cr, _, ivec, _ = self._row_aggregates
-        sums = base + 2 * j * cu + 2 * (n + 2 - j) * cr
-        if j >= 2:
-            sums = sums + _merge_value_vec(m, n, (ivec - 1) * n + (j - 1))
-        if j <= n:
-            sums = sums + _merge_value_vec(m, n, (ivec - 1) * n + j)
-        return sums
-
-    def column_label_arrays(self, j):
-        m, n = self.m, self.n
-        _, _, _, usual, ivec, kvec = self._row_aggregates
-        row_labels = 2 * (kvec - 1) * (n + 1) + np.where(usual, 2 * j, 2 * (n + 2 - j))
-        out = [row_labels]
-        if j <= n:
-            out.append(_merge_value_vec(m, n, (ivec - 1) * n + j))
-        return out
 
     def invert(self, lab):
         m, n = self.m, self.n
@@ -273,12 +221,14 @@ class _GridForms:
         return COL, (p - 1) % n + 1, (p - 1) // n + 1
 
 
-class _ThinForms:
+class _ThinForms(_Forms):
     """Closed forms for the two-row grid construction (m = 1, n >= 2)."""
 
-    def __init__(self, n):
-        self.n = n
-        self.rows, self.cols = 2, n + 1
+    def first_block(self, j):
+        return np.array([thin_rung_label(self.n, j)], dtype=np.int64)
+
+    def second_block(self, k):
+        return np.array([thin_row_label(k, 1), thin_row_label(k, 2)], dtype=np.int64)
 
     def first_label(self, k, j):
         if not (k == 1 and 1 <= j <= self.n + 1):
@@ -290,35 +240,23 @@ class _ThinForms:
             raise InvalidParameterError(f"no row edge (i={i}, k={k}) in thin grid n={self.n}")
         return thin_row_label(k, i)
 
-    def live_size(self):
-        return 0
-
-    def column_sums(self, j):
-        incident = _skip_incident(self.n + 1, j)
-        rung = thin_rung_label(self.n, j)
-        odd = sum(2 * k - 1 for k in incident)
-        even = sum(2 * k for k in incident)
-        return np.array([rung + odd, rung + even], dtype=np.int64)
-
-    def column_label_arrays(self, j):
-        out = [np.array([thin_rung_label(self.n, j)], dtype=np.int64)]
-        if j <= self.n:
-            out.append(np.array([2 * j - 1, 2 * j], dtype=np.int64))
-        return out
-
     def invert(self, lab):
         if lab <= 2 * self.n:
             return COL, (lab + 1) // 2, 1 if lab % 2 == 1 else 2
         return ROW, 1, lab - 2 * self.n
 
 
-class _UnitForms:
+class _UnitForms(_Forms):
     """The 1 x 1 grid: a labeled square with sums 3, 4, 6, 7."""
 
-    rows = 2
-    cols = 2
     _first = {1: 1, 2: 4}    # column j -> label of the rung in column j
     _second = {1: 2, 2: 3}   # row i -> label of the row edge in row i
+
+    def first_block(self, j):
+        return np.array([self._first[j]], dtype=np.int64)
+
+    def second_block(self, k):
+        return np.array([self._second[1], self._second[2]], dtype=np.int64)
 
     def first_label(self, k, j):
         if k != 1 or j not in (1, 2):
@@ -330,28 +268,24 @@ class _UnitForms:
             raise InvalidParameterError(f"no row edge (i={i}, k={k}) in the unit grid")
         return self._second[i]
 
-    def live_size(self):
-        return 0
-
-    def column_sums(self, j):
-        return np.array([3, 4], dtype=np.int64) if j == 1 else np.array([6, 7], dtype=np.int64)
-
-    def column_label_arrays(self, j):
-        if j == 1:
-            return [np.array([1], dtype=np.int64), np.array([2, 3], dtype=np.int64)]
-        return [np.array([4], dtype=np.int64)]
-
     def invert(self, lab):
         return {1: (ROW, 1, 1), 4: (ROW, 1, 2), 2: (COL, 1, 1), 3: (COL, 1, 2)}[lab]
 
 
-class _PrismForms:
+class _PrismForms(_Forms):
     """Closed forms for the general prism construction (m >= 3, n >= 2)."""
 
-    def __init__(self, m, n):
-        self.m, self.n = m, n
-        self.rows, self.cols = m, n + 1
-        self.reversed_second = n % 2 == 0
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.reversed_second = spec.n % 2 == 0
+
+    def first_block(self, j):
+        k = np.arange(1, self.m + 1, dtype=np.int64)
+        return ring_label(self.m, k, j, self.reversed_second)
+
+    def second_block(self, k):
+        i = np.arange(1, self.m + 1, dtype=np.int64)
+        return layer_link_label(self.m, self.n, k, i, skip_path_edge_is_usual(self.n + 1, k))
 
     def first_label(self, k, j):
         if not (1 <= k <= self.m and 1 <= j <= self.n + 1):
@@ -363,43 +297,6 @@ class _PrismForms:
             raise InvalidParameterError(f"no link edge (i={i}, k={k}) in prism {self.m}x{self.n}")
         usual = skip_path_edge_is_usual(self.n + 1, k)
         return layer_link_label(self.m, self.n, k, i, usual)
-
-    @cached_property
-    def _ring_aggregates(self):
-        m = self.m
-        ksum = np.array([sum(_ring_incident(m, i)) for i in range(1, m + 1)], dtype=np.int64)
-        ivec = np.arange(1, m + 1, dtype=np.int64)
-        kvec = np.arange(1, m + 1, dtype=np.int64)
-        return ksum, ivec, kvec
-
-    def live_size(self):
-        return sum(a.size for a in self._ring_aggregates)
-
-    def column_sums(self, j):
-        m, n = self.m, self.n
-        ksum, ivec, _ = self._ring_aggregates
-        if self.reversed_second and j == 2:
-            sums = (4 * m + 2) - ksum
-        else:
-            sums = 2 * (j - 1) * m + ksum
-        for k in _skip_incident(n + 1, j):
-            if skip_path_edge_is_usual(n + 1, k):
-                sums = sums + (m * n + k * m + ivec)
-            else:
-                sums = sums + (m * n + k * m + m + 1 - ivec)
-        return sums
-
-    def column_label_arrays(self, j):
-        m, n = self.m, self.n
-        _, _, kvec = self._ring_aggregates
-        ring = (j - 1) * m + kvec
-        if self.reversed_second and j == 2:
-            ring = 3 * m + 1 - ring
-        out = [ring]
-        if j <= n:
-            # the k = j block; U/R only permutes it across ring positions
-            out.append(m * n + j * m + kvec)
-        return out
 
     def invert(self, lab):
         m, n = self.m, self.n
@@ -413,12 +310,14 @@ class _PrismForms:
         return COL, k, i
 
 
-class _TwoLayerForms:
+class _TwoLayerForms(_Forms):
     """Closed forms for the two-layer prism construction (n = 1)."""
 
-    def __init__(self, m):
-        self.m = m
-        self.rows, self.cols = m, 2
+    def first_block(self, j):
+        return two_layer_ring_label(np.arange(1, self.m + 1, dtype=np.int64), j)
+
+    def second_block(self, k):
+        return two_layer_rung_label(self.m, np.arange(1, self.m + 1, dtype=np.int64))
 
     def first_label(self, k, j):
         if not (1 <= k <= self.m and j in (1, 2)):
@@ -430,34 +329,20 @@ class _TwoLayerForms:
             raise InvalidParameterError(f"no rung (i={i}, k={k}) in two-layer prism m={self.m}")
         return two_layer_rung_label(self.m, i)
 
-    @cached_property
-    def _ring_aggregates(self):
-        m = self.m
-        ksum = np.array([sum(_ring_incident(m, i)) for i in range(1, m + 1)], dtype=np.int64)
-        ivec = np.arange(1, m + 1, dtype=np.int64)
-        kvec = np.arange(1, m + 1, dtype=np.int64)
-        return ksum, ivec, kvec
-
-    def live_size(self):
-        return sum(a.size for a in self._ring_aggregates)
-
-    def column_sums(self, j):
-        m = self.m
-        ksum, ivec, _ = self._ring_aggregates
-        ring_part = 2 * ksum - 2 if j == 1 else 2 * ksum
-        return ring_part + 2 * m + ivec
-
-    def column_label_arrays(self, j):
-        m = self.m
-        _, ivec, kvec = self._ring_aggregates
-        if j == 1:
-            return [2 * kvec - 1, 2 * m + ivec]
-        return [2 * kvec]
-
     def invert(self, lab):
         if lab <= 2 * self.m:
             return ROW, (lab + 1) // 2, 1 if lab % 2 == 1 else 2
         return COL, 1, lab - 2 * self.m
+
+
+# the factor namings of a normalized spec pick its construction
+_CONSTRUCTIONS = {
+    (SKIP_PATH, CONSECUTIVE_PATH): _GridForms,
+    (CONSECUTIVE_PATH, SKIP_PATH): _ThinForms,
+    (CONSECUTIVE_PATH, CONSECUTIVE_PATH): _UnitForms,
+    (SKIP_CYCLE, SKIP_PATH): _PrismForms,
+    (SKIP_CYCLE, CONSECUTIVE_PATH): _TwoLayerForms,
+}
 
 
 def _normalize(spec):
@@ -467,19 +352,14 @@ def _normalize(spec):
 
 
 @lru_cache(maxsize=256)
-def _forms_cached(family, m, n):
-    if family == PRISM:
-        return _PrismForms(m, n) if n >= 2 else _TwoLayerForms(m)
-    if m == 1 and n == 1:
-        return _UnitForms()
-    if m == 1:
-        return _ThinForms(n)
-    return _GridForms(m, n)
+def _forms_cached(spec):
+    row_kind, col_kind, _, _ = factor_kinds(spec)
+    return _CONSTRUCTIONS[row_kind, col_kind](spec)
 
 
 def _forms(spec):
     norm, transposed = _normalize(spec)
-    return _forms_cached(norm.family, norm.m, norm.n), transposed
+    return _forms_cached(norm), transposed
 
 
 def _check_stream_spec(spec):
@@ -509,11 +389,13 @@ class EdgeKey:
     pos: int
 
     def endpoints(self):
-        row_kind, col_kind, rows, cols = _factor_kinds(self.spec)
+        row_kind, col_kind, rows, cols = factor_kinds(self.spec)
+        kind, size = (row_kind, rows) if self.orientation == ROW else (col_kind, cols)
+        if not 1 <= self.k <= _factor_edge_count(kind, size):
+            raise InvalidParameterError(f"{kind} of size {size} has no edge {self.k}")
+        a, b = _factor_edge_endpoints(kind, size, self.k)
         if self.orientation == ROW:
-            a, b = _factor_edge_endpoints(row_kind, rows, self.k)
             return ((a, self.pos), (b, self.pos))
-        a, b = _factor_edge_endpoints(col_kind, cols, self.k)
         return ((self.pos, a), (self.pos, b))
 
 
@@ -521,7 +403,7 @@ def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
     _check_stream_spec(spec)
     (r1, c1), (r2, c2) = edge
-    row_kind, col_kind, rows, cols = _factor_kinds(spec)
+    row_kind, col_kind, rows, cols = factor_kinds(spec)
     if c1 == c2:
         if not 1 <= c1 <= cols:
             raise InvalidParameterError(f"column {c1} out of range")
@@ -557,25 +439,31 @@ def iter_labeled_edges(spec, by_label=False):
     """
     _check_stream_spec(spec)
     forms, transposed = _forms(spec)
-    row_kind, col_kind, rows, cols = _factor_kinds(spec)
+    row_kind, col_kind, rows, cols = factor_kinds(spec)
 
     def generate():
         if by_label:
+            first, second = (row_kind, rows), (col_kind, cols)
+            if transposed:  # the forms' first factor is spec's column factor
+                first, second = second, first
             for lab in range(1, spec.edge_count() + 1):
                 orientation, k, pos = forms.invert(lab)
-                if transposed:
-                    flipped = COL if orientation == ROW else ROW
+                if orientation == ROW:
+                    kind, size = first
                 else:
-                    flipped = orientation
-                key = EdgeKey(spec, flipped, k, pos)
-                (a1, a2), (b1, b2) = key.endpoints()
-                yield (a1, a2, b1, b2, lab)
+                    kind, size = second
+                a, b = _factor_edge_endpoints(kind, size, k)
+                if (orientation == ROW) != transposed:
+                    yield (a, pos, b, pos, lab)
+                else:
+                    yield (pos, a, pos, b, lab)
             return
         for r in range(1, rows + 1):
+            row_edges = _factor_edges_with_lower(row_kind, rows, r)
             for c in range(1, cols + 1):
                 for k, upper in _factor_edges_with_lower(col_kind, cols, c):
                     yield (r, c, r, upper, _oriented_label(forms, transposed, COL, k, r))
-                for k, upper in _factor_edges_with_lower(row_kind, rows, r):
+                for k, upper in row_edges:
                     yield (r, c, upper, c, _oriented_label(forms, transposed, ROW, k, c))
 
     return generate()
@@ -743,6 +631,8 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     """
     start = time.perf_counter()
     _check_stream_spec(spec)
+    if chunk_target < 1:
+        raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
     forms, transposed = _forms(spec)
     nv, ne = spec.vertex_count(), spec.edge_count()
     meter = _Meter()
@@ -750,15 +640,11 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     with tempfile.TemporaryDirectory(prefix="antimagic-stream-") as tmpdir:
         label_store = _BucketStore(ne, ne + 1, chunk_target, meter, tmpdir, "labels")
         sum_store = _BucketStore(nv, 4 * ne + 1, chunk_target, meter, tmpdir, "sums")
+        working = 2 * forms.rows  # one column's sums and the block being added in
+        meter.grab(working)
         for j in range(1, forms.cols + 1):
-            column = forms.column_sums(j)
-            meter.grab(column.size)
-            sum_store.add(column)
-            meter.drop(column.size)
-            for arr in forms.column_label_arrays(j):
-                meter.grab(arr.size)
-                label_store.add(arr)
-                meter.drop(arr.size)
+            sum_store.add(forms.column_sums(j, label_store.add))
+        meter.drop(working)
         if label_store.count != ne or sum_store.count != nv:
             raise AssertionError(f"stream enumeration miscounted for {spec}")
         bijection_ok, label_issues = _check_permutation(label_store, ne)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError
 from .families import CYCLE, LATTICE, PATH, PRISM, FamilySpec
-from .labelings import Labeling, transpose_labeling
 
 
 @dataclass
@@ -273,14 +272,13 @@ def check_paper_properties(spec, lab):
     spec.validate()
     if lab.graph.spec != spec:
         raise InvalidParameterError("labeling was not produced for this spec")
-    transposed = False
-    if spec.family == LATTICE and spec.m > spec.n:
-        transposed = True
+    total = vertex_sums(lab).total
+    transposed = spec.family == LATTICE and spec.m > spec.n
+    if transposed:
         spec_eval = FamilySpec(LATTICE, spec.n, spec.m)
-        lab = transpose_labeling(lab, spec_eval)
+        total = {(c, r): value for (r, c), value in total.items()}
     else:
         spec_eval = spec
-    total = vertex_sums(lab).total
     m, n = spec_eval.m, spec_eval.n
     if spec_eval.family == PATH:
         chain = [(i, 1) for i in range(1, m + 2)]

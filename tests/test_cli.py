@@ -291,6 +291,14 @@ def test_bench_chunk_target_spills(capsys):
     assert int(spill.split(":")[1]) > 0
 
 
+@pytest.mark.parametrize("chunk_target", ["0", "-5"])
+def test_bench_rejects_chunk_target_below_one(capsys, chunk_target):
+    code, out, err = run(capsys, ["bench", "lattice", "3", "3", "--chunk-target", chunk_target])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("antimagic:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Arrangements, family specs, and graph construction."""
 
+import numpy as np
 import pytest
 
 from antimagic import (
@@ -17,7 +18,26 @@ from antimagic import (
     k2_graph,
     make_arrangement,
 )
-from antimagic.families import CONSECUTIVE_PATH, SKIP_CYCLE, SKIP_PATH
+from antimagic.families import (
+    CONSECUTIVE_PATH,
+    SKIP_CYCLE,
+    SKIP_PATH,
+    _factor_edge_endpoints,
+    _factor_edge_index,
+    _factor_edges_at,
+    _factor_edges_with_lower,
+)
+
+
+def adjacency(graph):
+    """Sorted neighbour lists of every vertex, derived from ``graph.edges``."""
+    adj = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in adj:
+        adj[v].sort()
+    return adj
 
 
 def test_canonical_edge_sorts_endpoints():
@@ -61,6 +81,23 @@ def test_traversal_walks_the_arrangement_once(kind, size):
     walked = {canonical_edge(a, b) for a, b in steps}
     assert walked == edge_set
     assert len(steps) == len(arr.edges)
+
+
+@pytest.mark.parametrize("kind", [CONSECUTIVE_PATH, SKIP_PATH, SKIP_CYCLE])
+def test_endpoint_forms_match_listing(kind):
+    for size in range(3 if kind == SKIP_CYCLE else 2, 30):
+        edges = make_arrangement(kind, size).edges
+        lo, hi = _factor_edge_endpoints(kind, size, np.arange(1, len(edges) + 1))
+        assert list(zip(lo.tolist(), hi.tolist())) == list(edges)
+        for k, (a, b) in enumerate(edges, start=1):
+            assert _factor_edge_index(kind, size, a, b) == k
+        for v in range(1, size + 1):
+            at = [k for k, e in enumerate(edges, start=1) if v in e]
+            assert _factor_edges_at(kind, size, v) == at
+            lower = sorted((b, k) for k, (a, b) in enumerate(edges, start=1) if a == v)
+            assert _factor_edges_with_lower(kind, size, v) == [(k, b) for b, k in lower]
+        with pytest.raises(InvalidParameterError):
+            _factor_edge_index(kind, size, size, size + 1)
 
 
 def test_arrangement_position_and_listing_maps():
@@ -147,32 +184,35 @@ def test_build_graph_canonical_and_consistent():
     assert graph.edges == sorted(graph.edges)
     assert len(set(graph.edges)) == len(graph.edges)
     assert all(e == canonical_edge(*e) for e in graph.edges)
-    for v, neighbors in graph.adjacency.items():
+    adj = adjacency(graph)
+    for v, neighbors in adj.items():
         for w in neighbors:
-            assert v in graph.adjacency[w]
+            assert v in adj[w]
     # grid degrees: every vertex touches one row edge or two, one col edge or two
-    degrees = sorted(len(graph.adjacency[v]) for v in graph.vertices)
+    degrees = sorted(len(adj[v]) for v in graph.vertices)
     assert degrees[0] >= 2 and degrees[-1] <= 4
 
 
 def test_path_graph_is_a_path():
     graph = build_graph(FamilySpec(PATH, 6))
-    degrees = sorted(len(graph.adjacency[v]) for v in graph.vertices)
+    adj = adjacency(graph)
+    degrees = sorted(len(adj[v]) for v in graph.vertices)
     assert degrees == [1, 1] + [2] * 5
     # the two endpoints of the underlying path are vertices 1 and 2
-    assert len(graph.adjacency[(1, 1)]) == 1
-    assert len(graph.adjacency[(2, 1)]) == 1
+    assert len(adj[(1, 1)]) == 1
+    assert len(adj[(2, 1)]) == 1
 
 
 def test_cycle_graph_is_a_cycle():
     graph = build_graph(FamilySpec(CYCLE, 7))
-    assert all(len(graph.adjacency[v]) == 2 for v in graph.vertices)
+    adj = adjacency(graph)
+    assert all(len(adj[v]) == 2 for v in graph.vertices)
 
 
 def test_prism_graph_degrees():
     graph = build_graph(FamilySpec(PRISM, 4, 2))
     # the underlying path on columns runs 1, 3, 2, so column 3 is its middle
-    for (i, j), neighbors in graph.adjacency.items():
+    for (i, j), neighbors in adjacency(graph).items():
         assert len(neighbors) == (4 if j == 3 else 3)
 
 
