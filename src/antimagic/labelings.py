@@ -96,29 +96,28 @@ def ur_coloring(arr):
 
 
 # Closed-form label formulas, shared with the stream module.  k is a 1-based
-# factor-edge listing index, i a row, j a column.
+# factor-edge listing index, i a row, j a column.  The formulas are branch-free
+# arithmetic, so each argument may be an int or an int64 array (``usual`` a
+# bool or a bool array); ints give ints.
 
 def even_block_label(m, n, k, j, usual):
     """Grid row-direction edge: j-th (or mirrored) even of the k-th block."""
-    base = 2 * (k - 1) * (n + 1)
-    return base + (2 * j if usual else 2 * (n + 2 - j))
+    return 2 * (n + 1) * (k - 1) + 2 * (n + 2 - j) + usual * (4 * j - 2 * n - 4)
 
 
 def ring_label(m, k, j, reversed_second):
     """Prism cycle edge in layer j, with the optional second-layer reversal."""
-    lab = (j - 1) * m + k
-    if reversed_second and j == 2:
-        lab = 3 * m + 1 - lab
-    return lab
+    flip = reversed_second * (j == 2)  # layer 2's block m+1..2m in reverse
+    return (1 - 2 * flip) * ((j - 1) * m + k) + flip * (3 * m + 1)
 
 
 def layer_link_label(m, n, k, i, usual):
     """Prism layer-to-layer edge at ring position i for path edge k."""
-    return m * n + k * m + (i if usual else m + 1 - i)
+    return m * n + k * m + (1 - usual) * (m + 1) + (2 * usual - 1) * i
 
 
 def thin_row_label(k, i):
-    return 2 * k - 1 if i == 1 else 2 * k
+    return 2 * k + i - 2
 
 
 def thin_rung_label(n, j):
@@ -126,7 +125,7 @@ def thin_rung_label(n, j):
 
 
 def two_layer_ring_label(k, j):
-    return 2 * k - 1 if j == 1 else 2 * k
+    return 2 * k + j - 2
 
 
 def two_layer_rung_label(m, i):

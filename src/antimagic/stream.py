@@ -1,13 +1,15 @@
 """Closed-form edge labels and bounded-memory verification for huge grids and prisms.
 
 Everything the materialized labelers compute by dealing out lists has a
-closed form under the skip namings: each construction hands out one block of
-labels per factor edge.  A construction here is two block functions, the
-labels of the first-factor copy in column j (indexed by factor edge) and of
-second-factor edge k (indexed by row), plus O(1) scalar lookups and their
-inverse.  One shared derivation turns the blocks into vertex sums: column j's
-sums are its first-factor block gathered over the row factor's vertex-edge
-incidence, plus the blocks of the second-factor edges meeting column j.
+closed form under the skip namings.  A construction here is two label
+formulas and their inverse: ``first(k, j)``, the label of first-factor edge
+``k`` in column ``j``, and ``second(i, k)``, the label of second-factor edge
+``k`` in row ``i``.  Each formula is branch-free arithmetic, so one
+expression takes ints or int64 arrays and returns the same kind: with ints
+it names one edge, over a factor's index array it gives a block of labels.
+One shared derivation turns the blocks into vertex sums: column j's sums are
+its first-factor block gathered over the row factor's vertex-edge incidence,
+plus the blocks of the second-factor edges meeting column j.
 
 On top of these sit ``closed_form_label``, an edge iterator that never
 materializes the graph, and ``stream_verify``, which sweeps the columns,
@@ -60,60 +62,42 @@ ROW = "row"
 COL = "col"
 
 
-def skip_path_edge_is_usual(size, k):
-    """U/R color of skip-path edge ``k``: U iff its walk position is odd.
+def _usual(size, k):
+    # skip-path edge k is U iff its walk position is odd: (k+1)/2 for odd k,
+    # size - k/2 for even k (the turnaround edge fits either rule)
+    return ((k + 1) // 2 + (1 - k % 2) * size) % 2 == 1
 
-    Walk positions in O(1): odd indices sit in the first leg at (k+1)/2, the
-    turnaround edge (index size-1) in the middle, even indices in the
-    descending leg.
-    """
+
+def skip_path_edge_is_usual(size, k):
+    """U/R color of skip-path edge ``k``: U iff its walk position is odd."""
     if not 1 <= k <= size - 1:
         raise InvalidParameterError(f"skip-path of size {size} has no edge {k}")
-    if k == size - 1:
-        pos = (size + 1) // 2
-    elif k % 2 == 1:
-        pos = (k + 1) // 2
-    else:
-        evens_start = size if size % 2 == 0 else size - 1
-        pos = (size + 1) // 2 + (evens_start - k) // 2
-    return pos % 2 == 1
+    return _usual(size, k)
+
+
+def _merge(m, n, p):
+    # the first head entries are the odds 2p-1; past the head, offsets q
+    # alternate between the tail evens (q odd) and the remaining odds
+    head = m * n + (m + n + 1) // 2 - (n - m) // 2
+    q = p - head
+    return 2 * p - 1 + (q > 0) * (q % 2 * (2 * m * n + 2 * m + 2 - 2 * head) - q)
 
 
 def merge_value(m, n, p):
-    """The p-th element (1-based) of the grid merge sequence, in O(1).
-
-    The first s-t entries are the odds 2p-1; after that positions alternate
-    between the tail evens and the remaining odds.
-    """
+    """The p-th element (1-based) of the grid merge sequence, in O(1)."""
     s = m * n + (m + n + 1) // 2
-    t = (n - m) // 2
-    head = s - t
-    if not 1 <= p <= s + t:
+    if not 1 <= p <= s + (n - m) // 2:
         raise InvalidParameterError(f"merge sequence for {m}x{n} has no position {p}")
-    if p <= head:
-        return 2 * p - 1
-    q = p - head
-    if q % 2 == 1:
-        return 2 * m * n + 2 * m + q + 1
-    return 2 * head + q - 1
+    return _merge(m, n, p)
 
 
-def _merge_value_vec(m, n, p):
-    s = m * n + (m + n + 1) // 2
-    head = s - (n - m) // 2
-    q = p - head
-    tail = np.where(q % 2 == 1, 2 * m * n + 2 * m + q + 1, 2 * head + q - 1)
-    return np.where(p <= head, 2 * p - 1, tail)
-
-
-def _incidence(kind, size):
-    """Vertex -> edge incidence of a factor, as 0-based offsets.
+def _incidence(kind, size, k):
+    """Vertex -> edge incidence of a factor with edges ``k``, as 0-based offsets.
 
     Every factor vertex meets one or two edges.  Returns ``(a, b, single)``:
     vertex ``v`` meets edges ``a[v]`` and ``b[v]``, which coincide for the
     degree-1 vertices listed in ``single``.
     """
-    k = np.arange(1, _factor_edge_count(kind, size) + 1, dtype=np.int64)
     ends = np.concatenate(_factor_edge_endpoints(kind, size, k)) - 1
     edge_of = np.concatenate((k, k))[np.argsort(ends, kind="stable")] - 1
     degree = np.bincount(ends, minlength=size)
@@ -124,13 +108,16 @@ def _incidence(kind, size):
 class _Forms:
     """One construction's closed forms, in the normalized orientation.
 
-    A construction hands out its labels block by block.  A subclass gives its
-    two block functions as int64 arrays: ``first_block(j)``, the labels of
-    the first-factor copy in column ``j`` indexed by factor edge, and
-    ``second_block(k)``, the labels of second-factor edge ``k`` indexed by
-    row.  Its scalar ``first_label``, ``second_label`` and ``invert`` stay
-    pure int arithmetic.  Column sums and label arrays derive from the blocks
-    here, once for every construction.
+    A subclass gives two label formulas and their inverse: ``first(k, j)``,
+    the label of first-factor edge ``k`` in column ``j``, ``second(i, k)``,
+    the label of second-factor edge ``k`` in row ``i``, and the scalar
+    ``invert(label) -> (orientation, k, pos)``.  The formulas are branch-free
+    arithmetic: each argument may be an int or an int64 array, ints give
+    exact Python ints, and the caller passes valid indices only.  Label
+    blocks, column sums and label arrays derive from them here, once for
+    every construction: a column's first-factor block is ``first`` over the
+    factor-edge indices, an edge's second-factor block ``second`` over the
+    rows.
     """
 
     def __init__(self, spec):
@@ -138,12 +125,21 @@ class _Forms:
         self.row_kind, self.col_kind, self.rows, self.cols = factor_kinds(spec)
 
     @cached_property
+    def _rows_index(self):
+        # row indices 1..rows; the row factor's edge indices are a prefix
+        return np.arange(1, self.rows + 1, dtype=np.int64)
+
+    @cached_property
+    def _edges_index(self):
+        return self._rows_index[: _factor_edge_count(self.row_kind, self.rows)]
+
+    @cached_property
     def _row_incidence(self):
-        return _incidence(self.row_kind, self.rows)
+        return _incidence(self.row_kind, self.rows, self._edges_index)
 
     def live_size(self):
         """Values the forms keep between columns."""
-        return sum(a.size for a in self._row_incidence)
+        return self._rows_index.size + sum(a.size for a in self._row_incidence)
 
     def column_sums(self, j, keep=None):
         """Vertex sums of column ``j``, rows ascending.
@@ -155,13 +151,13 @@ class _Forms:
         are live: its first-factor copy, then second-factor edge ``j``.
         """
         a, b, single = self._row_incidence
-        block = self.first_block(j)
+        block = self.first(self._edges_index, j)
         sums = block[a] + block[b]
         sums[single] -= block[a[single]]
         if keep is not None:
             keep(block)
         for k in _factor_edges_at(self.col_kind, self.cols, j):
-            block = self.second_block(k)
+            block = self.second(self._rows_index, k)
             sums += block
             if keep is not None and k == j:
                 keep(block)
@@ -177,38 +173,18 @@ class _Forms:
 class _GridForms(_Forms):
     """Closed forms for the general grid construction (2 <= m <= n)."""
 
-    @cached_property
-    def _usual(self):
-        return np.array([skip_path_edge_is_usual(self.m + 1, k) for k in range(1, self.m + 1)])
+    def first(self, k, j):
+        return even_block_label(self.m, self.n, k, j, _usual(self.m + 1, k))
 
-    def live_size(self):
-        return super().live_size() + self._usual.size
-
-    def first_block(self, j):
-        m, n = self.m, self.n
-        k = np.arange(1, m + 1, dtype=np.int64)
-        return np.where(self._usual, even_block_label(m, n, k, j, True), even_block_label(m, n, k, j, False))
-
-    def second_block(self, k):
-        i = np.arange(1, self.m + 2, dtype=np.int64)
-        return _merge_value_vec(self.m, self.n, (i - 1) * self.n + k)
-
-    def first_label(self, k, j):
-        if not (1 <= k <= self.m and 1 <= j <= self.n + 1):
-            raise InvalidParameterError(f"no row edge (k={k}, j={j}) in {self.m}x{self.n} grid")
-        return even_block_label(self.m, self.n, k, j, skip_path_edge_is_usual(self.m + 1, k))
-
-    def second_label(self, i, k):
-        if not (1 <= i <= self.m + 1 and 1 <= k <= self.n):
-            raise InvalidParameterError(f"no column edge (i={i}, k={k}) in {self.m}x{self.n} grid")
-        return merge_value(self.m, self.n, (i - 1) * self.n + k)
+    def second(self, i, k):
+        return _merge(self.m, self.n, (i - 1) * self.n + k)
 
     def invert(self, lab):
         m, n = self.m, self.n
         if lab % 2 == 0 and lab <= 2 * m * n + 2 * m:
             k = (lab - 2) // (2 * (n + 1)) + 1
             offset = (lab - 2 * (k - 1) * (n + 1)) // 2
-            j = offset if skip_path_edge_is_usual(m + 1, k) else n + 2 - offset
+            j = offset if _usual(m + 1, k) else n + 2 - offset
             return ROW, k, j
         s = m * n + (m + n + 1) // 2
         head = s - (n - m) // 2
@@ -224,20 +200,11 @@ class _GridForms(_Forms):
 class _ThinForms(_Forms):
     """Closed forms for the two-row grid construction (m = 1, n >= 2)."""
 
-    def first_block(self, j):
-        return np.array([thin_rung_label(self.n, j)], dtype=np.int64)
+    def first(self, k, j):
+        # the rung factor has the one edge k = 1; k keeps the block's shape
+        return thin_rung_label(self.n, j) + k - 1
 
-    def second_block(self, k):
-        return np.array([thin_row_label(k, 1), thin_row_label(k, 2)], dtype=np.int64)
-
-    def first_label(self, k, j):
-        if not (k == 1 and 1 <= j <= self.n + 1):
-            raise InvalidParameterError(f"no rung (k={k}, j={j}) in thin grid n={self.n}")
-        return thin_rung_label(self.n, j)
-
-    def second_label(self, i, k):
-        if not (i in (1, 2) and 1 <= k <= self.n):
-            raise InvalidParameterError(f"no row edge (i={i}, k={k}) in thin grid n={self.n}")
+    def second(self, i, k):
         return thin_row_label(k, i)
 
     def invert(self, lab):
@@ -249,24 +216,11 @@ class _ThinForms(_Forms):
 class _UnitForms(_Forms):
     """The 1 x 1 grid: a labeled square with sums 3, 4, 6, 7."""
 
-    _first = {1: 1, 2: 4}    # column j -> label of the rung in column j
-    _second = {1: 2, 2: 3}   # row i -> label of the row edge in row i
+    def first(self, k, j):
+        return 3 * j + k - 3  # the rungs: 1 in column 1, 4 in column 2
 
-    def first_block(self, j):
-        return np.array([self._first[j]], dtype=np.int64)
-
-    def second_block(self, k):
-        return np.array([self._second[1], self._second[2]], dtype=np.int64)
-
-    def first_label(self, k, j):
-        if k != 1 or j not in (1, 2):
-            raise InvalidParameterError(f"no rung (k={k}, j={j}) in the unit grid")
-        return self._first[j]
-
-    def second_label(self, i, k):
-        if k != 1 or i not in (1, 2):
-            raise InvalidParameterError(f"no row edge (i={i}, k={k}) in the unit grid")
-        return self._second[i]
+    def second(self, i, k):
+        return i + k  # the row edges: 2 in row 1, 3 in row 2
 
     def invert(self, lab):
         return {1: (ROW, 1, 1), 4: (ROW, 1, 2), 2: (COL, 1, 1), 3: (COL, 1, 2)}[lab]
@@ -279,24 +233,11 @@ class _PrismForms(_Forms):
         super().__init__(spec)
         self.reversed_second = spec.n % 2 == 0
 
-    def first_block(self, j):
-        k = np.arange(1, self.m + 1, dtype=np.int64)
+    def first(self, k, j):
         return ring_label(self.m, k, j, self.reversed_second)
 
-    def second_block(self, k):
-        i = np.arange(1, self.m + 1, dtype=np.int64)
-        return layer_link_label(self.m, self.n, k, i, skip_path_edge_is_usual(self.n + 1, k))
-
-    def first_label(self, k, j):
-        if not (1 <= k <= self.m and 1 <= j <= self.n + 1):
-            raise InvalidParameterError(f"no ring edge (k={k}, j={j}) in prism {self.m}x{self.n}")
-        return ring_label(self.m, k, j, self.reversed_second)
-
-    def second_label(self, i, k):
-        if not (1 <= i <= self.m and 1 <= k <= self.n):
-            raise InvalidParameterError(f"no link edge (i={i}, k={k}) in prism {self.m}x{self.n}")
-        usual = skip_path_edge_is_usual(self.n + 1, k)
-        return layer_link_label(self.m, self.n, k, i, usual)
+    def second(self, i, k):
+        return layer_link_label(self.m, self.n, k, i, _usual(self.n + 1, k))
 
     def invert(self, lab):
         m, n = self.m, self.n
@@ -306,27 +247,17 @@ class _PrismForms(_Forms):
             return ROW, k, j
         k = (lab - m * n - 1) // m
         offset = lab - m * n - k * m
-        i = offset if skip_path_edge_is_usual(n + 1, k) else m + 1 - offset
+        i = offset if _usual(n + 1, k) else m + 1 - offset
         return COL, k, i
 
 
 class _TwoLayerForms(_Forms):
     """Closed forms for the two-layer prism construction (n = 1)."""
 
-    def first_block(self, j):
-        return two_layer_ring_label(np.arange(1, self.m + 1, dtype=np.int64), j)
-
-    def second_block(self, k):
-        return two_layer_rung_label(self.m, np.arange(1, self.m + 1, dtype=np.int64))
-
-    def first_label(self, k, j):
-        if not (1 <= k <= self.m and j in (1, 2)):
-            raise InvalidParameterError(f"no ring edge (k={k}, j={j}) in two-layer prism m={self.m}")
+    def first(self, k, j):
         return two_layer_ring_label(k, j)
 
-    def second_label(self, i, k):
-        if not (1 <= i <= self.m and k == 1):
-            raise InvalidParameterError(f"no rung (i={i}, k={k}) in two-layer prism m={self.m}")
+    def second(self, i, k):
         return two_layer_rung_label(self.m, i)
 
     def invert(self, lab):
@@ -345,23 +276,6 @@ _CONSTRUCTIONS = {
 }
 
 
-def _normalize(spec):
-    if spec.family == LATTICE and spec.m > spec.n:
-        return FamilySpec(LATTICE, spec.n, spec.m), True
-    return spec, False
-
-
-@lru_cache(maxsize=256)
-def _forms_cached(spec):
-    row_kind, col_kind, _, _ = factor_kinds(spec)
-    return _CONSTRUCTIONS[row_kind, col_kind](spec)
-
-
-def _forms(spec):
-    norm, transposed = _normalize(spec)
-    return _forms_cached(norm), transposed
-
-
 def _check_stream_spec(spec):
     spec.validate()
     if spec.family not in (LATTICE, PRISM):
@@ -370,6 +284,31 @@ def _check_stream_spec(spec):
         raise SizeRefusalError(f"streaming supports dimensions up to {MAX_STREAM_DIMENSION}")
     if spec.edge_count() > MAX_STREAM_EDGES:
         raise SizeRefusalError(f"streaming supports up to {MAX_STREAM_EDGES} edges")
+
+
+# typed: 3.0 and True must miss the entries of 3 and 1, and fail the check
+@lru_cache(maxsize=256, typed=True)
+def _forms_cached(family, m, n):
+    spec = FamilySpec(family, m, n)
+    _check_stream_spec(spec)
+    transposed = family == LATTICE and m > n
+    if transposed:
+        spec = FamilySpec(LATTICE, n, m)
+    row_kind, col_kind, _, _ = factor_kinds(spec)
+    return _CONSTRUCTIONS[row_kind, col_kind](spec), transposed
+
+
+def _forms(spec):
+    """``spec``'s construction forms and whether they label its transpose.
+
+    ``spec`` is checked on a cache miss only.  Grids with m > n are labeled
+    through the transposed shape.
+    """
+    try:
+        return _forms_cached(spec.family, spec.m, spec.n)
+    except TypeError:  # an unhashable field; the check names the bad one
+        _check_stream_spec(spec)
+        raise
 
 
 @dataclass(frozen=True)
@@ -388,11 +327,27 @@ class EdgeKey:
     k: int
     pos: int
 
-    def endpoints(self):
-        row_kind, col_kind, rows, cols = factor_kinds(self.spec)
-        kind, size = (row_kind, rows) if self.orientation == ROW else (col_kind, cols)
+    def _resolve(self):
+        """Check that the key names an edge of ``spec``.
+
+        Returns the forms labeling it, whether it copies their first factor,
+        and that factor's kind and size.
+        """
+        forms, transposed = _forms(self.spec)
+        if self.orientation not in (ROW, COL):
+            raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
+        first = (self.orientation == ROW) != transposed
+        kind, size, cross = (
+            (forms.row_kind, forms.rows, forms.cols) if first else (forms.col_kind, forms.cols, forms.rows)
+        )
         if not 1 <= self.k <= _factor_edge_count(kind, size):
             raise InvalidParameterError(f"{kind} of size {size} has no edge {self.k}")
+        if not 1 <= self.pos <= cross:
+            raise InvalidParameterError(f"cross position {self.pos} out of range 1..{cross}")
+        return forms, first, kind, size
+
+    def endpoints(self):
+        _, _, kind, size = self._resolve()
         a, b = _factor_edge_endpoints(kind, size, self.k)
         if self.orientation == ROW:
             return ((a, self.pos), (b, self.pos))
@@ -401,7 +356,7 @@ class EdgeKey:
 
 def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
-    _check_stream_spec(spec)
+    _forms(spec)
     (r1, c1), (r2, c2) = edge
     row_kind, col_kind, rows, cols = factor_kinds(spec)
     if c1 == c2:
@@ -416,18 +371,15 @@ def edge_key(spec, edge):
 
 
 def _oriented_label(forms, transposed, orientation, k, pos):
-    if transposed:
-        orientation = COL if orientation == ROW else ROW
-    if orientation == ROW:
-        return forms.first_label(k, pos)
-    return forms.second_label(pos, k)
+    if (orientation == ROW) != transposed:
+        return forms.first(k, pos)
+    return forms.second(pos, k)
 
 
 def closed_form_label(key):
     """Label of the edge named by ``key``, in O(1), matching the labelers."""
-    _check_stream_spec(key.spec)
-    forms, transposed = _forms(key.spec)
-    return _oriented_label(forms, transposed, key.orientation, key.k, key.pos)
+    forms, first, _, _ = key._resolve()
+    return forms.first(key.k, key.pos) if first else forms.second(key.pos, key.k)
 
 
 def iter_labeled_edges(spec, by_label=False):
@@ -437,22 +389,15 @@ def iter_labeled_edges(spec, by_label=False):
     labels 1..|E| instead, inverting the closed forms.  Validation happens
     up front, not at the first yield.
     """
-    _check_stream_spec(spec)
     forms, transposed = _forms(spec)
     row_kind, col_kind, rows, cols = factor_kinds(spec)
 
     def generate():
         if by_label:
-            first, second = (row_kind, rows), (col_kind, cols)
-            if transposed:  # the forms' first factor is spec's column factor
-                first, second = second, first
+            factors = {ROW: (forms.row_kind, forms.rows), COL: (forms.col_kind, forms.cols)}
             for lab in range(1, spec.edge_count() + 1):
                 orientation, k, pos = forms.invert(lab)
-                if orientation == ROW:
-                    kind, size = first
-                else:
-                    kind, size = second
-                a, b = _factor_edge_endpoints(kind, size, k)
+                a, b = _factor_edge_endpoints(*factors[orientation], k)
                 if (orientation == ROW) != transposed:
                     yield (a, pos, b, pos, lab)
                 else:
@@ -630,10 +575,9 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     sorted spill buckets on disk carry the rest.
     """
     start = time.perf_counter()
-    _check_stream_spec(spec)
+    forms, transposed = _forms(spec)
     if chunk_target < 1:
         raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
-    forms, transposed = _forms(spec)
     nv, ne = spec.vertex_count(), spec.edge_count()
     meter = _Meter()
     meter.grab(forms.live_size())

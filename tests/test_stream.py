@@ -1,8 +1,10 @@
 """Closed forms vs. materialized labelers, and the bounded-memory verifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import (
@@ -27,9 +29,15 @@ from antimagic import (
     ur_coloring,
     vertex_sums,
 )
-from antimagic.families import SKIP_PATH, make_arrangement
-from antimagic.labelings import U
+from antimagic import stream
+from antimagic.families import SKIP_PATH, _factor_edge_count, make_arrangement
+from antimagic.labelings import Labeling, U
 from antimagic.stream import (
+    COL,
+    DEFAULT_CHUNK_TARGET,
+    MAX_STREAM_DIMENSION,
+    MAX_STREAM_EDGES,
+    ROW,
     _BucketStore,
     _check_permutation,
     _collect_duplicates,
@@ -41,6 +49,13 @@ SMALL_SPECS = (
     [FamilySpec(LATTICE, m, n) for m in range(1, 9) for n in range(1, 9)]
     + [FamilySpec(PRISM, m, n) for m in range(3, 9) for n in range(1, 7)]
 )
+
+
+@pytest.fixture
+def fresh_forms():
+    stream._forms_cached.cache_clear()
+    yield
+    stream._forms_cached.cache_clear()
 
 
 # --- closed forms ---------------------------------------------------------
@@ -106,6 +121,102 @@ def test_edge_key_rejects_non_edges():
         closed_form_label(EdgeKey(spec, "row", 99, 1))
     with pytest.raises(InvalidParameterError):
         closed_form_label(EdgeKey(FamilySpec(PATH, 5), "row", 1, 1))
+    with pytest.raises(InvalidParameterError):
+        closed_form_label(EdgeKey(spec, "diag", 1, 1))
+    with pytest.raises(InvalidParameterError):
+        EdgeKey(spec, "diag", 1, 1).endpoints()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        FamilySpec(LATTICE, [1], 2),  # unhashable
+        FamilySpec(LATTICE, 3.0, 3),  # equal to a cached valid spec
+        FamilySpec(LATTICE, True, 2),
+        FamilySpec(PATH, 5),
+        FamilySpec(PRISM, 2, 3),
+        FamilySpec(LATTICE, 1 << 31, 2),
+    ],
+)
+def test_invalid_spec_raises_on_every_call(bad):
+    # the spec check runs on a forms-cache miss; no bad spec may hit or slip past it
+    for good in (FamilySpec(LATTICE, 3, 3), FamilySpec(LATTICE, 1, 2)):
+        closed_form_label(EdgeKey(good, "row", 1, 1))
+    refusals = (InvalidParameterError, SizeRefusalError)
+    for _ in range(2):
+        with pytest.raises(refusals):
+            edge_key(bad, ((1, 1), (1, 2)))
+        with pytest.raises(refusals):
+            closed_form_label(EdgeKey(bad, "row", 1, 1))
+        with pytest.raises(refusals):
+            iter_labeled_edges(bad)
+        with pytest.raises(refusals):
+            stream_verify(bad)
+
+
+def _n_limit(family, m):
+    # the largest streamable n: edge_count() is 2mn + m + n for grids, 2mn + m for prisms
+    return min(MAX_STREAM_DIMENSION, (MAX_STREAM_EDGES - m) // (2 * m + (family == LATTICE)))
+
+
+@st.composite
+def stream_specs(draw):
+    """Lattice and prism specs up to the streaming limits, edge count included."""
+    family = draw(st.sampled_from([LATTICE, PRISM]))
+    m = draw(st.integers(min_value=1 if family == LATTICE else 3, max_value=MAX_STREAM_DIMENSION))
+    return FamilySpec(family, m, draw(st.integers(min_value=1, max_value=_n_limit(family, m))))
+
+
+@given(stream_specs(), st.data())
+@example(FamilySpec(LATTICE, MAX_STREAM_DIMENSION, _n_limit(LATTICE, MAX_STREAM_DIMENSION)), None)
+@example(FamilySpec(LATTICE, 1 << 29, _n_limit(LATTICE, 1 << 29)), None)
+@example(FamilySpec(PRISM, MAX_STREAM_DIMENSION, _n_limit(PRISM, MAX_STREAM_DIMENSION)), None)
+@example(FamilySpec(PRISM, 3, MAX_STREAM_DIMENSION), None)
+@example(FamilySpec(LATTICE, 1, MAX_STREAM_DIMENSION), None)
+@example(FamilySpec(PRISM, MAX_STREAM_DIMENSION, 1), None)
+@settings(max_examples=200, deadline=None)
+def test_forms_exact_at_huge_sizes(spec, data):
+    # ints are exact, so an int64 wrap in the array path shows as a mismatch
+    assert spec.edge_count() <= MAX_STREAM_EDGES
+    forms, transposed = _forms(spec)
+    first_edges = _factor_edge_count(forms.row_kind, forms.rows)
+    second_edges = _factor_edge_count(forms.col_kind, forms.cols)
+
+    def indices(high):
+        if data is None:  # an explicit example: the corners
+            return [1, high]
+        return data.draw(st.lists(st.integers(min_value=1, max_value=high), min_size=1, max_size=4))
+
+    def pairs(high_a, high_b):
+        a, b = indices(high_a), indices(high_b)
+        size = min(len(a), len(b))
+        return a[:size], b[:size]
+
+    for formula, orientation, (xs, ys) in (
+        (forms.first, ROW, pairs(first_edges, forms.cols)),
+        (forms.second, COL, pairs(forms.rows, second_edges)),
+    ):
+        labels = [formula(x, y) for x, y in zip(xs, ys)]
+        assert all(type(v) is int and 1 <= v <= spec.edge_count() for v in labels)
+        assert formula(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)).tolist() == labels
+        for x, y, v in zip(xs, ys, labels):
+            assert forms.invert(v) == ((ROW, x, y) if orientation == ROW else (COL, y, x))
+    i, k = xs[0], ys[0]  # a second-factor edge, named in spec's own orientation
+    key = EdgeKey(spec, ROW if transposed else COL, k, i)
+    assert edge_key(spec, key.endpoints()) == key
+    assert closed_form_label(key) == labels[0]
+
+
+def test_closed_form_label_allocates_nothing_of_side_length(fresh_forms):
+    spec = FamilySpec(LATTICE, 1 << 24, 1 << 24)
+    tracemalloc.start()
+    try:
+        closed_form_label(EdgeKey(spec, "row", 1 << 24, 1 << 24))
+        closed_form_label(EdgeKey(spec, "col", 1 << 24, 1 << 24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # --- iteration ------------------------------------------------------------
@@ -190,6 +301,59 @@ def test_stream_verify_live_state_stays_bounded():
     assert stats_t.peak_live_values == stats.peak_live_values
 
 
+def _faulty(construction, remap):
+    class Faulty(construction):
+        def first(self, k, j):
+            return remap(super().first(k, j))
+
+        def second(self, i, k):
+            return remap(super().second(i, k))
+
+    return Faulty
+
+
+def _bump(top):
+    # 3 missing and 4 repeated; the top label moves out of range
+    return lambda lab: lab + (lab == 3) + (lab == top)
+
+
+def _swap(a, b):
+    return lambda lab: lab + (lab == a) * (b - a) + (lab == b) * (a - b)
+
+
+# each swap makes two vertex sums equal
+@pytest.mark.parametrize(
+    "spec, swap",
+    [
+        (FamilySpec(LATTICE, 4, 6), (1, 7)),
+        (FamilySpec(LATTICE, 6, 4), (1, 7)),
+        (FamilySpec(LATTICE, 1, 6), (1, 2)),
+        (FamilySpec(LATTICE, 1, 1), (1, 2)),
+        (FamilySpec(PRISM, 5, 4), (1, 3)),
+        (FamilySpec(PRISM, 5, 1), (1, 2)),
+    ],
+)
+@pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
+def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_forms, monkeypatch):
+    forms, _ = _forms(spec)
+    kinds = forms.row_kind, forms.col_kind
+    for remap, broken in ((_bump(spec.edge_count()), "bijection"), (_swap(*swap), "sums")):
+        monkeypatch.setitem(stream._CONSTRUCTIONS, kinds, _faulty(type(forms), remap))
+        stream._forms_cached.cache_clear()
+        graph = build_graph(spec)
+        lab = Labeling(graph, {((r1, c1), (r2, c2)): v for r1, c1, r2, c2, v in iter_labeled_edges(spec)})
+        expected = check_antimagic(lab)
+        assert not expected.antimagic
+        assert (expected.duplicate is not None) == (broken == "sums")
+        got = stream_verify(spec, chunk_target=chunk_target)
+        assert (got.antimagic, got.bijection_ok, got.missing_or_repeated_labels, got.duplicate) == (
+            expected.antimagic,
+            expected.bijection_ok,
+            expected.missing_or_repeated_labels,
+            expected.duplicate,
+        )
+
+
 @pytest.mark.parametrize("chunk_target", [0, -5])
 def test_stream_verify_rejects_chunk_target_below_one(chunk_target):
     with pytest.raises(InvalidParameterError):
@@ -202,9 +366,9 @@ def test_column_label_arrays_match_scalar_forms(spec):
     seen = []
     for j in range(1, forms.cols + 1):
         first, *second = forms.column_label_arrays(j)
-        assert first.tolist() == [forms.first_label(k, j) for k in range(1, first.size + 1)]
+        assert first.tolist() == [forms.first(k, j) for k in range(1, first.size + 1)]
         if j < forms.cols:
-            assert second[0].tolist() == [forms.second_label(i, j) for i in range(1, forms.rows + 1)]
+            assert second[0].tolist() == [forms.second(i, j) for i in range(1, forms.rows + 1)]
         seen += [v for block in (first, *second) for v in block.tolist()]
     assert sorted(seen) == list(range(1, spec.edge_count() + 1))
 
