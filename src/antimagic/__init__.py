@@ -28,7 +28,6 @@ from .families import (
 from .formats import (
     labeling_to_dot,
     labeling_to_json,
-    labeling_to_json_dict,
     labeling_tsv_lines,
     parse_json,
     parse_labeling,
@@ -112,7 +111,6 @@ __all__ = [
     "label_prism_two_layers",
     "labeling_to_dot",
     "labeling_to_json",
-    "labeling_to_json_dict",
     "labeling_tsv_lines",
     "make_arrangement",
     "merge_sequence",

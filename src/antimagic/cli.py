@@ -140,9 +140,7 @@ def _cmd_search(args):
         assignment = result.first_antimagic.assignment
         first = [[*u, *v, assignment[(u, v)]] for u, v in result.first_antimagic.graph.edges]
     doc = {
-        "family": spec.family,
-        "m": spec.m,
-        "n": spec.n if spec.family in (LATTICE, PRISM) else None,
+        **spec.header(),
         "vertices": spec.vertex_count(),
         "edges": spec.edge_count(),
         "mode": mode,

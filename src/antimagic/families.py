@@ -165,20 +165,16 @@ class FamilySpec:
             raise InvalidParameterError(f"prism needs m >= 3 and n >= 1, got m={self.m} n={self.n}")
 
     def vertex_count(self):
-        if self.family == PATH:
-            return self.m + 1
-        if self.family == CYCLE:
-            return self.m
-        if self.family == LATTICE:
-            return (self.m + 1) * (self.n + 1)
-        return self.m * (self.n + 1)
+        return self.row_count() * self.col_count()
 
     def edge_count(self):
-        if self.family in (PATH, CYCLE):
-            return self.m
-        if self.family == LATTICE:
-            return 2 * self.m * self.n + self.m + self.n
-        return 2 * self.m * self.n + self.m
+        # a path or cycle has one column, so its column term is 0
+        row_kind, col_kind, rows, cols = factor_kinds(self)
+        return cols * _factor_edge_count(row_kind, rows) + rows * _factor_edge_count(col_kind, cols)
+
+    def header(self):
+        """The ``family``/``m``/``n`` header of files and reports; ``n`` is None for paths and cycles."""
+        return {"family": self.family, "m": self.m, "n": self.n if self.family in (LATTICE, PRISM) else None}
 
     def row_count(self):
         if self.family == PATH:

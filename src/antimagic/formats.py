@@ -1,9 +1,11 @@
 """Serialization of labelings as JSON, TSV, and pinned-layout DOT.
 
-The JSON and TSV forms round-trip: parsers rebuild an ad-hoc graph from the
-edges in the file so external labelings (including single-edge negative
-controls) can be verified.  A declared family header, when present, must
-describe exactly the edges in the file and then attaches the proper spec.
+Writers format each edge and vertex line straight from the labeling.  The
+JSON and TSV forms round-trip.  A headerless file (all TSV, JSON without a
+family) gets an ad-hoc graph built from the edges in the file, so external
+labelings (including single-edge negative controls) can be verified.  A
+headered JSON file gets the family's graph: its header must describe exactly
+the edges in the file.
 """
 
 from __future__ import annotations
@@ -27,40 +29,20 @@ from .labelings import Labeling
 from .verification import vertex_sums
 
 
-def labeling_to_json_dict(lab):
-    spec = lab.graph.spec
-    sums = vertex_sums(lab).total
-    if spec is None:
-        family = m = n = None
-    else:
-        family = spec.family
-        m = spec.m
-        n = spec.n if spec.family in (LATTICE, PRISM) else None
-    return {
-        "family": family,
-        "m": m,
-        "n": n,
-        "edges": [
-            {"u": list(u), "v": list(v), "label": lab.assignment[(u, v)]}
-            for u, v in lab.graph.edges
-        ],
-        "sums": {f"{r},{c}": sums[(r, c)] for (r, c) in lab.graph.vertices},
-    }
-
-
 def labeling_to_json(lab):
     """Render with one edge object and one sum entry per line."""
-    doc = labeling_to_json_dict(lab)
-    head = json.dumps(
-        {k: doc[k] for k in ("family", "m", "n")}, separators=(", ", ": ")
-    )[1:-1]
+    spec = lab.graph.spec
+    header = spec.header() if spec is not None else dict.fromkeys(("family", "m", "n"))
+    assignment = lab.assignment
+    total = vertex_sums(lab).total
     edges = ",\n".join(
-        "    " + json.dumps(e, separators=(", ", ": ")) for e in doc["edges"]
+        f'    {{"u": [{u[0]}, {u[1]}], "v": [{v[0]}, {v[1]}], "label": {assignment[u, v]}}}'
+        for u, v in lab.graph.edges
     )
-    sums = ",\n".join(f'    "{k}": {v}' for k, v in doc["sums"].items())
+    sums = ",\n".join(f'    "{r},{c}": {total[r, c]}' for r, c in lab.graph.vertices)
     return (
         "{\n"
-        f"  {head},\n"
+        f"  {json.dumps(header)[1:-1]},\n"
         '  "edges": [\n' + edges + "\n  ],\n"
         '  "sums": {\n' + sums + "\n  }\n"
         "}\n"
@@ -118,8 +100,8 @@ def labeling_to_dot(lab):
     return "\n".join(lines) + "\n"
 
 
-def _labeling_from_pairs(pairs):
-    """Build a Labeling from (endpoint-pair, label) items collected by a parser."""
+def _labels_from_pairs(pairs):
+    """Check (endpoint-pair, label) items collected by a parser; return edge -> label."""
     labels = {}
     for (a, b), value in pairs:
         try:
@@ -131,8 +113,7 @@ def _labeling_from_pairs(pairs):
         labels[edge] = value
     if not labels:
         raise FormatError("no edges found")
-    graph = graph_from_edges(sorted(labels))
-    return Labeling(graph, labels)
+    return labels
 
 
 def parse_tsv(text):
@@ -149,7 +130,8 @@ def parse_tsv(text):
         except ValueError as exc:
             raise FormatError(f"line {ln}: fields must be integers") from exc
         pairs.append((((r1, c1), (r2, c2)), value))
-    return _labeling_from_pairs(pairs)
+    labels = _labels_from_pairs(pairs)
+    return Labeling(graph_from_edges(sorted(labels)), labels)
 
 
 def _coords(entry, key):
@@ -178,10 +160,10 @@ def parse_json(text):
         if isinstance(value, bool) or not isinstance(value, int):
             raise FormatError(f"edge label must be an integer, got {value!r}")
         pairs.append(((_coords(entry, "u"), _coords(entry, "v")), value))
-    lab = _labeling_from_pairs(pairs)
+    labels = _labels_from_pairs(pairs)
     family = doc.get("family")
     if family is None:
-        return lab
+        return Labeling(graph_from_edges(sorted(labels)), labels)
     if family not in FAMILIES:
         raise FormatError(f"unknown family {family!r}")
     m, n = doc.get("m"), doc.get("n")
@@ -198,9 +180,9 @@ def parse_json(text):
         graph = build_graph(spec)
     except InvalidParameterError as exc:
         raise FormatError(str(exc)) from exc
-    if graph.edges != lab.graph.edges:
+    if graph.edges != sorted(labels):
         raise FormatError(f"edges do not match {family} m={m}" + (f" n={n}" if n else ""))
-    return Labeling(graph, lab.assignment)
+    return Labeling(graph, labels)
 
 
 def parse_labeling(text):

@@ -163,12 +163,6 @@ class _Forms:
                 keep(block)
         return sums
 
-    def column_label_arrays(self, j):
-        """The label blocks column ``j`` owns; over all columns, every label once."""
-        out = []
-        self.column_sums(j, out.append)
-        return out
-
 
 class _GridForms(_Forms):
     """Closed forms for the general grid construction (2 <= m <= n)."""
@@ -336,6 +330,9 @@ class EdgeKey:
         forms, transposed = _forms(self.spec)
         if self.orientation not in (ROW, COL):
             raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
+        for name, value in (("k", self.k), ("pos", self.pos)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
         first = (self.orientation == ROW) != transposed
         kind, size, cross = (
             (forms.row_kind, forms.rows, forms.cols) if first else (forms.col_kind, forms.cols, forms.rows)

@@ -143,9 +143,7 @@ class PropertyReport:
 
     def to_json_dict(self):
         return {
-            "family": self.spec.family,
-            "m": self.spec.m,
-            "n": self.spec.n if self.spec.family in (LATTICE, PRISM) else None,
+            **self.spec.header(),
             "evaluated_transposed": self.transposed,
             "all_passed": self.all_passed,
             "checks": [

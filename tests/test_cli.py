@@ -9,7 +9,7 @@ from antimagic import (
     LATTICE,
     FamilySpec,
     label,
-    labeling_to_json_dict,
+    labeling_to_json,
     parse_json,
     parse_tsv,
 )
@@ -184,7 +184,7 @@ def test_properties_input_mode(capsys, tmp_path):
 
 
 def test_properties_detects_broken_labeling(capsys, tmp_path):
-    doc = labeling_to_json_dict(label(FamilySpec(LATTICE, 2, 2)))
+    doc = json.loads(labeling_to_json(label(FamilySpec(LATTICE, 2, 2))))
     doc["edges"][0]["label"], doc["edges"][1]["label"] = (
         doc["edges"][1]["label"],
         doc["edges"][0]["label"],

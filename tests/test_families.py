@@ -143,6 +143,9 @@ def test_invalid_specs_rejected(spec):
         (FamilySpec(LATTICE, 1, 1), 4, 4),
         (FamilySpec(PRISM, 4, 3), 16, 28),
         (FamilySpec(PRISM, 3, 1), 6, 9),
+        (FamilySpec(LATTICE, 1, 5), 12, 16),
+        (FamilySpec(LATTICE, 5, 1), 12, 16),
+        (FamilySpec(PRISM, 5, 1), 10, 15),
     ],
 )
 def test_counts_match_materialized_graph(spec, nv, ne):

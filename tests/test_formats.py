@@ -15,7 +15,6 @@ from antimagic import (
     label,
     labeling_to_dot,
     labeling_to_json,
-    labeling_to_json_dict,
     labeling_tsv_lines,
     parse_json,
     parse_labeling,
@@ -61,7 +60,7 @@ def test_tsv_roundtrip_preserves_assignment(spec):
 
 
 def test_json_dict_shape():
-    doc = labeling_to_json_dict(label(FamilySpec(LATTICE, 2, 3)))
+    doc = json.loads(labeling_to_json(label(FamilySpec(LATTICE, 2, 3))))
     assert doc["family"] == LATTICE
     assert (doc["m"], doc["n"]) == (2, 3)
     assert len(doc["edges"]) == 2 * 2 * 3 + 2 + 3
@@ -70,7 +69,7 @@ def test_json_dict_shape():
 
 
 def test_json_dict_path_has_null_n():
-    doc = labeling_to_json_dict(label(FamilySpec(PATH, 4)))
+    doc = json.loads(labeling_to_json(label(FamilySpec(PATH, 4))))
     assert doc["family"] == PATH
     assert doc["m"] == 4
     assert doc["n"] is None
@@ -84,6 +83,44 @@ def test_json_text_is_compact_and_valid():
     edge_lines = [ln for ln in text.splitlines() if '"u":' in ln]
     assert len(edge_lines) == 5
     assert all(ln.count("{") == 1 for ln in edge_lines)
+
+
+@pytest.mark.parametrize(
+    "lab,text",
+    [
+        (
+            label(FamilySpec(PATH, 2)),
+            '{\n  "family": "path", "m": 2, "n": null,\n'
+            '  "edges": [\n'
+            '    {"u": [1, 1], "v": [3, 1], "label": 1},\n'
+            '    {"u": [2, 1], "v": [3, 1], "label": 2}\n'
+            '  ],\n'
+            '  "sums": {\n    "1,1": 1,\n    "2,1": 2,\n    "3,1": 3\n  }\n}\n',
+        ),
+        (
+            label(FamilySpec(LATTICE, 1, 1)),
+            '{\n  "family": "lattice", "m": 1, "n": 1,\n'
+            '  "edges": [\n'
+            '    {"u": [1, 1], "v": [1, 2], "label": 2},\n'
+            '    {"u": [1, 1], "v": [2, 1], "label": 1},\n'
+            '    {"u": [1, 2], "v": [2, 2], "label": 4},\n'
+            '    {"u": [2, 1], "v": [2, 2], "label": 3}\n'
+            '  ],\n'
+            '  "sums": {\n    "1,1": 3,\n    "1,2": 6,\n    "2,1": 4,\n    "2,2": 7\n  }\n}\n',
+        ),
+        (
+            parse_tsv("1 1 2 1 1\n"),
+            '{\n  "family": null, "m": null, "n": null,\n'
+            '  "edges": [\n'
+            '    {"u": [1, 1], "v": [2, 1], "label": 1}\n'
+            '  ],\n'
+            '  "sums": {\n    "1,1": 1,\n    "2,1": 1\n  }\n}\n',
+        ),
+    ],
+    ids=["path-null-n", "lattice-1x1", "headerless"],
+)
+def test_json_text_is_pinned(lab, text):
+    assert labeling_to_json(lab) == text
 
 
 def test_tsv_by_label_orders_lines_by_label():
@@ -143,7 +180,7 @@ def test_json_without_family_header_stays_ad_hoc():
 
 def test_json_header_must_match_edges():
     lab = label(FamilySpec(PATH, 4))
-    doc = labeling_to_json_dict(lab)
+    doc = json.loads(labeling_to_json(lab))
     doc["m"] = 5
     with pytest.raises(FormatError, match="do not match"):
         parse_json(json.dumps(doc))

@@ -125,6 +125,12 @@ def test_edge_key_rejects_non_edges():
         closed_form_label(EdgeKey(spec, "diag", 1, 1))
     with pytest.raises(InvalidParameterError):
         EdgeKey(spec, "diag", 1, 1).endpoints()
+    for bad in (1.0, 1.5, np.int64(1), True):  # k and pos must be ints, not bools
+        for key in (EdgeKey(spec, "row", bad, 1), EdgeKey(spec, "row", 1, bad)):
+            with pytest.raises(InvalidParameterError):
+                closed_form_label(key)
+            with pytest.raises(InvalidParameterError):
+                key.endpoints()
 
 
 @pytest.mark.parametrize(
@@ -365,7 +371,9 @@ def test_column_label_arrays_match_scalar_forms(spec):
     forms, _ = _forms(spec)
     seen = []
     for j in range(1, forms.cols + 1):
-        first, *second = forms.column_label_arrays(j)
+        blocks = []
+        forms.column_sums(j, blocks.append)
+        first, *second = blocks
         assert first.tolist() == [forms.first(k, j) for k in range(1, first.size + 1)]
         if j < forms.cols:
             assert second[0].tolist() == [forms.second(i, j) for i in range(1, forms.rows + 1)]
