@@ -53,6 +53,7 @@ from .stream import (
     StreamStats,
     closed_form_label,
     edge_key,
+    iter_edge_blocks,
     iter_labeled_edges,
     merge_value,
     skip_path_edge_is_usual,
@@ -100,6 +101,7 @@ __all__ = [
     "exhaustive_search",
     "factor_arrangements",
     "graph_from_edges",
+    "iter_edge_blocks",
     "iter_labeled_edges",
     "k2_graph",
     "label",

@@ -27,7 +27,7 @@ from .formats import (
 )
 from .labelings import label
 from .oracle import exhaustive_search, random_search
-from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_labeled_edges, stream_verify
+from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, stream_verify
 from .verification import check_antimagic, check_paper_properties
 
 EXIT_OK = 0
@@ -77,8 +77,8 @@ def _cmd_generate(args):
             raise InvalidParameterError("--stream covers lattice and prism specs only")
     with _open_output(args.output) as out:
         if args.stream:
-            for r1, c1, r2, c2, value in iter_labeled_edges(spec, by_label=args.by_label):
-                out.write(f"{r1}\t{c1}\t{r2}\t{c2}\t{value}\n")
+            for block in iter_edge_blocks(spec, by_label=args.by_label):
+                out.write("%d\t%d\t%d\t%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
         else:
             lab = label(spec)
             if args.format == "json":

@@ -123,17 +123,20 @@ def _factor_edges_at(kind, size, v):
     return [k for k in candidates if 1 <= k <= count and v in _factor_edge_endpoints(kind, size, k)]
 
 
-def _factor_edges_with_lower(kind, size, x):
-    """(listing index, upper endpoint) of factor edges whose lower endpoint is x, by upper."""
-    if not 1 <= x < size:
-        return []
-    if kind != SKIP_CYCLE:
-        ks = (x,)
-    elif x == 1:
-        ks = (1, 2)  # the closing edge (1, 2), then (1, 3)
-    else:
-        ks = (x + 1,)
-    return [(k, _factor_edge_endpoints(kind, size, k)[1]) for k in ks]
+def _factor_edges_below(kind, size, x):
+    """How many factor edges start below vertex ``x``, an int or array in 1..size+1.
+
+    Listing order sorts the edges by (lower, upper) endpoint, so they are edges 1..that.
+    """
+    below = x - 1 + (kind == SKIP_CYCLE) * (x > 1)  # a cycle's vertex 1 starts two edges
+    count = _factor_edge_count(kind, size)
+    return below - (below > count) * (below - count)
+
+
+def _check_ints(**values):
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidParameterError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,7 @@ class FamilySpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family {self.family!r}")
-        for name, value in (("m", self.m), ("n", self.n)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
+        _check_ints(m=self.m, n=self.n)
         if self.family == PATH and self.m < 2:
             raise InvalidParameterError(f"path needs m >= 2, got m={self.m}")
         if self.family == CYCLE and self.m < 3:
@@ -177,18 +178,10 @@ class FamilySpec:
         return {"family": self.family, "m": self.m, "n": self.n if self.family in (LATTICE, PRISM) else None}
 
     def row_count(self):
-        if self.family == PATH:
-            return self.m + 1
-        if self.family == CYCLE:
-            return self.m
-        if self.family == LATTICE:
-            return self.m + 1
-        return self.m
+        return self.m + (self.family in (PATH, LATTICE))  # paths on m+1 vertices, cycles on m
 
     def col_count(self):
-        if self.family in (PATH, CYCLE):
-            return 1
-        return self.n + 1
+        return 1 if self.family in (PATH, CYCLE) else self.n + 1
 
 
 def factor_kinds(spec):

@@ -60,21 +60,14 @@ def labeling_tsv_lines(lab, by_label=False):
 
 def _vertex_positions(graph):
     """Plot coordinates per vertex: grids on a grid, rings on circles."""
-    spec = graph.spec
-    pos = {}
-    if spec is not None and spec.family == PATH:
-        for v in graph.vertices:
-            pos[v] = (float(v[0]), 0.0)
-    elif spec is not None and spec.family in (CYCLE, PRISM):
-        m = spec.m
-        for (i, j) in graph.vertices:
-            angle = 2.0 * math.pi * (i - 1) / m
-            radius = float(j)
-            pos[(i, j)] = (radius * math.cos(angle), radius * math.sin(angle))
-    else:
-        for (r, c) in graph.vertices:
-            pos[(r, c)] = (float(c), -float(r))
-    return pos
+    family = graph.spec.family if graph.spec is not None else None
+    if family == PATH:
+        return {(r, c): (float(r), 0.0) for r, c in graph.vertices}
+    if family in (CYCLE, PRISM):  # ring position i at angle 2 pi (i-1)/m, layer j at radius j
+        m = graph.spec.m
+        angle = {i: 2.0 * math.pi * (i - 1) / m for i in range(1, m + 1)}
+        return {(i, j): (j * math.cos(angle[i]), j * math.sin(angle[i])) for i, j in graph.vertices}
+    return {(r, c): (float(c), -float(r)) for r, c in graph.vertices}
 
 
 def labeling_to_dot(lab):
@@ -136,11 +129,7 @@ def parse_tsv(text):
 
 def _coords(entry, key):
     raw = entry.get(key)
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
-    ):
+    if not isinstance(raw, list) or len(raw) != 2 or type(raw[0]) is not int or type(raw[1]) is not int:
         raise FormatError(f'edge field "{key}" must be a pair of integers, got {raw!r}')
     return (raw[0], raw[1])
 

@@ -138,24 +138,19 @@ def label_path(m):
     The resulting sums are 1, 2, then the even run 2i-2, and finally 2m-1:
     strictly increasing along the vertex indices.
     """
-    spec = FamilySpec(PATH, m)
-    spec.validate()
-    graph = build_graph(spec)
-    assignment = {}
-    for k, (a, b) in enumerate(graph.row_arrangement.edges, start=1):
-        assignment[((a, 1), (b, 1))] = k
-    return Labeling(graph, assignment)
+    return _label_in_listing_order(FamilySpec(PATH, m))
 
 
 def label_cycle(m):
     """Skip-named cycle on m vertices, labeled in listing order."""
-    spec = FamilySpec(CYCLE, m)
+    return _label_in_listing_order(FamilySpec(CYCLE, m))
+
+
+def _label_in_listing_order(spec):
     spec.validate()
     graph = build_graph(spec)
-    assignment = {}
-    for k, (a, b) in enumerate(graph.row_arrangement.edges, start=1):
-        assignment[((a, 1), (b, 1))] = k
-    return Labeling(graph, assignment)
+    edges = enumerate(graph.row_arrangement.edges, start=1)
+    return Labeling(graph, {((a, 1), (b, 1)): k for k, (a, b) in edges})
 
 
 def label_lattice_general(m, n):

@@ -1,21 +1,21 @@
-"""Closed-form edge labels and bounded-memory verification for huge grids and prisms.
+"""Closed-form edge labels, block emission and bounded-memory verification for huge grids and prisms.
 
 Everything the materialized labelers compute by dealing out lists has a
 closed form under the skip namings.  A construction here is two label
 formulas and their inverse: ``first(k, j)``, the label of first-factor edge
-``k`` in column ``j``, and ``second(i, k)``, the label of second-factor edge
-``k`` in row ``i``.  Each formula is branch-free arithmetic, so one
-expression takes ints or int64 arrays and returns the same kind: with ints
-it names one edge, over a factor's index array it gives a block of labels.
-One shared derivation turns the blocks into vertex sums: column j's sums are
-its first-factor block gathered over the row factor's vertex-edge incidence,
-plus the blocks of the second-factor edges meeting column j.
+``k`` in column ``j``, ``second(i, k)``, the label of second-factor edge
+``k`` in row ``i``, and ``invert``.  All three are branch-free arithmetic,
+so one expression takes ints (one edge) or int64 arrays (a block of edges).
 
-On top of these sit ``closed_form_label``, an edge iterator that never
-materializes the graph, and ``stream_verify``, which sweeps the columns,
-computes each block once per column, and checks bijectivity and sum
-distinctness exactly, spilling sorted value buckets to disk so live state
-stays at one column of the normalized orientation plus the bucket chunks.
+On top of these sit ``closed_form_label``; ``iter_edge_blocks``, which
+emits every edge as int64 arrays of at most ``BLOCK_EDGES`` rows, in
+canonical order or, inverting label ranges, by label (``iter_labeled_edges``
+is its per-edge view); and ``stream_verify``, which sweeps the columns,
+adding each column's first-factor block, gathered over the row factor's
+incidence, to the blocks of the edges meeting it.  It checks bijectivity and
+sum distinctness exactly, spilling sorted value buckets to disk so live
+state stays at one column of the normalized orientation plus the bucket
+chunks.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .families import (
     SKIP_CYCLE,
     SKIP_PATH,
     FamilySpec,
+    _check_ints,
     _factor_edge_count,
     _factor_edge_endpoints,
     _factor_edge_index,
     _factor_edges_at,
-    _factor_edges_with_lower,
+    _factor_edges_below,
     factor_kinds,
 )
 from .labelings import (
@@ -57,9 +58,15 @@ from .verification import Verdict
 DEFAULT_CHUNK_TARGET = 1 << 16
 MAX_STREAM_DIMENSION = 1 << 30
 MAX_STREAM_EDGES = 1 << 60  # keeps every vertex sum below 2**62
+BLOCK_EDGES = 1 << 11  # the most edges in one block of iter_edge_blocks
 
 ROW = "row"
 COL = "col"
+
+
+def _select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a branch-free select for ints or arrays."""
+    return b + cond * (a - b)
 
 
 def _usual(size, k):
@@ -108,16 +115,14 @@ def _incidence(kind, size, k):
 class _Forms:
     """One construction's closed forms, in the normalized orientation.
 
-    A subclass gives two label formulas and their inverse: ``first(k, j)``,
-    the label of first-factor edge ``k`` in column ``j``, ``second(i, k)``,
-    the label of second-factor edge ``k`` in row ``i``, and the scalar
-    ``invert(label) -> (orientation, k, pos)``.  The formulas are branch-free
-    arithmetic: each argument may be an int or an int64 array, ints give
-    exact Python ints, and the caller passes valid indices only.  Label
-    blocks, column sums and label arrays derive from them here, once for
-    every construction: a column's first-factor block is ``first`` over the
-    factor-edge indices, an edge's second-factor block ``second`` over the
-    rows.
+    A subclass gives ``first(k, j)``, the label of first-factor edge ``k``
+    in column ``j``, ``second(i, k)``, the label of second-factor edge ``k``
+    in row ``i``, and their inverse ``invert(label) -> (first, k, pos)``,
+    where ``first`` tells which formula gave the label.  All three are
+    branch-free arithmetic: each argument may be an int or an int64 array,
+    ints give exact Python ints, and the caller passes valid indices only.
+    Column sums derive from the label blocks here, once for every
+    construction.
     """
 
     def __init__(self, spec):
@@ -175,20 +180,16 @@ class _GridForms(_Forms):
 
     def invert(self, lab):
         m, n = self.m, self.n
-        if lab % 2 == 0 and lab <= 2 * m * n + 2 * m:
-            k = (lab - 2) // (2 * (n + 1)) + 1
-            offset = (lab - 2 * (k - 1) * (n + 1)) // 2
-            j = offset if _usual(m + 1, k) else n + 2 - offset
-            return ROW, k, j
-        s = m * n + (m + n + 1) // 2
-        head = s - (n - m) // 2
-        if lab % 2 == 1:
-            p = (lab + 1) // 2
-            if p > head:
-                p = lab + 1 - head
-        else:
-            p = head + (lab - 2 * m * n - 2 * m - 1)
-        return COL, (p - 1) % n + 1, (p - 1) // n + 1
+        first = (lab % 2 == 0) & (lab <= 2 * m * n + 2 * m)
+        # the offset-th even of block k, counted from the far end for R edges
+        k = (lab - 2) // (2 * (n + 1)) + 1
+        offset = (lab - 2 * (k - 1) * (n + 1)) // 2
+        j = _select(_usual(m + 1, k), offset, n + 2 - offset)
+        # merge position p: odds 2p-1 up to the head, then odds and tail evens alternate
+        head = m * n + (m + n + 1) // 2 - (n - m) // 2
+        p = (lab + 1) // 2
+        p = _select(lab % 2, _select(p > head, lab + 1 - head, p), head + lab - 2 * m * n - 2 * m - 1)
+        return first, _select(first, k, (p - 1) % n + 1), _select(first, j, (p - 1) // n + 1)
 
 
 class _ThinForms(_Forms):
@@ -202,9 +203,8 @@ class _ThinForms(_Forms):
         return thin_row_label(k, i)
 
     def invert(self, lab):
-        if lab <= 2 * self.n:
-            return COL, (lab + 1) // 2, 1 if lab % 2 == 1 else 2
-        return ROW, 1, lab - 2 * self.n
+        first = lab > 2 * self.n
+        return first, _select(first, 1, (lab + 1) // 2), _select(first, lab - 2 * self.n, 2 - lab % 2)
 
 
 class _UnitForms(_Forms):
@@ -217,7 +217,7 @@ class _UnitForms(_Forms):
         return i + k  # the row edges: 2 in row 1, 3 in row 2
 
     def invert(self, lab):
-        return {1: (ROW, 1, 1), 4: (ROW, 1, 2), 2: (COL, 1, 1), 3: (COL, 1, 2)}[lab]
+        return lab % 3 == 1, 1 + 0 * lab, 1 + (lab > 2)
 
 
 class _PrismForms(_Forms):
@@ -235,14 +235,13 @@ class _PrismForms(_Forms):
 
     def invert(self, lab):
         m, n = self.m, self.n
-        if lab <= m * (n + 1):
-            j = (lab - 1) // m + 1
-            k = (2 * m + 1 - lab) if (self.reversed_second and j == 2) else lab - (j - 1) * m
-            return ROW, k, j
-        k = (lab - m * n - 1) // m
-        offset = lab - m * n - k * m
-        i = offset if _usual(n + 1, k) else m + 1 - offset
-        return COL, k, i
+        first = lab <= m * (n + 1)
+        j = (lab - 1) // m + 1
+        k = _select(self.reversed_second * (j == 2), 2 * m + 1 - lab, lab - (j - 1) * m)
+        link = (lab - m * n - 1) // m
+        offset = lab - m * n - link * m
+        i = _select(_usual(n + 1, link), offset, m + 1 - offset)
+        return first, _select(first, k, link), _select(first, j, i)
 
 
 class _TwoLayerForms(_Forms):
@@ -255,9 +254,8 @@ class _TwoLayerForms(_Forms):
         return two_layer_rung_label(self.m, i)
 
     def invert(self, lab):
-        if lab <= 2 * self.m:
-            return ROW, (lab + 1) // 2, 1 if lab % 2 == 1 else 2
-        return COL, 1, lab - 2 * self.m
+        first = lab <= 2 * self.m
+        return first, _select(first, (lab + 1) // 2, 1), _select(first, 2 - lab % 2, lab - 2 * self.m)
 
 
 # the factor namings of a normalized spec pick its construction
@@ -330,9 +328,7 @@ class EdgeKey:
         forms, transposed = _forms(self.spec)
         if self.orientation not in (ROW, COL):
             raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
-        for name, value in (("k", self.k), ("pos", self.pos)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an int, got {value!r}")
+        _check_ints(k=self.k, pos=self.pos)
         first = (self.orientation == ROW) != transposed
         kind, size, cross = (
             (forms.row_kind, forms.rows, forms.cols) if first else (forms.col_kind, forms.cols, forms.rows)
@@ -355,6 +351,7 @@ def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
     _forms(spec)
     (r1, c1), (r2, c2) = edge
+    _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
     row_kind, col_kind, rows, cols = factor_kinds(spec)
     if c1 == c2:
         if not 1 <= c1 <= cols:
@@ -367,48 +364,73 @@ def edge_key(spec, edge):
     raise InvalidParameterError(f"{edge} is not an edge of {spec}")
 
 
-def _oriented_label(forms, transposed, orientation, k, pos):
-    if (orientation == ROW) != transposed:
-        return forms.first(k, pos)
-    return forms.second(pos, k)
-
-
 def closed_form_label(key):
     """Label of the edge named by ``key``, in O(1), matching the labelers."""
     forms, first, _, _ = key._resolve()
     return forms.first(key.k, key.pos) if first else forms.second(key.pos, key.k)
 
 
-def iter_labeled_edges(spec, by_label=False):
-    """Yield ``(r1, c1, r2, c2, label)`` for every edge, without materializing.
+def _canonical_blocks(spec, forms, transposed):
+    """Canonical edge order as arrays: whole rows at a time, or a long row in column spans.
+
+    The edges with lower endpoint (r, c) fill slots in canonical order: slot 0
+    holds column-factor edge c (a path's edge c starts at c), the next slots
+    the row factor's edges starting at row r.  Slots with no edge are dropped.
+    """
+    row_kind, col_kind, rows, cols = factor_kinds(spec)
+    first, second = forms.first, lambda k, pos: forms.second(pos, k)
+    row_label, col_label = (second, first) if transposed else (first, second)  # spec's rows are the forms' columns
+    slots = 1 + _factor_edges_below(row_kind, rows, 2)  # row 1 starts the most
+    width = max(1, BLOCK_EDGES // slots)
+    height = max(1, width // cols)
+    for r in range(1, rows + 1, height):
+        for c in range(1, cols + 1, width):
+            rr = np.arange(r, min(rows, r + height - 1) + 1, dtype=np.int64)[:, None, None]
+            cc = np.arange(c, min(cols, c + width - 1) + 1, dtype=np.int64)[:, None]
+            k = _factor_edges_below(row_kind, rows, rr) + np.arange(1, slots)
+            edges = np.empty((rr.size, cc.size, slots, 5), dtype=np.int64)
+            edges[..., 0] = edges[:, :, :1, 2] = rr
+            edges[..., 1] = edges[:, :, 1:, 3] = cc
+            edges[:, :, :1, 3] = _factor_edge_endpoints(col_kind, cols, cc)[1]
+            edges[:, :, :1, 4] = col_label(cc, rr)
+            edges[:, :, 1:, 2] = _factor_edge_endpoints(row_kind, rows, k)[1]
+            edges[:, :, 1:, 4] = row_label(k, cc)
+            kept = np.empty(edges.shape[:3], dtype=bool)
+            kept[:, :, :1] = cc < cols
+            kept[:, :, 1:] = k <= _factor_edges_below(row_kind, rows, rr + 1)
+            yield edges[kept]
+
+
+def _label_blocks(spec, forms, transposed):
+    """Label order as arrays: the closed forms inverted over label ranges."""
+    edges = spec.edge_count()
+    for low in range(1, edges + 1, BLOCK_EDGES):
+        labels = np.arange(low, min(edges, low + BLOCK_EDGES - 1) + 1, dtype=np.int64)
+        first, k, pos = forms.invert(labels)
+        a, b = _factor_edge_endpoints(forms.row_kind, forms.rows, k)
+        c, d = _factor_edge_endpoints(forms.col_kind, forms.cols, k)
+        ends = (_select(first, a, pos), _select(first, pos, c), _select(first, b, pos), _select(first, pos, d))
+        block = np.stack((*ends, labels), axis=1)
+        yield block[:, [1, 0, 3, 2, 4]] if transposed else block
+
+
+def iter_edge_blocks(spec, by_label=False):
+    """Yield every edge as rows ``r1, c1, r2, c2, label`` of ``(B, 5)`` int64 arrays.
 
     Default order is canonical (sorted endpoint pairs); ``by_label`` walks
-    labels 1..|E| instead, inverting the closed forms.  Validation happens
-    up front, not at the first yield.
+    labels 1..|E| instead, inverting the closed forms block by block.  No
+    block has more than ``BLOCK_EDGES`` rows, so memory does not grow with
+    the side lengths.  Validation happens up front, not at the first block.
     """
     forms, transposed = _forms(spec)
-    row_kind, col_kind, rows, cols = factor_kinds(spec)
+    blocks = (_label_blocks if by_label else _canonical_blocks)(spec, forms, transposed)
+    return (block[at : at + BLOCK_EDGES] for block in blocks for at in range(0, len(block), BLOCK_EDGES))
 
-    def generate():
-        if by_label:
-            factors = {ROW: (forms.row_kind, forms.rows), COL: (forms.col_kind, forms.cols)}
-            for lab in range(1, spec.edge_count() + 1):
-                orientation, k, pos = forms.invert(lab)
-                a, b = _factor_edge_endpoints(*factors[orientation], k)
-                if (orientation == ROW) != transposed:
-                    yield (a, pos, b, pos, lab)
-                else:
-                    yield (pos, a, pos, b, lab)
-            return
-        for r in range(1, rows + 1):
-            row_edges = _factor_edges_with_lower(row_kind, rows, r)
-            for c in range(1, cols + 1):
-                for k, upper in _factor_edges_with_lower(col_kind, cols, c):
-                    yield (r, c, r, upper, _oriented_label(forms, transposed, COL, k, r))
-                for k, upper in row_edges:
-                    yield (r, c, upper, c, _oriented_label(forms, transposed, ROW, k, c))
 
-    return generate()
+def iter_labeled_edges(spec, by_label=False):
+    """Yield ``(r1, c1, r2, c2, label)`` for every edge: a per-edge view of :func:`iter_edge_blocks`."""
+    blocks = iter_edge_blocks(spec, by_label)
+    return (edge for block in blocks for edge in map(tuple, block.tolist()))
 
 
 @dataclass
@@ -533,8 +555,6 @@ def _check_permutation(store, n):
         for part in (repeated, outside, missing):
             for v in part[:32]:
                 issues.add(int(v))
-    if store.count != n:
-        ok = False
     return ok, sorted(issues)
 
 

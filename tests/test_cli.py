@@ -7,11 +7,14 @@ import pytest
 
 from antimagic import (
     LATTICE,
+    PRISM,
     FamilySpec,
     label,
     labeling_to_json,
+    labeling_tsv_lines,
     parse_json,
     parse_tsv,
+    stream,
 )
 from antimagic.cli import main
 
@@ -50,6 +53,24 @@ def test_generate_stream_matches_materialized(capsys):
     code, streamed, _ = run(capsys, ["generate", "prism", "4", "2", "--format", "tsv", "--stream"])
     assert code == 0
     assert streamed == plain
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(LATTICE, m, n) for m in range(1, 13) for n in range(1, 13)]
+    + [FamilySpec(PRISM, m, n) for m in range(3, 13) for n in range(1, 13)],
+    ids=lambda spec: f"{spec.family}-{spec.m}x{spec.n}",
+)
+def test_stream_tsv_is_byte_identical_to_materialized(capsys, monkeypatch, spec):
+    # the materialized dealers are the independent reference; tiny blocks split
+    # rows and label ranges at every offset
+    lab = label(spec)
+    argv = ["generate", spec.family, str(spec.m), str(spec.n), "--format", "tsv", "--stream"]
+    for by_label in (False, True):
+        want = "".join(line + "\n" for line in labeling_tsv_lines(lab, by_label=by_label))
+        for block in (stream.BLOCK_EDGES, 1, 2, 7):
+            monkeypatch.setattr(stream, "BLOCK_EDGES", block)
+            assert run(capsys, argv + ["--by-label"] * by_label) == (0, want, ""), (by_label, block)
 
 
 def test_generate_stream_by_label(capsys):

@@ -25,7 +25,7 @@ from antimagic.families import (
     _factor_edge_endpoints,
     _factor_edge_index,
     _factor_edges_at,
-    _factor_edges_with_lower,
+    _factor_edges_below,
 )
 
 
@@ -95,7 +95,10 @@ def test_endpoint_forms_match_listing(kind):
             at = [k for k, e in enumerate(edges, start=1) if v in e]
             assert _factor_edges_at(kind, size, v) == at
             lower = sorted((b, k) for k, (a, b) in enumerate(edges, start=1) if a == v)
-            assert _factor_edges_with_lower(kind, size, v) == [(k, b) for b, k in lower]
+            starting = range(_factor_edges_below(kind, size, v) + 1, _factor_edges_below(kind, size, v + 1) + 1)
+            assert [(k, edges[k - 1][1]) for k in starting] == [(k, b) for b, k in lower]
+        xs = np.arange(1, size + 2)
+        assert _factor_edges_below(kind, size, xs).tolist() == [_factor_edges_below(kind, size, x) for x in xs.tolist()]
         with pytest.raises(InvalidParameterError):
             _factor_edge_index(kind, size, size, size + 1)
 

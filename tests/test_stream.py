@@ -1,5 +1,6 @@
 """Closed forms vs. materialized labelers, and the bounded-memory verifier."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from antimagic import (
     check_antimagic,
     closed_form_label,
     edge_key,
+    iter_edge_blocks,
     iter_labeled_edges,
     label,
     merge_sequence,
@@ -33,6 +35,7 @@ from antimagic import stream
 from antimagic.families import SKIP_PATH, _factor_edge_count, make_arrangement
 from antimagic.labelings import Labeling, U
 from antimagic.stream import (
+    BLOCK_EDGES,
     COL,
     DEFAULT_CHUNK_TARGET,
     MAX_STREAM_DIMENSION,
@@ -131,6 +134,10 @@ def test_edge_key_rejects_non_edges():
                 closed_form_label(key)
             with pytest.raises(InvalidParameterError):
                 key.endpoints()
+    for bad in (1.0, True):  # so must every coordinate of an edge
+        for edge in (((bad, 1), (3, 1)), ((1, bad), (3, 1)), ((1, 1), (bad, 1)), ((1, 1), (3, bad))):
+            with pytest.raises(InvalidParameterError, match="must be an int"):
+                edge_key(spec, edge)
 
 
 @pytest.mark.parametrize(
@@ -156,6 +163,8 @@ def test_invalid_spec_raises_on_every_call(bad):
             closed_form_label(EdgeKey(bad, "row", 1, 1))
         with pytest.raises(refusals):
             iter_labeled_edges(bad)
+        with pytest.raises(refusals):
+            iter_edge_blocks(bad, by_label=True)
         with pytest.raises(refusals):
             stream_verify(bad)
 
@@ -206,7 +215,9 @@ def test_forms_exact_at_huge_sizes(spec, data):
         assert all(type(v) is int and 1 <= v <= spec.edge_count() for v in labels)
         assert formula(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)).tolist() == labels
         for x, y, v in zip(xs, ys, labels):
-            assert forms.invert(v) == ((ROW, x, y) if orientation == ROW else (COL, y, x))
+            assert forms.invert(v) == ((True, x, y) if orientation == ROW else (False, y, x))
+        inverted = forms.invert(np.array(labels, dtype=np.int64))
+        assert list(zip(*(part.tolist() for part in inverted))) == [forms.invert(v) for v in labels]
     i, k = xs[0], ys[0]  # a second-factor edge, named in spec's own orientation
     key = EdgeKey(spec, ROW if transposed else COL, k, i)
     assert edge_key(spec, key.endpoints()) == key
@@ -253,6 +264,34 @@ def test_by_label_needs_no_materialization():
     assert [v for *_, v in first] == [1, 2, 3, 4, 5]
     for r1, c1, r2, c2, v in first:
         assert closed_form_label(edge_key(spec, ((r1, c1), (r2, c2)))) == v
+
+
+@pytest.mark.parametrize("by_label", [False, True])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec(LATTICE, 100_000, 100_000),
+        FamilySpec(LATTICE, 1, 200_000),
+        FamilySpec(LATTICE, 200_000, 2),
+        FamilySpec(PRISM, 3, 200_000),
+    ],
+    ids=lambda spec: f"{spec.family}-{spec.m}x{spec.n}",
+)
+def test_edge_blocks_use_memory_independent_of_side_length(spec, by_label, fresh_forms):
+    # blocks of 2k edges peak near 0.5 MB; one int64 per vertex of a 200000 side is 1.6 MB
+    sizes = []
+    tracemalloc.start()
+    try:
+        for block in itertools.islice(iter_edge_blocks(spec, by_label), 4):
+            sizes.append(len(block))
+            first = block[:3].tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert all(0 < size <= BLOCK_EDGES for size in sizes) and len(sizes) == 4
+    for r1, c1, r2, c2, value in first:
+        assert closed_form_label(edge_key(spec, ((r1, c1), (r2, c2)))) == value
 
 
 # --- streaming verification ----------------------------------------------
