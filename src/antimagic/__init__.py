@@ -35,7 +35,6 @@ from .formats import (
 )
 from .labelings import (
     Labeling,
-    MergeSequence,
     label,
     label_cycle,
     label_lattice_general,
@@ -55,8 +54,6 @@ from .stream import (
     edge_key,
     iter_edge_blocks,
     iter_labeled_edges,
-    merge_value,
-    skip_path_edge_is_usual,
     stream_verify,
 )
 from .verification import (
@@ -82,7 +79,6 @@ __all__ = [
     "InvalidParameterError",
     "LATTICE",
     "Labeling",
-    "MergeSequence",
     "PATH",
     "PRISM",
     "PropertyCheck",
@@ -116,12 +112,10 @@ __all__ = [
     "labeling_tsv_lines",
     "make_arrangement",
     "merge_sequence",
-    "merge_value",
     "parse_json",
     "parse_labeling",
     "parse_tsv",
     "random_search",
-    "skip_path_edge_is_usual",
     "stream_verify",
     "transpose_labeling",
     "ur_coloring",

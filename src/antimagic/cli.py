@@ -214,7 +214,12 @@ def build_parser():
 
     bench = sub.add_parser("bench", help="streaming verification with resource accounting")
     _add_spec_arguments(bench)
-    bench.add_argument("--chunk-target", type=int, default=DEFAULT_CHUNK_TARGET)
+    bench.add_argument(
+        "--chunk-target",
+        type=int,
+        default=DEFAULT_CHUNK_TARGET,
+        help="values each store buffers before scattering them into spill buckets (default %(default)s)",
+    )
     bench.set_defaults(handler=_cmd_bench)
 
     return parser

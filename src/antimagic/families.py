@@ -56,10 +56,6 @@ class Arrangement:
     edges: tuple
     traversal: tuple
 
-    def positions(self):
-        """Map vertex index -> 1-based position along the traversal."""
-        return {v: p for p, v in enumerate(self.traversal, start=1)}
-
     def edge_listing_index(self):
         """Map canonical endpoint pair -> 1-based listing position."""
         return {pair: k for k, pair in enumerate(self.edges, start=1)}

@@ -137,7 +137,7 @@ def _coords(entry, key):
 def parse_json(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise FormatError('expected an object with an "edges" list')

@@ -36,33 +36,14 @@ class Labeling:
     assignment: dict
 
 
-@dataclass
-class MergeSequence:
-    """The interleaved label sequence used on the grid's long-direction edges.
-
-    ``a`` lists the odd numbers in 1..2mn+m+n, ``b`` the even numbers in
-    2mn+2m+1..2mn+m+n.  The merged sequence ``c`` starts with the first
-    ``s - t`` odds and then alternates one even, one odd until both runs are
-    spent; it always ends on the largest odd.
-    """
-
-    m: int
-    n: int
-    a: list
-    b: list
-    c: list
-
-    @property
-    def s(self):
-        return len(self.a)
-
-    @property
-    def t(self):
-        return len(self.b)
-
-
 def merge_sequence(m, n):
-    """Materialize the merge sequence for an m x n grid (n >= m >= 2)."""
+    """The interleaved labels of the grid's long-direction edges (n >= m >= 2).
+
+    Of the ``s`` odd numbers in 1..2mn+m+n and the ``t`` even numbers in
+    2mn+2m+1..2mn+m+n, the list starts with the first ``s - t`` odds and then
+    alternates one even, one odd until both runs are spent; it always ends on
+    the largest odd.
+    """
     if not (n >= m >= 2):
         raise InvalidParameterError(f"merge sequence needs n >= m >= 2, got m={m} n={n}")
     total = 2 * m * n + m + n
@@ -73,7 +54,7 @@ def merge_sequence(m, n):
     for i in range(t):
         c.append(b[i])
         c.append(a[s - t + i])
-    return MergeSequence(m, n, a, b, c)
+    return c
 
 
 def ur_coloring(arr):
@@ -176,7 +157,7 @@ def label_lattice_general(m, n):
     for i in range(1, m + 2):
         base = (i - 1) * n
         for j in range(1, n + 1):
-            assignment[((i, j), (i, j + 1))] = seq.c[base + j - 1]
+            assignment[((i, j), (i, j + 1))] = seq[base + j - 1]
     return Labeling(graph, assignment)
 
 

@@ -13,9 +13,9 @@ canonical order or, inverting label ranges, by label (``iter_labeled_edges``
 is its per-edge view); and ``stream_verify``, which sweeps the columns,
 adding each column's first-factor block, gathered over the row factor's
 incidence, to the blocks of the edges meeting it.  It checks bijectivity and
-sum distinctness exactly, spilling sorted value buckets to disk so live
-state stays at one column of the normalized orientation plus the bucket
-chunks.
+sum distinctness exactly: labels and sums are buffered, and each full buffer
+is scattered into value-range buckets on disk, so live state stays at one
+column of the normalized orientation plus the two buffers and one bucket.
 """
 
 from __future__ import annotations
@@ -75,27 +75,12 @@ def _usual(size, k):
     return ((k + 1) // 2 + (1 - k % 2) * size) % 2 == 1
 
 
-def skip_path_edge_is_usual(size, k):
-    """U/R color of skip-path edge ``k``: U iff its walk position is odd."""
-    if not 1 <= k <= size - 1:
-        raise InvalidParameterError(f"skip-path of size {size} has no edge {k}")
-    return _usual(size, k)
-
-
 def _merge(m, n, p):
     # the first head entries are the odds 2p-1; past the head, offsets q
     # alternate between the tail evens (q odd) and the remaining odds
     head = m * n + (m + n + 1) // 2 - (n - m) // 2
     q = p - head
     return 2 * p - 1 + (q > 0) * (q % 2 * (2 * m * n + 2 * m + 2 - 2 * head) - q)
-
-
-def merge_value(m, n, p):
-    """The p-th element (1-based) of the grid merge sequence, in O(1)."""
-    s = m * n + (m + n + 1) // 2
-    if not 1 <= p <= s + (n - m) // 2:
-        raise InvalidParameterError(f"merge sequence for {m}x{n} has no position {p}")
-    return _merge(m, n, p)
 
 
 def _incidence(kind, size, k):
@@ -444,109 +429,81 @@ class StreamStats:
     elapsed_seconds: float = 0.0
 
 
-class _Meter:
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def grab(self, nvalues):
-        self.current += nvalues
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def drop(self, nvalues):
-        self.current -= nvalues
-
-
 class _BucketStore:
-    """Routes int64 values into ascending value-range buckets.
+    """Routes int64 values into ascending value-range buckets, in batches.
 
-    Small streams stay in memory; larger ones spill each bucket to its own
-    temp file.  Iterating yields each bucket sorted, so the whole multiset
-    comes back in ascending order while only one bucket is ever live.
+    ``add`` appends to a buffer.  Once the buffer holds ``chunk_target``
+    values it is sorted once and scattered with one write per non-empty
+    bucket, each bucket to its own temp file; a store whose buffer never
+    fills opens no file.  Iterating yields every bucket sorted, so the whole
+    multiset comes back in ascending order while only one bucket is live.
+    ``peak`` counts the most values the store held at once.
     """
 
-    def __init__(self, expected, upper, chunk_target, meter, tmpdir, tag):
-        self.meter = meter
+    def __init__(self, expected, upper, chunk_target, tmpdir, tag):
+        self.nbuckets = min(512, -(-expected // chunk_target))
+        self.width = max(1, -(-upper // self.nbuckets))
+        self.chunk_target = chunk_target
+        self.files = [None] * self.nbuckets
+        self.prefix = os.path.join(tmpdir, tag)
+        self.buffer = []
+        self.buffered = 0
         self.count = 0
         self.spills = 0
-        if expected <= chunk_target:
-            self.files = None
-            self.parts = []
-        else:
-            self.nbuckets = min(512, -(-expected // chunk_target))
-            self.width = max(1, -(-upper // self.nbuckets))
-            self.files = [None] * self.nbuckets
-            self.tmpdir = tmpdir
-            self.tag = tag
+        self.peak = 0
 
     def add(self, arr):
-        self.count += int(arr.size)
-        if self.files is None:
-            self.parts.append(arr)
-            self.meter.grab(arr.size)
-            return
-        idx = np.clip(arr // self.width, 0, self.nbuckets - 1)
-        order = np.argsort(idx, kind="stable")
-        values = arr[order]
-        idx = idx[order]
-        cuts = np.flatnonzero(np.diff(idx)) + 1
-        starts = np.concatenate(([0], cuts)) if values.size else []
-        chunks = np.split(values, cuts)
-        for start, chunk in zip(starts, chunks):
-            b = int(idx[start])
-            handle = self.files[b]
-            if handle is None:
-                path = os.path.join(self.tmpdir, f"{self.tag}-{b:04d}.bin")
-                handle = open(path, "w+b")
-                self.files[b] = handle
-                self.spills += 1
-            handle.write(chunk.tobytes())
+        self.buffer.append(arr)
+        self.buffered += arr.size
+        self.count += arr.size
+        self.peak = max(self.peak, self.buffered)
+        if self.buffered >= self.chunk_target:
+            self._scatter()
 
-    def bucket_range(self, index):
-        if self.files is None:
-            return None
-        return index * self.width, (index + 1) * self.width
+    def _take_buffer(self):
+        """The buffered values sorted, with the bucket bounds cut into them; empties the buffer."""
+        values = np.concatenate([np.empty(0, dtype=np.int64), *self.buffer])
+        values.sort()
+        self.buffer, self.buffered = [], 0
+        inner = np.searchsorted(values, np.arange(1, self.nbuckets) * self.width)
+        return values, np.concatenate(([0], inner, [values.size]))
+
+    def _scatter(self):
+        values, cuts = self._take_buffer()
+        for b in np.flatnonzero(np.diff(cuts)):
+            if self.files[b] is None:
+                self.files[b] = open(f"{self.prefix}-{b:04d}.bin", "w+b")
+                self.spills += 1
+            self.files[b].write(values[cuts[b] : cuts[b + 1]].tobytes())
 
     def iter_sorted(self):
-        """Yield (bucket_index, sorted ndarray); ascending value ranges."""
-        if self.files is None:
-            if not self.parts:
-                return
-            merged = np.concatenate(self.parts)
-            for p in self.parts:
-                self.meter.drop(p.size)
-            self.parts = []
-            self.meter.grab(merged.size)
-            merged.sort()
-            yield None, merged
-            self.meter.drop(merged.size)
-            return
+        """Yield ``(lo, hi, sorted values)`` for every bucket, ascending.
+
+        A bucket holds the values in ``lo..hi-1``; the first also takes those
+        below its range and the last those above.
+        """
+        if self.spills and self.buffer:
+            self._scatter()
+        values, cuts = self._take_buffer()
         for b, handle in enumerate(self.files):
-            if handle is None:
-                continue
-            handle.seek(0)
-            data = np.fromfile(handle, dtype=np.int64)
-            handle.close()
-            self.files[b] = None
-            self.meter.grab(data.size)
-            data.sort()
-            yield b, data
-            self.meter.drop(data.size)
+            part = values[cuts[b] : cuts[b + 1]]
+            if handle is not None:
+                handle.seek(0)
+                part = np.fromfile(handle, dtype=np.int64)
+                part.sort()
+                handle.close()
+                self.files[b] = None
+                self.peak = max(self.peak, part.size)
+            yield b * self.width, (b + 1) * self.width, part
 
 
 def _check_permutation(store, n):
     """(bijection_ok, missing/repeated/out-of-range sample) for a streamed multiset."""
     issues = set()
     ok = store.count == n
-    for b, chunk in store.iter_sorted():
-        if b is None:
-            lo, hi = 1, n
-        else:
-            lo, hi = store.bucket_range(b)
-            lo, hi = max(lo, 1), min(hi - 1, n)
-        expected = np.arange(lo, hi + 1, dtype=np.int64)
-        if chunk.size == expected.size and np.array_equal(chunk, expected):
+    for lo, hi, chunk in store.iter_sorted():
+        expected = np.arange(max(lo, 1), min(hi - 1, n) + 1, dtype=np.int64)
+        if np.array_equal(chunk, expected):
             continue
         ok = False
         repeated = chunk[1:][chunk[1:] == chunk[:-1]]
@@ -560,9 +517,7 @@ def _check_permutation(store, n):
 
 def _collect_duplicates(store):
     dups = set()
-    for _, chunk in store.iter_sorted():
-        if chunk.size < 2:
-            continue
+    for _, _, chunk in store.iter_sorted():
         repeated = chunk[1:][chunk[1:] == chunk[:-1]]
         for v in np.unique(repeated):
             dups.add(int(v))
@@ -588,24 +543,21 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     Sweeps columns, computing each column's vertex sums in closed form, and
     checks exactly (no sampling, no hashing tricks) that the labels are a
     bijection onto 1..|E| and the sums are pairwise distinct.  Live state is
-    one column of the normalized orientation plus fixed-size chunk buffers;
-    sorted spill buckets on disk carry the rest.
+    one column of the normalized orientation plus a label and a sum buffer of
+    about ``chunk_target`` values each; value-range buckets on disk carry the
+    rest, and a stream that never fills a buffer touches no disk.
     """
     start = time.perf_counter()
     forms, transposed = _forms(spec)
+    _check_ints(chunk_target=chunk_target)
     if chunk_target < 1:
         raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
     nv, ne = spec.vertex_count(), spec.edge_count()
-    meter = _Meter()
-    meter.grab(forms.live_size())
     with tempfile.TemporaryDirectory(prefix="antimagic-stream-") as tmpdir:
-        label_store = _BucketStore(ne, ne + 1, chunk_target, meter, tmpdir, "labels")
-        sum_store = _BucketStore(nv, 4 * ne + 1, chunk_target, meter, tmpdir, "sums")
-        working = 2 * forms.rows  # one column's sums and the block being added in
-        meter.grab(working)
+        label_store = _BucketStore(ne, ne + 1, chunk_target, tmpdir, "labels")
+        sum_store = _BucketStore(nv, 4 * ne + 1, chunk_target, tmpdir, "sums")
         for j in range(1, forms.cols + 1):
             sum_store.add(forms.column_sums(j, label_store.add))
-        meter.drop(working)
         if label_store.count != ne or sum_store.count != nv:
             raise AssertionError(f"stream enumeration miscounted for {spec}")
         bijection_ok, label_issues = _check_permutation(label_store, ne)
@@ -617,7 +569,8 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     if stats is not None:
         stats.edges_labeled = ne
         stats.sums_checked = nv
-        stats.peak_live_values = meter.peak
+        # the column's sums and kept blocks count in the stores; one passing block is not kept
+        stats.peak_live_values = forms.live_size() + forms.rows + label_store.peak + sum_store.peak
         stats.spill_files = label_store.spills + sum_store.spills
         stats.elapsed_seconds = time.perf_counter() - start
     return Verdict(antimagic, bijection_ok, duplicate, label_issues)

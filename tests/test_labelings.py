@@ -67,30 +67,27 @@ def test_ur_coloring_wants_skip_path():
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 6), (3, 5), (4, 4), (5, 9), (7, 8)])
 def test_merge_sequence_against_set_arithmetic(m, n):
-    ms = merge_sequence(m, n)
+    c = merge_sequence(m, n)
     upper = 2 * m * n + m + n
     odds = [x for x in range(1, upper + 1) if x % 2 == 1]
     evens = [x for x in range(2 * m * n + 2 * m + 1, upper + 1) if x % 2 == 0]
-    assert ms.a == odds
-    assert ms.b == evens
-    assert ms.s == m * n + (m + n + 1) // 2
-    assert ms.t == (n - m) // 2
-    assert len(ms.c) == m * n + n == ms.s + ms.t
-    assert sorted(ms.c) == sorted(odds + evens)
-    head = ms.s - ms.t
-    assert ms.c[:head] == odds[:head]
+    s, t = len(odds), len(evens)
+    assert s == m * n + (m + n + 1) // 2
+    assert t == (n - m) // 2
+    assert len(c) == m * n + n == s + t
+    assert sorted(c) == sorted(odds + evens)
+    head = s - t
+    assert c[:head] == odds[:head]
     # after the head, evens and the remaining odds alternate, even first
-    tail = ms.c[head:]
+    tail = c[head:]
     assert tail[0::2] == evens
     assert tail[1::2] == odds[head:]
     if tail:
-        assert ms.c[-1] == odds[-1]
+        assert c[-1] == odds[-1]
 
 
 def test_merge_sequence_frozen_2_6():
-    ms = merge_sequence(2, 6)
-    assert (ms.s, ms.t) == (16, 2)
-    assert ms.c == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 30, 29, 32, 31]
+    assert merge_sequence(2, 6) == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 30, 29, 32, 31]
 
 
 def test_merge_sequence_requires_wide_grid():

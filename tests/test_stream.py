@@ -25,8 +25,6 @@ from antimagic import (
     iter_labeled_edges,
     label,
     merge_sequence,
-    merge_value,
-    skip_path_edge_is_usual,
     stream_verify,
     ur_coloring,
     vertex_sums,
@@ -45,7 +43,8 @@ from antimagic.stream import (
     _check_permutation,
     _collect_duplicates,
     _forms,
-    _Meter,
+    _merge,
+    _usual,
 )
 
 SMALL_SPECS = (
@@ -68,7 +67,7 @@ def fresh_forms():
 def test_usual_formula_matches_coloring(size):
     colors = ur_coloring(make_arrangement(SKIP_PATH, size))
     for k in range(1, size):
-        assert skip_path_edge_is_usual(size, k) == (colors[k] == U)
+        assert _usual(size, k) == (colors[k] == U)
 
 
 @given(st.integers(min_value=2, max_value=3000), st.data())
@@ -76,14 +75,7 @@ def test_usual_formula_matches_coloring(size):
 def test_usual_formula_matches_coloring_hypothesis(size, data):
     k = data.draw(st.integers(min_value=1, max_value=size - 1))
     colors = ur_coloring(make_arrangement(SKIP_PATH, size))
-    assert skip_path_edge_is_usual(size, k) == (colors[k] == U)
-
-
-def test_usual_formula_rejects_bad_index():
-    with pytest.raises(InvalidParameterError):
-        skip_path_edge_is_usual(5, 5)
-    with pytest.raises(InvalidParameterError):
-        skip_path_edge_is_usual(5, 0)
+    assert _usual(size, k) == (colors[k] == U)
 
 
 @given(
@@ -93,16 +85,8 @@ def test_usual_formula_rejects_bad_index():
 @settings(max_examples=200, deadline=None)
 def test_merge_value_matches_merge_sequence(m, extra):
     n = m + extra
-    ms = merge_sequence(m, n)
-    for p, want in enumerate(ms.c, start=1):
-        assert merge_value(m, n, p) == want
-
-
-def test_merge_value_bounds():
-    with pytest.raises(InvalidParameterError):
-        merge_value(2, 2, 0)
-    with pytest.raises(InvalidParameterError):
-        merge_value(2, 2, 11)  # sequence has mn + n = 10 entries
+    for p, want in enumerate(merge_sequence(m, n), start=1):
+        assert _merge(m, n, p) == want
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -399,7 +383,7 @@ def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_f
         )
 
 
-@pytest.mark.parametrize("chunk_target", [0, -5])
+@pytest.mark.parametrize("chunk_target", [0, -5, 2.5, "8", True])
 def test_stream_verify_rejects_chunk_target_below_one(chunk_target):
     with pytest.raises(InvalidParameterError):
         stream_verify(FamilySpec(LATTICE, 3, 3), chunk_target=chunk_target)
@@ -434,40 +418,44 @@ def test_stream_verify_family_and_size_guards():
 # --- bucket machinery -----------------------------------------------------
 
 
-def run_permutation_check(values, n, chunk_target):
-    meter = _Meter()
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = _BucketStore(len(values), n + 1, chunk_target, meter, tmp, "t")
-        for start in range(0, len(values), 3):
-            store.add(np.array(values[start : start + 3], dtype=np.int64))
-        return _check_permutation(store, n)
+# chunk targets of 1, exactly the number of values added, one more than that,
+# and well past it; 2 spills and still holds the last value of an odd count
+FLUSH_BOUNDARIES = [1, 2, "exact", "over", 1000]
 
 
-@pytest.mark.parametrize("chunk_target", [2, 1000])
-def test_permutation_check_detects_issues(chunk_target):
-    ok, issues = run_permutation_check([3, 1, 2, 5, 4], 5, chunk_target)
+def resolve_chunk_target(chunk_target, count):
+    return {"exact": count, "over": count + 1}.get(chunk_target, chunk_target)
+
+
+def run_permutation_check(values, n, chunk_target, tmpdir):
+    chunk_target = resolve_chunk_target(chunk_target, len(values))
+    store = _BucketStore(len(values), n + 1, chunk_target, tmpdir, "t")
+    for start in range(0, len(values), 2):
+        store.add(np.array(values[start : start + 2], dtype=np.int64))
+    assert (store.spills == 0) == (len(values) < chunk_target)  # the buffer never filled
+    return _check_permutation(store, n)
+
+
+@pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
+def test_permutation_check_detects_issues(chunk_target, tmp_path):
+    ok, issues = run_permutation_check([3, 1, 2, 5, 4], 5, chunk_target, tmp_path)
     assert ok and issues == []
-    ok, issues = run_permutation_check([3, 1, 3, 5, 4], 5, chunk_target)
+    ok, issues = run_permutation_check([3, 1, 3, 5, 4], 5, chunk_target, tmp_path)
     assert not ok
     assert 3 in issues and 2 in issues  # 3 repeated, 2 missing
-    ok, issues = run_permutation_check([3, 1, 2, 9, 4], 5, chunk_target)
+    ok, issues = run_permutation_check([3, 1, 2, 9, 4], 5, chunk_target, tmp_path)
     assert not ok
     assert 9 in issues and 5 in issues  # 9 out of range, 5 missing
-    ok, _ = run_permutation_check([1, 2, 3], 5, chunk_target)
+    ok, _ = run_permutation_check([1, 2, 3], 5, chunk_target, tmp_path)
     assert not ok
 
 
-@pytest.mark.parametrize("chunk_target", [2, 1000])
-def test_duplicate_collection(chunk_target):
-    meter = _Meter()
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = _BucketStore(8, 101, chunk_target, meter, tmp, "d")
-        store.add(np.array([7, 40, 100, 13], dtype=np.int64))
-        store.add(np.array([40, 2, 100, 100], dtype=np.int64))
-        assert _collect_duplicates(store) == [40, 100]
-    assert meter.current == 0
-    assert meter.peak > 0
+@pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
+def test_duplicate_collection(chunk_target, tmp_path):
+    chunk_target = resolve_chunk_target(chunk_target, 8)
+    store = _BucketStore(8, 101, chunk_target, tmp_path, "d")
+    store.add(np.array([7, 40, 100, 13], dtype=np.int64))
+    store.add(np.array([40, 2, 100, 100], dtype=np.int64))
+    assert (store.spills == 0) == (8 < chunk_target)
+    assert _collect_duplicates(store) == [40, 100]
+    assert store.peak > 0
