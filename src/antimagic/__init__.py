@@ -8,19 +8,16 @@ constructions guarantee, and carries a small brute-force oracle for
 independent validation on tiny graphs.
 """
 
+from . import stream
 from .errors import FormatError, InvalidParameterError, SizeRefusalError
 from .families import (
     CYCLE,
-    FAMILIES,
     LATTICE,
     PATH,
     PRISM,
-    Arrangement,
     FamilySpec,
-    Graph,
     build_graph,
     canonical_edge,
-    factor_arrangements,
     graph_from_edges,
     k2_graph,
     make_arrangement,
@@ -33,20 +30,8 @@ from .formats import (
     parse_labeling,
     parse_tsv,
 )
-from .labelings import (
-    Labeling,
-    label,
-    label_cycle,
-    label_lattice_general,
-    label_lattice_thin,
-    label_path,
-    label_prism_general,
-    label_prism_two_layers,
-    merge_sequence,
-    transpose_labeling,
-    ur_coloring,
-)
-from .oracle import SearchResult, exhaustive_search, random_search
+from .labelings import Labeling, label, merge_sequence, ur_coloring
+from .oracle import exhaustive_search, random_search
 from .stream import (
     EdgeKey,
     StreamStats,
@@ -56,38 +41,23 @@ from .stream import (
     iter_labeled_edges,
     stream_verify,
 )
-from .verification import (
-    PropertyCheck,
-    PropertyReport,
-    SumReport,
-    Verdict,
-    check_antimagic,
-    check_paper_properties,
-    vertex_sums,
-)
+from .verification import check_antimagic, check_paper_properties, vertex_sums
 
 __version__ = "0.1.0"
 
+# the names the README, the command line and the tests import
 __all__ = [
-    "Arrangement",
     "CYCLE",
     "EdgeKey",
-    "FAMILIES",
     "FamilySpec",
     "FormatError",
-    "Graph",
     "InvalidParameterError",
     "LATTICE",
     "Labeling",
     "PATH",
     "PRISM",
-    "PropertyCheck",
-    "PropertyReport",
-    "SearchResult",
     "SizeRefusalError",
     "StreamStats",
-    "SumReport",
-    "Verdict",
     "build_graph",
     "canonical_edge",
     "check_antimagic",
@@ -95,18 +65,11 @@ __all__ = [
     "closed_form_label",
     "edge_key",
     "exhaustive_search",
-    "factor_arrangements",
     "graph_from_edges",
     "iter_edge_blocks",
     "iter_labeled_edges",
     "k2_graph",
     "label",
-    "label_cycle",
-    "label_lattice_general",
-    "label_lattice_thin",
-    "label_path",
-    "label_prism_general",
-    "label_prism_two_layers",
     "labeling_to_dot",
     "labeling_to_json",
     "labeling_tsv_lines",
@@ -116,8 +79,8 @@ __all__ = [
     "parse_labeling",
     "parse_tsv",
     "random_search",
+    "stream",
     "stream_verify",
-    "transpose_labeling",
     "ur_coloring",
     "vertex_sums",
 ]

@@ -22,8 +22,9 @@ from .families import FAMILIES, LATTICE, PRISM, FamilySpec, build_graph
 from .formats import (
     labeling_to_dot,
     labeling_to_json,
-    labeling_tsv_lines,
+    labeling_tsv_rows,
     parse_labeling,
+    tsv_text,
 )
 from .labelings import label
 from .oracle import exhaustive_search, random_search
@@ -76,18 +77,17 @@ def _cmd_generate(args):
         if spec.family not in (LATTICE, PRISM):
             raise InvalidParameterError("--stream covers lattice and prism specs only")
     with _open_output(args.output) as out:
-        if args.stream:
-            for block in iter_edge_blocks(spec, by_label=args.by_label):
-                out.write("%d\t%d\t%d\t%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
-        else:
-            lab = label(spec)
-            if args.format == "json":
-                out.write(labeling_to_json(lab))
-            elif args.format == "tsv":
-                for line in labeling_tsv_lines(lab, by_label=args.by_label):
-                    out.write(line + "\n")
+        if args.format == "tsv":
+            if args.stream:
+                blocks = iter_edge_blocks(spec, by_label=args.by_label)
             else:
-                out.write(labeling_to_dot(lab))
+                blocks = [labeling_tsv_rows(label(spec), by_label=args.by_label)]
+            for block in blocks:
+                out.write(tsv_text(block))
+        elif args.format == "json":
+            out.write(labeling_to_json(label(spec)))
+        else:
+            out.write(labeling_to_dot(label(spec)))
     return EXIT_OK
 
 
@@ -137,8 +137,7 @@ def _cmd_search(args):
         mode = "exhaustive-pruned" if args.prune else "exhaustive"
     first = None
     if result.first_antimagic is not None:
-        assignment = result.first_antimagic.assignment
-        first = [[*u, *v, assignment[(u, v)]] for u, v in result.first_antimagic.graph.edges]
+        first = labeling_tsv_rows(result.first_antimagic).tolist()
     doc = {
         **spec.header(),
         "vertices": spec.vertex_count(),

@@ -11,6 +11,9 @@ stated against these namings, so the graphs here must use them verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidParameterError, SizeRefusalError
 
@@ -206,26 +209,52 @@ def factor_kinds(spec):
     return CONSECUTIVE_PATH, SKIP_PATH, rows, cols
 
 
-def factor_arrangements(spec):
-    """Arrangements for the row factor and the column factor of ``spec``.
-
-    The column arrangement is ``None`` for standalone paths and cycles; see
-    :func:`factor_kinds` for which naming each factor carries.
-    """
-    row_kind, col_kind, rows, cols = factor_kinds(spec)
-    col_arr = make_arrangement(col_kind, cols) if col_kind is not None else None
-    return make_arrangement(row_kind, rows), col_arr
-
-
-@dataclass
+@dataclass(eq=False)
 class Graph:
-    """A concrete vertex/edge set.  Treated as immutable once built."""
+    """A concrete vertex/edge set, held as arrays.  Treated as immutable once built.
+
+    ``edge_array`` holds the (E, 4) int64 rows ``r1, c1, r2, c2``, each edge
+    in canonical endpoint order, all sorted; ``vertex_array`` the sorted
+    (V, 2) vertex rows; ``ends`` the (E, 2) rows of ``vertex_array`` each edge
+    joins.  A family graph's ``copies`` hold the edge index of first-factor
+    edge k in column j at ``copies[0][k-1, j-1]`` and of second-factor edge k
+    in row i at ``copies[1][i-1, k-1]``.  ``edges`` and ``vertices`` are
+    tuple lists built on first read.
+    """
 
     spec: FamilySpec | None
-    vertices: list
-    edges: list
-    row_arrangement: Arrangement | None = None
-    col_arrangement: Arrangement | None = None
+    edge_array: np.ndarray
+    vertex_array: np.ndarray
+    ends: np.ndarray
+    copies: tuple | None = None
+
+    @cached_property
+    def edges(self):
+        return [((r1, c1), (r2, c2)) for r1, c1, r2, c2 in self.edge_array.tolist()]
+
+    @cached_property
+    def vertices(self):
+        return list(map(tuple, self.vertex_array.tolist()))
+
+
+def _copy_index(row_kind, col_kind, rows, cols):
+    """Canonical edge index of every first-factor copy (K1, cols) and second-factor copy (rows, K2).
+
+    The edges whose lower endpoint is (r, c) are consecutive: first the
+    second-factor edge c (a path's edge c starts at c; none in the last
+    column), then the first-factor edges starting at row r.  So row r
+    starts after r - 1 rows of cols - 1 second-factor edges and, in every
+    column, the first-factor edges that start above it.
+    """
+    below = _factor_edges_below(row_kind, rows, np.arange(1, rows + 2))
+    per_column = 1 + np.diff(below)  # edges starting at (r, c), for c < cols
+    start = np.arange(rows) * (cols - 1) + below[:-1] * cols
+    k = np.arange(1, _factor_edge_count(row_kind, rows) + 1)
+    a = _factor_edge_endpoints(row_kind, rows, k)[0] - 1
+    j = np.arange(cols)
+    first = (start[a] + k - 1 - below[a])[:, None] + j * per_column[a][:, None] + (j < cols - 1)
+    second = start[:, None] + np.arange(_factor_edge_count(col_kind, cols)) * per_column[:, None]
+    return first, second
 
 
 def build_graph(spec):
@@ -236,21 +265,48 @@ def build_graph(spec):
             f"{spec.edge_count()} edges exceeds the materialization cap of "
             f"{MAX_MATERIALIZED_EDGES}; use the stream module for this size"
         )
-    row_arr, col_arr = factor_arrangements(spec)
-    n_rows, n_cols = spec.row_count(), spec.col_count()
-    vertices = [(r, c) for r in range(1, n_rows + 1) for c in range(1, n_cols + 1)]
-    edges = []
-    for a, b in row_arr.edges:
-        for c in range(1, n_cols + 1):
-            edges.append(((a, c), (b, c)))
-    if col_arr is not None:
-        for r in range(1, n_rows + 1):
-            for a, b in col_arr.edges:
-                edges.append(((r, a), (r, b)))
-    edges.sort()
-    if len(edges) != spec.edge_count():
-        raise AssertionError(f"edge count mismatch for {spec}")
-    return Graph(spec, vertices, edges, row_arr, col_arr)
+    row_kind, col_kind, rows, cols = factor_kinds(spec)
+    copies = _copy_index(row_kind, col_kind, rows, cols)
+    r = np.arange(1, rows + 1)[:, None]
+    c = np.arange(1, cols + 1)
+    a, b = _factor_edge_endpoints(row_kind, rows, np.arange(1, _factor_edge_count(row_kind, rows) + 1)[:, None])
+    d, e = _factor_edge_endpoints(col_kind, cols, np.arange(1, _factor_edge_count(col_kind, cols) + 1))
+    edges = np.empty((spec.edge_count(), 4), dtype=np.int64)
+    edges[copies[0]] = np.stack(np.broadcast_arrays(a, c, b, c), axis=-1)
+    edges[copies[1]] = np.stack(np.broadcast_arrays(r, d, r, e), axis=-1)
+    vertices = np.stack(np.broadcast_arrays(r, c), axis=-1).reshape(-1, 2)
+    ends = (edges[:, 0::2] - 1) * cols + edges[:, 1::2] - 1
+    return Graph(spec, edges, vertices, ends, copies)
+
+
+def _adhoc_graph(edge_array):
+    """The graph of distinct canonical edges given as sorted (E, 4) rows."""
+    points = edge_array.reshape(-1, 2)
+    order = _lex_order(points)
+    ordered = points[order]
+    new = np.ones(len(points), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ends = np.empty(len(points), dtype=np.int64)
+    ends[order] = np.cumsum(new) - 1
+    return Graph(None, edge_array, ordered[new], ends.reshape(-1, 2))
+
+
+def _lex_order(rows):
+    """The stable permutation that sorts the rows of a 2-D array lexicographically."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _first_repeat(rows):
+    """``(earlier, later)``: the first row of ``rows`` equal to an earlier one, and that one's first copy; or None."""
+    order = _lex_order(rows)
+    ordered = rows[order]
+    same = (ordered[1:] == ordered[:-1]).all(axis=1)
+    if not same.any():
+        return None
+    repeats = np.flatnonzero(same) + 1
+    at = repeats[np.argmin(order[repeats])]
+    # the stable sort puts the first copy of a row first among its equals
+    return int(order[(ordered == ordered[at]).all(axis=1).argmax()]), int(order[at])
 
 
 def graph_from_edges(edges):
@@ -262,9 +318,8 @@ def graph_from_edges(edges):
         if (a, b) in seen:
             raise InvalidParameterError(f"repeated edge {(a, b)}")
         seen.add((a, b))
-    vertices = sorted({v for e in edges for v in e})
-    edges = sorted(edges)
-    return Graph(None, vertices, edges)
+    rows = np.array([(*a, *b) for a, b in edges], dtype=np.int64).reshape(-1, 4)
+    return _adhoc_graph(rows[_lex_order(rows)])
 
 
 def k2_graph():

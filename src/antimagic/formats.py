@@ -1,17 +1,22 @@
 """Serialization of labelings as JSON, TSV, and pinned-layout DOT.
 
-Writers format each edge and vertex line straight from the labeling.  The
-JSON and TSV forms round-trip.  A headerless file (all TSV, JSON without a
+Writers format the labeling's arrays with one ``%`` operation per block of
+rows; TSV shares its block formatter with ``generate --stream``.  The JSON
+and TSV forms round-trip.  A headerless file (all TSV, JSON without a
 family) gets an ad-hoc graph built from the edges in the file, so external
 labelings (including single-edge negative controls) can be verified.  A
 headered JSON file gets the family's graph: its header must describe exactly
-the edges in the file.
+the edges in the file.  Parsers convert a whole well-formed file at once and
+walk any other line by line, or entry by entry, to name its first bad field.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+
+import numpy as np
 
 from .errors import FormatError, InvalidParameterError
 from .families import (
@@ -21,97 +26,133 @@ from .families import (
     PATH,
     PRISM,
     FamilySpec,
+    _adhoc_graph,
+    _first_repeat,
+    _lex_order,
     build_graph,
-    canonical_edge,
-    graph_from_edges,
 )
 from .labelings import Labeling
 from .verification import vertex_sums
 
+_ROWS_PER_BLOCK = 1 << 11
+_TSV_ROW = "%d\t%d\t%d\t%d\t%d\n"
+_TSV_FIELDS = ("r1", "c1", "r2", "c2", "label")
+
+
+def _format_rows(fmt, rows):
+    """``fmt`` applied to every row of a 2-D array, a block of rows per ``%`` operation."""
+    return "".join(
+        fmt * len(block) % tuple(block.ravel().tolist())
+        for block in (rows[at : at + _ROWS_PER_BLOCK] for at in range(0, len(rows), _ROWS_PER_BLOCK))
+    )
+
+
+def tsv_text(rows):
+    """One "r1 c1 r2 c2 label" line per row of (B, 5) int rows, tab separated."""
+    return _format_rows(_TSV_ROW, rows)
+
 
 def labeling_to_json(lab):
     """Render with one edge object and one sum entry per line."""
-    spec = lab.graph.spec
-    header = spec.header() if spec is not None else dict.fromkeys(("family", "m", "n"))
-    assignment = lab.assignment
-    total = vertex_sums(lab).total
-    edges = ",\n".join(
-        f'    {{"u": [{u[0]}, {u[1]}], "v": [{v[0]}, {v[1]}], "label": {assignment[u, v]}}}'
-        for u, v in lab.graph.edges
+    graph = lab.graph
+    header = graph.spec.header() if graph.spec is not None else dict.fromkeys(("family", "m", "n"))
+    sums = vertex_sums(lab).sums
+    edges = _format_rows(
+        '    {"u": [%d, %d], "v": [%d, %d], "label": %d},\n', np.column_stack((graph.edge_array, lab.labels))
     )
-    sums = ",\n".join(f'    "{r},{c}": {total[r, c]}' for r, c in lab.graph.vertices)
+    sums = _format_rows('    "%d,%d": %d,\n', np.column_stack((graph.vertex_array, sums)))
     return (
         "{\n"
         f"  {json.dumps(header)[1:-1]},\n"
-        '  "edges": [\n' + edges + "\n  ],\n"
-        '  "sums": {\n' + sums + "\n  }\n"
+        '  "edges": [\n' + edges[:-2] + "\n  ],\n"
+        '  "sums": {\n' + sums[:-2] + "\n  }\n"
         "}\n"
     )
 
 
+def labeling_tsv_rows(lab, by_label=False):
+    """The labeling as (E, 5) int64 rows ``r1, c1, r2, c2, label``, in edge or label order."""
+    rows = np.column_stack((lab.graph.edge_array, lab.labels))
+    return rows[np.argsort(lab.labels, kind="stable")] if by_label else rows
+
+
 def labeling_tsv_lines(lab, by_label=False):
     """One "r1 c1 r2 c2 label" line per edge, tab separated."""
-    items = [(edge, lab.assignment[edge]) for edge in lab.graph.edges]
-    if by_label:
-        items.sort(key=lambda pair: pair[1])
-    for ((r1, c1), (r2, c2)), value in items:
-        yield f"{r1}\t{c1}\t{r2}\t{c2}\t{value}"
+    return iter(tsv_text(labeling_tsv_rows(lab, by_label)).splitlines())
 
 
 def _vertex_positions(graph):
-    """Plot coordinates per vertex: grids on a grid, rings on circles."""
+    """Plot coordinates per vertex as (V, 2) floats: grids on a grid, rings on circles."""
+    r, c = graph.vertex_array.T.astype(float)
     family = graph.spec.family if graph.spec is not None else None
     if family == PATH:
-        return {(r, c): (float(r), 0.0) for r, c in graph.vertices}
+        return np.stack((r, 0.0 * r), axis=1)
     if family in (CYCLE, PRISM):  # ring position i at angle 2 pi (i-1)/m, layer j at radius j
         m = graph.spec.m
-        angle = {i: 2.0 * math.pi * (i - 1) / m for i in range(1, m + 1)}
-        return {(i, j): (j * math.cos(angle[i]), j * math.sin(angle[i])) for i, j in graph.vertices}
-    return {(r, c): (float(c), -float(r)) for r, c in graph.vertices}
+        angle = [2.0 * math.pi * (i - 1) / m for i in range(1, m + 1)]
+        cos, sin = np.array([math.cos(a) for a in angle]), np.array([math.sin(a) for a in angle])
+        at = graph.vertex_array[:, 0] - 1
+        return np.stack((c * cos[at], c * sin[at]), axis=1)
+    return np.stack((c, -r), axis=1)
 
 
 def labeling_to_dot(lab):
     """Graphviz (neato) source with pinned positions; node text is the vertex sum."""
-    sums = vertex_sums(lab).total
-    pos = _vertex_positions(lab.graph)
-    lines = [
-        "graph antimagic {",
-        "  layout=neato;",
-        "  node [shape=circle fontsize=10];",
-        "  edge [fontsize=9];",
-    ]
-    for v in lab.graph.vertices:
-        x, y = pos[v]
-        lines.append(
-            f'  "{v[0]},{v[1]}" [label="{sums[v]}" pos="{x:.3f},{y:.3f}!"];'
-        )
-    for (u, v) in lab.graph.edges:
-        lines.append(
-            f'  "{u[0]},{u[1]}" -- "{v[0]},{v[1]}" [label="{lab.assignment[(u, v)]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    graph = lab.graph
+    nodes = np.empty((len(graph.vertex_array), 5), dtype=object)
+    nodes[:, :2] = graph.vertex_array
+    nodes[:, 2] = vertex_sums(lab).sums
+    nodes[:, 3:] = _vertex_positions(graph)
+    return (
+        "graph antimagic {\n"
+        "  layout=neato;\n"
+        "  node [shape=circle fontsize=10];\n"
+        "  edge [fontsize=9];\n"
+        + _format_rows('  "%d,%d" [label="%d" pos="%.3f,%.3f!"];\n', nodes)
+        + _format_rows('  "%d,%d" -- "%d,%d" [label="%d"];\n', np.column_stack((graph.edge_array, lab.labels)))
+        + "}\n"
+    )
 
 
-def _labels_from_pairs(pairs):
-    """Check (endpoint-pair, label) items collected by a parser; return edge -> label."""
-    labels = {}
-    for (a, b), value in pairs:
-        try:
-            edge = canonical_edge(a, b)
-        except InvalidParameterError as exc:
-            raise FormatError(str(exc)) from exc
-        if edge in labels:
-            raise FormatError(f"repeated edge {edge}")
-        labels[edge] = value
-    if not labels:
+def _check_int64(what, value):
+    if not -(1 << 63) <= value < 1 << 63:
+        raise FormatError(f"{what} {value} is outside the 64-bit integer range")
+
+
+def _checked_rows(rows):
+    """Parsed (E, 5) rows with canonical endpoints, sorted by edge; the first bad row raises."""
+    if not len(rows):
         raise FormatError("no edges found")
-    return labels
+    u, v = rows[:, :2], rows[:, 2:4]
+    swap = (u[:, 0] > v[:, 0]) | ((u[:, 0] == v[:, 0]) & (u[:, 1] > v[:, 1]))
+    canonical = rows.copy()
+    canonical[swap, :2], canonical[swap, 2:4] = v[swap], u[swap]
+    loops = np.flatnonzero((u == v).all(axis=1))
+    repeat = _first_repeat(canonical[:, :4])
+    if loops.size and (repeat is None or loops[0] < repeat[1]):
+        raise FormatError(f"self-loop at {tuple(u[loops[0]].tolist())}")
+    if repeat is not None:
+        r1, c1, r2, c2 = canonical[repeat[1], :4].tolist()
+        raise FormatError(f"repeated edge {((r1, c1), (r2, c2))}")
+    return canonical[_lex_order(canonical[:, :4])]
 
 
-def parse_tsv(text):
-    pairs = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+def _headerless(rows):
+    rows = _checked_rows(rows)
+    return Labeling(_adhoc_graph(rows[:, :4]), rows[:, 4].copy())
+
+
+def _tsv_rows(text):
+    """The (E, 5) rows of a TSV file; the first bad line raises, naming its field."""
+    lines = text.splitlines()
+    try:  # numpy parses each field as int() does
+        rows = np.array([line.split() for line in lines], dtype=np.int64)
+        if rows.ndim == 2 and rows.shape[1] == 5:
+            return rows
+    except (ValueError, OverflowError):
+        pass  # a comment, a blank line, a bad field or a value outside int64
+    rows = []
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -119,19 +160,44 @@ def parse_tsv(text):
         if len(parts) != 5:
             raise FormatError(f"line {ln}: expected 5 fields, got {len(parts)}")
         try:
-            r1, c1, r2, c2, value = (int(p) for p in parts)
+            values = [int(p) for p in parts]
         except ValueError as exc:
             raise FormatError(f"line {ln}: fields must be integers") from exc
-        pairs.append((((r1, c1), (r2, c2)), value))
-    labels = _labels_from_pairs(pairs)
-    return Labeling(graph_from_edges(sorted(labels)), labels)
+        for name, value in zip(_TSV_FIELDS, values):
+            _check_int64(f"line {ln}: {name}", value)
+        rows.append(values)
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
-def _coords(entry, key):
-    raw = entry.get(key)
-    if not isinstance(raw, list) or len(raw) != 2 or type(raw[0]) is not int or type(raw[1]) is not int:
-        raise FormatError(f'edge field "{key}" must be a pair of integers, got {raw!r}')
-    return (raw[0], raw[1])
+def parse_tsv(text):
+    return _headerless(_tsv_rows(text))
+
+
+def _json_rows(entries):
+    """The (E, 5) rows of the edge entries; the first bad entry raises, naming its field."""
+    try:
+        rows = [(*e["u"], *e["v"], e["label"]) for e in entries]
+        # no bool, float or string, and a "u" pair (so the 5-wide rows make "v" one too)
+        if not set(map(type, itertools.chain.from_iterable(rows))) - {int} and {len(e["u"]) for e in entries} <= {2}:
+            rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+            if len(rows) == len(entries):
+                return rows
+    except (TypeError, KeyError, ValueError, OverflowError):
+        pass
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError(f"edge entries must be objects, got {entry!r}")
+        value = entry.get("label")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise FormatError(f"edge label must be an integer, got {value!r}")
+        _check_int64("edge label", value)
+        for key in ("u", "v"):
+            raw = entry.get(key)
+            if not isinstance(raw, list) or len(raw) != 2 or type(raw[0]) is not int or type(raw[1]) is not int:
+                raise FormatError(f'edge field "{key}" must be a pair of integers, got {raw!r}')
+            for coordinate in raw:
+                _check_int64(f'edge field "{key}" value', coordinate)
+    raise AssertionError("an edge entry failed the bulk parse but passed every check")
 
 
 def parse_json(text):
@@ -141,18 +207,11 @@ def parse_json(text):
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise FormatError('expected an object with an "edges" list')
-    pairs = []
-    for entry in doc["edges"]:
-        if not isinstance(entry, dict):
-            raise FormatError(f"edge entries must be objects, got {entry!r}")
-        value = entry.get("label")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise FormatError(f"edge label must be an integer, got {value!r}")
-        pairs.append(((_coords(entry, "u"), _coords(entry, "v")), value))
-    labels = _labels_from_pairs(pairs)
+    rows = _json_rows(doc["edges"])
     family = doc.get("family")
     if family is None:
-        return Labeling(graph_from_edges(sorted(labels)), labels)
+        return _headerless(rows)
+    rows = _checked_rows(rows)
     if family not in FAMILIES:
         raise FormatError(f"unknown family {family!r}")
     m, n = doc.get("m"), doc.get("n")
@@ -169,9 +228,9 @@ def parse_json(text):
         graph = build_graph(spec)
     except InvalidParameterError as exc:
         raise FormatError(str(exc)) from exc
-    if graph.edges != sorted(labels):
+    if not np.array_equal(graph.edge_array, rows[:, :4]):
         raise FormatError(f"edges do not match {family} m={m}" + (f" n={n}" if n else ""))
-    return Labeling(graph, labels)
+    return Labeling(graph, rows[:, 4].copy())
 
 
 def parse_labeling(text):

@@ -9,7 +9,10 @@ and the vertex sums fall into provably separated ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import InvalidParameterError
 from .families import (
@@ -19,21 +22,40 @@ from .families import (
     PRISM,
     SKIP_PATH,
     FamilySpec,
-    Graph,
     build_graph,
-    canonical_edge,
+    make_arrangement,
 )
 
 U = "U"
 R = "R"
 
 
-@dataclass
 class Labeling:
-    """An edge -> label assignment over a concrete graph."""
+    """Labels on a graph's edges.
 
-    graph: Graph
-    assignment: dict
+    ``labels`` is an int64 array aligned with ``graph.edge_array``.  A
+    mapping edge -> int64 label is accepted too; when it misses or adds
+    edges, ``labels`` is None and only the mapping is kept.  ``assignment``
+    is the read-only edge -> label view, built on first read.
+    """
+
+    def __init__(self, graph, labels):
+        self.graph = graph
+        self._given = None
+        if not isinstance(labels, np.ndarray):
+            self._given = dict(labels)
+            try:
+                values = [self._given[e] for e in graph.edges]
+            except KeyError:
+                values = None
+            covered = values is not None and len(values) == len(self._given)
+            labels = np.array(values, dtype=np.int64) if covered else None
+        self.labels = labels
+
+    @cached_property
+    def assignment(self):
+        given = self._given if self._given is not None else dict(zip(self.graph.edges, self.labels.tolist()))
+        return MappingProxyType(given)
 
 
 def merge_sequence(m, n):
@@ -76,65 +98,22 @@ def ur_coloring(arr):
     return colors
 
 
-# Closed-form label formulas, shared with the stream module.  k is a 1-based
-# factor-edge listing index, i a row, j a column.  The formulas are branch-free
-# arithmetic, so each argument may be an int or an int64 array (``usual`` a
-# bool or a bool array); ints give ints.
-
-def even_block_label(m, n, k, j, usual):
-    """Grid row-direction edge: j-th (or mirrored) even of the k-th block."""
-    return 2 * (n + 1) * (k - 1) + 2 * (n + 2 - j) + usual * (4 * j - 2 * n - 4)
-
-
-def ring_label(m, k, j, reversed_second):
-    """Prism cycle edge in layer j, with the optional second-layer reversal."""
-    flip = reversed_second * (j == 2)  # layer 2's block m+1..2m in reverse
-    return (1 - 2 * flip) * ((j - 1) * m + k) + flip * (3 * m + 1)
-
-
-def layer_link_label(m, n, k, i, usual):
-    """Prism layer-to-layer edge at ring position i for path edge k."""
-    return m * n + k * m + (1 - usual) * (m + 1) + (2 * usual - 1) * i
-
-
-def thin_row_label(k, i):
-    return 2 * k + i - 2
-
-
-def thin_rung_label(n, j):
-    return 2 * n + j
-
-
-def two_layer_ring_label(k, j):
-    return 2 * k + j - 2
-
-
-def two_layer_rung_label(m, i):
-    return 2 * m + i
-
-
-def label_path(m):
-    """Skip-named path on m+1 vertices: the k-th listed edge gets label k.
-
-    The resulting sums are 1, 2, then the even run 2i-2, and finally 2m-1:
-    strictly increasing along the vertex indices.
-    """
-    return _label_in_listing_order(FamilySpec(PATH, m))
-
-
-def label_cycle(m):
-    """Skip-named cycle on m vertices, labeled in listing order."""
-    return _label_in_listing_order(FamilySpec(CYCLE, m))
-
-
-def _label_in_listing_order(spec):
-    spec.validate()
+def _dealt(spec, first, second=()):
+    """``spec``'s labeling with first-factor copies ``first`` (K1, cols) and second-factor copies ``second`` (rows, K2)."""
     graph = build_graph(spec)
-    edges = enumerate(graph.row_arrangement.edges, start=1)
-    return Labeling(graph, {((a, 1), (b, 1)): k for k, (a, b) in edges})
+    labels = np.empty(len(graph.edge_array), dtype=np.int64)
+    labels[graph.copies[0]] = first
+    labels[graph.copies[1]] = second
+    return Labeling(graph, labels)
 
 
-def label_lattice_general(m, n):
+def _usual_edges(size):
+    """Whether each edge of a skip-path on ``size`` vertices is a U edge, in listing order."""
+    colors = ur_coloring(make_arrangement(SKIP_PATH, size))
+    return np.array([colors[k] == U for k in range(1, size)])
+
+
+def _grid(m, n):
     """Grid labeling for n >= m >= 2.
 
     Stage one spreads the evens 2..2mn+2m over the row-direction edges: the
@@ -144,57 +123,24 @@ def label_lattice_general(m, n):
     edges.  Interior columns then carry even, strictly increasing sums while
     the remaining vertices carry odd, pairwise distinct sums.
     """
-    if not (n >= m >= 2):
-        raise InvalidParameterError(f"general grid labeling needs n >= m >= 2, got m={m} n={n}")
-    graph = build_graph(FamilySpec(LATTICE, m, n))
-    colors = ur_coloring(graph.row_arrangement)
-    assignment = {}
-    for k, (a, b) in enumerate(graph.row_arrangement.edges, start=1):
-        usual = colors[k] == U
-        for j in range(1, n + 2):
-            assignment[((a, j), (b, j))] = even_block_label(m, n, k, j, usual)
-    seq = merge_sequence(m, n)
-    for i in range(1, m + 2):
-        base = (i - 1) * n
-        for j in range(1, n + 1):
-            assignment[((i, j), (i, j + 1))] = seq[base + j - 1]
-    return Labeling(graph, assignment)
+    blocks = np.arange(2, 2 * m * (n + 1) + 1, 2).reshape(m, n + 1)
+    blocks = np.where(_usual_edges(m + 1)[:, None], blocks, blocks[:, ::-1])
+    seq = np.array(merge_sequence(m, n), dtype=np.int64).reshape(m + 1, n)
+    return _dealt(FamilySpec(LATTICE, m, n), blocks, seq)
 
 
-def label_lattice_thin(n):
+def _thin_grid(n):
     """Two-row grid labeling for n >= 2 (the long side carries the skip naming).
 
     Row one's skip edges take the odds 1..2n-1 in listing order, row two's
     the evens 2..2n, and the rung in column j takes 2n+j.  Sums interleave
     into one strictly increasing chain, column by column.
     """
-    if n < 2:
-        raise InvalidParameterError(f"thin grid labeling needs n >= 2, got n={n}")
-    graph = build_graph(FamilySpec(LATTICE, 1, n))
-    assignment = {}
-    for k, (a, b) in enumerate(graph.col_arrangement.edges, start=1):
-        assignment[((1, a), (1, b))] = thin_row_label(k, 1)
-        assignment[((2, a), (2, b))] = thin_row_label(k, 2)
-    for j in range(1, n + 2):
-        assignment[((1, j), (2, j))] = thin_rung_label(n, j)
-    return Labeling(graph, assignment)
+    rungs = np.arange(2 * n + 1, 3 * n + 2)[None, :]
+    return _dealt(FamilySpec(LATTICE, 1, n), rungs, np.arange(1, 2 * n + 1).reshape(n, 2).T)
 
 
-_UNIT_SQUARE_MAP = {1: (1, 1), 2: (2, 1), 3: (1, 2), 4: (2, 2)}
-
-
-def _label_lattice_unit():
-    # the 1 x 1 grid is a 4-cycle; reuse the cycle labeling through a fixed
-    # correspondence between ring indices and square corners
-    ring = label_cycle(4)
-    graph = build_graph(FamilySpec(LATTICE, 1, 1))
-    assignment = {}
-    for ((a, _), (b, _)), lab in ring.assignment.items():
-        assignment[canonical_edge(_UNIT_SQUARE_MAP[a], _UNIT_SQUARE_MAP[b])] = lab
-    return Labeling(graph, assignment)
-
-
-def label_prism_general(m, n):
+def _prism(m, n):
     """Prism labeling for m >= 3, n >= 2.
 
     Stage one labels ring copy j with (j-1)m+1..jm in listing order.  Stage
@@ -204,24 +150,15 @@ def label_prism_general(m, n):
     would break the layer-two sum ordering; compensating, every ring label
     l in layer 2 is replaced by 3m+1-l (the block m+1..2m reversed in place).
     """
-    if m < 3 or n < 2:
-        raise InvalidParameterError(f"general prism labeling needs m >= 3, n >= 2, got m={m} n={n}")
-    graph = build_graph(FamilySpec(PRISM, m, n))
-    colors = ur_coloring(graph.col_arrangement)
-    reversed_second = n % 2 == 0
-    assert reversed_second == (colors[2] == R)  # second path edge color decides
-    assignment = {}
-    for k, (a, b) in enumerate(graph.row_arrangement.edges, start=1):
-        for j in range(1, n + 2):
-            assignment[((a, j), (b, j))] = ring_label(m, k, j, reversed_second)
-    for k, (a, b) in enumerate(graph.col_arrangement.edges, start=1):
-        usual = colors[k] == U
-        for i in range(1, m + 1):
-            assignment[((i, a), (i, b))] = layer_link_label(m, n, k, i, usual)
-    return Labeling(graph, assignment)
+    usual = _usual_edges(n + 1)
+    rings = np.arange(1, m * (n + 1) + 1).reshape(n + 1, m).T
+    if not usual[1]:  # the second path edge is R exactly when n is even
+        rings[:, 1] = rings[::-1, 1]
+    links = np.arange(m * (n + 1) + 1, m * (2 * n + 1) + 1).reshape(n, m).T
+    return _dealt(FamilySpec(PRISM, m, n), rings, np.where(usual, links, links[::-1]))
 
 
-def label_prism_two_layers(m):
+def _two_layer_prism(m):
     """Prism with a single path edge (n = 1): two ring layers plus rungs.
 
     Layer one takes the odds 1..2m-1 in ring listing order, layer two the
@@ -229,49 +166,34 @@ def label_prism_two_layers(m):
     strictly increasing when the two layers are interleaved position by
     position.
     """
-    if m < 3:
-        raise InvalidParameterError(f"two-layer prism labeling needs m >= 3, got m={m}")
-    graph = build_graph(FamilySpec(PRISM, m, 1))
-    assignment = {}
-    for k, (a, b) in enumerate(graph.row_arrangement.edges, start=1):
-        assignment[((a, 1), (b, 1))] = two_layer_ring_label(k, 1)
-        assignment[((a, 2), (b, 2))] = two_layer_ring_label(k, 2)
-    for i in range(1, m + 1):
-        assignment[((i, 1), (i, 2))] = two_layer_rung_label(m, i)
-    return Labeling(graph, assignment)
-
-
-def transpose_labeling(lab, target_spec):
-    """Swap the two coordinates of every vertex, rebasing onto ``target_spec``."""
-    graph = build_graph(target_spec)
-    assignment = {}
-    for ((r1, c1), (r2, c2)), lab_value in lab.assignment.items():
-        assignment[canonical_edge((c1, r1), (c2, r2))] = lab_value
-    if set(assignment) != set(graph.edges):
-        raise InvalidParameterError("transposed labeling does not fit the target graph")
-    return Labeling(graph, assignment)
+    rungs = np.arange(2 * m + 1, 3 * m + 1)[:, None]
+    return _dealt(FamilySpec(PRISM, m, 1), np.arange(1, 2 * m + 1).reshape(m, 2), rungs)
 
 
 def label(spec):
     """Dispatch to the construction that covers ``spec``.
 
-    Grids with m > n are labeled through their transpose and mapped back, so
-    callers always get labels on the coordinates they asked for.
+    Paths and cycles are labeled 1..|E| in listing order: a path's sums are
+    1, 2, then the even run 2i-2, and finally 2m-1, strictly increasing along
+    the vertex indices.  The 1 x 1 grid is a 4-cycle: the cycle's labels,
+    carried onto the corners 1 -> (1,1), 2 -> (2,1), 3 -> (1,2), 4 -> (2,2),
+    give the rungs 1 and 4 and the row edges 2 and 3.  Grids with m > n are
+    labeled through their transpose and mapped back, so callers always get
+    labels on the coordinates they asked for.
     """
     spec.validate()
-    if spec.family == PATH:
-        return label_path(spec.m)
-    if spec.family == CYCLE:
-        return label_cycle(spec.m)
-    if spec.family == PRISM:
-        if spec.n >= 2:
-            return label_prism_general(spec.m, spec.n)
-        return label_prism_two_layers(spec.m)
     m, n = spec.m, spec.n
+    if spec.family in (PATH, CYCLE):
+        return _dealt(spec, np.arange(1, spec.edge_count() + 1)[:, None])
+    if spec.family == PRISM:
+        return _prism(m, n) if n >= 2 else _two_layer_prism(m)
     if m > n:
-        return transpose_labeling(label(FamilySpec(LATTICE, n, m)), spec)
+        # the transpose's first-factor copy (k, j) is this grid's second-factor copy (j, k)
+        wide = label(FamilySpec(LATTICE, n, m))
+        first, second = (wide.labels[at] for at in wide.graph.copies)
+        return _dealt(spec, second.T, first.T)
     if m >= 2:
-        return label_lattice_general(m, n)
+        return _grid(m, n)
     if n >= 2:
-        return label_lattice_thin(n)
-    return _label_lattice_unit()
+        return _thin_grid(n)
+    return _dealt(spec, [[1, 4]], [[2], [3]])

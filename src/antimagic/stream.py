@@ -25,6 +25,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,15 +44,6 @@ from .families import (
     _factor_edges_at,
     _factor_edges_below,
     factor_kinds,
-)
-from .labelings import (
-    even_block_label,
-    layer_link_label,
-    ring_label,
-    thin_row_label,
-    thin_rung_label,
-    two_layer_ring_label,
-    two_layer_rung_label,
 )
 from .verification import Verdict
 
@@ -81,6 +73,43 @@ def _merge(m, n, p):
     head = m * n + (m + n + 1) // 2 - (n - m) // 2
     q = p - head
     return 2 * p - 1 + (q > 0) * (q % 2 * (2 * m * n + 2 * m + 2 - 2 * head) - q)
+
+
+# Label formulas of the constructions.  k is a 1-based factor-edge listing
+# index, i a row, j a column.  The formulas are branch-free arithmetic, so
+# each argument may be an int or an int64 array (``usual`` a bool or a bool
+# array); ints give ints.
+
+def _even_block_label(m, n, k, j, usual):
+    """Grid row-direction edge: j-th (or mirrored) even of the k-th block."""
+    return 2 * (n + 1) * (k - 1) + 2 * (n + 2 - j) + usual * (4 * j - 2 * n - 4)
+
+
+def _ring_label(m, k, j, reversed_second):
+    """Prism cycle edge in layer j, with the optional second-layer reversal."""
+    flip = reversed_second * (j == 2)  # layer 2's block m+1..2m in reverse
+    return (1 - 2 * flip) * ((j - 1) * m + k) + flip * (3 * m + 1)
+
+
+def _layer_link_label(m, n, k, i, usual):
+    """Prism layer-to-layer edge at ring position i for path edge k."""
+    return m * n + k * m + (1 - usual) * (m + 1) + (2 * usual - 1) * i
+
+
+def _thin_row_label(k, i):
+    return 2 * k + i - 2
+
+
+def _thin_rung_label(n, j):
+    return 2 * n + j
+
+
+def _two_layer_ring_label(k, j):
+    return 2 * k + j - 2
+
+
+def _two_layer_rung_label(m, i):
+    return 2 * m + i
 
 
 def _incidence(kind, size, k):
@@ -158,7 +187,7 @@ class _GridForms(_Forms):
     """Closed forms for the general grid construction (2 <= m <= n)."""
 
     def first(self, k, j):
-        return even_block_label(self.m, self.n, k, j, _usual(self.m + 1, k))
+        return _even_block_label(self.m, self.n, k, j, _usual(self.m + 1, k))
 
     def second(self, i, k):
         return _merge(self.m, self.n, (i - 1) * self.n + k)
@@ -182,10 +211,10 @@ class _ThinForms(_Forms):
 
     def first(self, k, j):
         # the rung factor has the one edge k = 1; k keeps the block's shape
-        return thin_rung_label(self.n, j) + k - 1
+        return _thin_rung_label(self.n, j) + k - 1
 
     def second(self, i, k):
-        return thin_row_label(k, i)
+        return _thin_row_label(k, i)
 
     def invert(self, lab):
         first = lab > 2 * self.n
@@ -213,10 +242,10 @@ class _PrismForms(_Forms):
         self.reversed_second = spec.n % 2 == 0
 
     def first(self, k, j):
-        return ring_label(self.m, k, j, self.reversed_second)
+        return _ring_label(self.m, k, j, self.reversed_second)
 
     def second(self, i, k):
-        return layer_link_label(self.m, self.n, k, i, _usual(self.n + 1, k))
+        return _layer_link_label(self.m, self.n, k, i, _usual(self.n + 1, k))
 
     def invert(self, lab):
         m, n = self.m, self.n
@@ -233,10 +262,10 @@ class _TwoLayerForms(_Forms):
     """Closed forms for the two-layer prism construction (n = 1)."""
 
     def first(self, k, j):
-        return two_layer_ring_label(k, j)
+        return _two_layer_ring_label(k, j)
 
     def second(self, i, k):
-        return two_layer_rung_label(self.m, i)
+        return _two_layer_rung_label(self.m, i)
 
     def invert(self, lab):
         first = lab <= 2 * self.m
@@ -288,8 +317,7 @@ def _forms(spec):
         raise
 
 
-@dataclass(frozen=True)
-class EdgeKey:
+class EdgeKey(NamedTuple):
     """One edge of a lattice or prism, named without materializing the graph.
 
     ``orientation`` is "row" for first-factor copies (endpoints share a
@@ -313,7 +341,8 @@ class EdgeKey:
         forms, transposed = _forms(self.spec)
         if self.orientation not in (ROW, COL):
             raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
-        _check_ints(k=self.k, pos=self.pos)
+        if type(self.k) is not int or type(self.pos) is not int:
+            _check_ints(k=self.k, pos=self.pos)
         first = (self.orientation == ROW) != transposed
         kind, size, cross = (
             (forms.row_kind, forms.rows, forms.cols) if first else (forms.col_kind, forms.cols, forms.rows)
@@ -334,10 +363,16 @@ class EdgeKey:
 
 def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
-    _forms(spec)
+    forms, transposed = _forms(spec)
     (r1, c1), (r2, c2) = edge
-    _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
-    row_kind, col_kind, rows, cols = factor_kinds(spec)
+    if {type(r1), type(c1), type(r2), type(c2)} != {int}:
+        _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
+    # spec's own factors: the forms' factors, swapped for a transposed grid
+    row_kind, rows, col_kind, cols = (
+        (forms.col_kind, forms.cols, forms.row_kind, forms.rows)
+        if transposed
+        else (forms.row_kind, forms.rows, forms.col_kind, forms.cols)
+    )
     if c1 == c2:
         if not 1 <= c1 <= cols:
             raise InvalidParameterError(f"column {c1} out of range")
@@ -361,29 +396,33 @@ def _canonical_blocks(spec, forms, transposed):
     The edges with lower endpoint (r, c) fill slots in canonical order: slot 0
     holds column-factor edge c (a path's edge c starts at c), the next slots
     the row factor's edges starting at row r.  Slots with no edge are dropped.
+    Row 1 starts the most row-factor edges and row 2 as many as any later
+    row, so row 1 is sized alone and the rest by row 2.
     """
     row_kind, col_kind, rows, cols = factor_kinds(spec)
     first, second = forms.first, lambda k, pos: forms.second(pos, k)
     row_label, col_label = (second, first) if transposed else (first, second)  # spec's rows are the forms' columns
-    slots = 1 + _factor_edges_below(row_kind, rows, 2)  # row 1 starts the most
-    width = max(1, BLOCK_EDGES // slots)
-    height = max(1, width // cols)
-    for r in range(1, rows + 1, height):
-        for c in range(1, cols + 1, width):
-            rr = np.arange(r, min(rows, r + height - 1) + 1, dtype=np.int64)[:, None, None]
-            cc = np.arange(c, min(cols, c + width - 1) + 1, dtype=np.int64)[:, None]
-            k = _factor_edges_below(row_kind, rows, rr) + np.arange(1, slots)
-            edges = np.empty((rr.size, cc.size, slots, 5), dtype=np.int64)
-            edges[..., 0] = edges[:, :, :1, 2] = rr
-            edges[..., 1] = edges[:, :, 1:, 3] = cc
-            edges[:, :, :1, 3] = _factor_edge_endpoints(col_kind, cols, cc)[1]
-            edges[:, :, :1, 4] = col_label(cc, rr)
-            edges[:, :, 1:, 2] = _factor_edge_endpoints(row_kind, rows, k)[1]
-            edges[:, :, 1:, 4] = row_label(k, cc)
-            kept = np.empty(edges.shape[:3], dtype=bool)
-            kept[:, :, :1] = cc < cols
-            kept[:, :, 1:] = k <= _factor_edges_below(row_kind, rows, rr + 1)
-            yield edges[kept]
+    starting = _factor_edges_below(row_kind, rows, 2)  # at row 1
+    bands = ((1, 1, 1 + starting), (2, rows, 1 + _factor_edges_below(row_kind, rows, 3) - starting))
+    for top, bottom, slots in bands:
+        width = max(1, BLOCK_EDGES // slots)
+        height = max(1, width // cols)
+        for r in range(top, bottom + 1, height):
+            for c in range(1, cols + 1, width):
+                rr = np.arange(r, min(bottom, r + height - 1) + 1, dtype=np.int64)[:, None, None]
+                cc = np.arange(c, min(cols, c + width - 1) + 1, dtype=np.int64)[:, None]
+                k = _factor_edges_below(row_kind, rows, rr) + np.arange(1, slots)
+                edges = np.empty((rr.size, cc.size, slots, 5), dtype=np.int64)
+                edges[..., 0] = edges[:, :, :1, 2] = rr
+                edges[..., 1] = edges[:, :, 1:, 3] = cc
+                edges[:, :, :1, 3] = _factor_edge_endpoints(col_kind, cols, cc)[1]
+                edges[:, :, :1, 4] = col_label(cc, rr)
+                edges[:, :, 1:, 2] = _factor_edge_endpoints(row_kind, rows, k)[1]
+                edges[:, :, 1:, 4] = row_label(k, cc)
+                kept = np.empty(edges.shape[:3], dtype=bool)
+                kept[:, :, :1] = cc < cols
+                kept[:, :, 1:] = k <= _factor_edges_below(row_kind, rows, rr + 1)
+                yield edges[kept]
 
 
 def _label_blocks(spec, forms, transposed):
@@ -437,7 +476,8 @@ class _BucketStore:
     bucket, each bucket to its own temp file; a store whose buffer never
     fills opens no file.  Iterating yields every bucket sorted, so the whole
     multiset comes back in ascending order while only one bucket is live.
-    ``peak`` counts the most values the store held at once.
+    ``peak`` counts the most values the store held at once.  As a context
+    manager it closes every file still open on exit.
     """
 
     def __init__(self, expected, upper, chunk_target, tmpdir, tag):
@@ -451,6 +491,15 @@ class _BucketStore:
         self.count = 0
         self.spills = 0
         self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for handle in self.files:
+            if handle is not None:
+                handle.close()
+        self.files = [None] * self.nbuckets
 
     def add(self, arr):
         self.buffer.append(arr)
@@ -553,9 +602,11 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     if chunk_target < 1:
         raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
     nv, ne = spec.vertex_count(), spec.edge_count()
-    with tempfile.TemporaryDirectory(prefix="antimagic-stream-") as tmpdir:
-        label_store = _BucketStore(ne, ne + 1, chunk_target, tmpdir, "labels")
-        sum_store = _BucketStore(nv, 4 * ne + 1, chunk_target, tmpdir, "sums")
+    with (
+        tempfile.TemporaryDirectory(prefix="antimagic-stream-") as tmpdir,
+        _BucketStore(ne, ne + 1, chunk_target, tmpdir, "labels") as label_store,
+        _BucketStore(nv, 4 * ne + 1, chunk_target, tmpdir, "sums") as sum_store,
+    ):
         for j in range(1, forms.cols + 1):
             sum_store.add(forms.column_sums(j, label_store.add))
         if label_store.count != ne or sum_store.count != nv:

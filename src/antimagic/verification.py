@@ -10,40 +10,59 @@ arguments behind each scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import InvalidParameterError
-from .families import CYCLE, LATTICE, PATH, PRISM, FamilySpec
+from .families import CYCLE, LATTICE, PATH, PRISM, FamilySpec, _first_repeat
 
 
-@dataclass
+@dataclass(eq=False)
 class SumReport:
-    """Vertex sums, split by which factor an edge copy belongs to.
+    """Vertex sums of a labeling, aligned with its graph's ``vertex_array``.
 
-    ``component1`` collects row-direction edges (endpoints share a column),
-    ``component2`` column-direction edges; ``total`` is their pointwise sum.
-    Standalone paths and cycles put everything into ``component1``.
+    ``sums`` holds the total at every vertex.  The read-only vertex -> sum
+    views ``total``, ``component1`` (row-direction edges: endpoints share a
+    column) and ``component2`` (column-direction edges) are built on first
+    read; standalone paths and cycles put everything into ``component1``.
     """
 
-    total: dict
-    component1: dict
-    component2: dict
+    graph: object
+    labels: np.ndarray
+    sums: np.ndarray
+
+    def _view(self, same_column=None):
+        sums = self.sums
+        if same_column is not None:
+            edges = self.graph.edge_array
+            sums = _incident_sums(self.graph, self.labels * ((edges[:, 1] == edges[:, 3]) == same_column))
+        return MappingProxyType(dict(zip(self.graph.vertices, sums.tolist())))
+
+    total = cached_property(_view)
+    component1 = cached_property(lambda self: self._view(True))
+    component2 = cached_property(lambda self: self._view(False))
+
+
+def _incident_sums(graph, labels):
+    """Exact sum of ``labels`` over the edges at each vertex."""
+    count = len(graph.vertex_array)
+    if max(-int(labels.min(initial=0)), int(labels.max(initial=0))) * len(labels) < 1 << 53:
+        # no partial sum reaches 2**53, so the float accumulation is exact
+        sums = np.bincount(graph.ends[:, 0], labels, count) + np.bincount(graph.ends[:, 1], labels, count)
+        return sums.astype(np.int64)
+    sums = np.zeros(count, dtype=object)
+    for ends in graph.ends.T:
+        np.add.at(sums, ends, labels.astype(object))
+    return sums
 
 
 def vertex_sums(lab):
     """Accumulate label sums at every vertex of ``lab``'s graph."""
-    graph = lab.graph
-    if set(lab.assignment) != set(graph.edges):
+    if lab.labels is None:
         raise InvalidParameterError("labeling does not cover exactly the graph's edges")
-    total = dict.fromkeys(graph.vertices, 0)
-    comp1 = dict.fromkeys(graph.vertices, 0)
-    comp2 = dict.fromkeys(graph.vertices, 0)
-    for (a, b), value in lab.assignment.items():
-        total[a] += value
-        total[b] += value
-        part = comp1 if a[1] == b[1] else comp2
-        part[a] += value
-        part[b] += value
-    return SumReport(total, comp1, comp2)
+    return SumReport(lab.graph, lab.labels, _incident_sums(lab.graph, lab.labels))
 
 
 @dataclass
@@ -77,17 +96,12 @@ class Verdict:
 
 
 def _label_issues(values, ne):
-    expected = set(range(1, ne + 1))
-    seen = set()
-    repeated = set()
-    out_of_range = set()
-    for v in values:
-        if v in seen:
-            repeated.add(v)
-        seen.add(v)
-        if not (1 <= v <= ne):
-            out_of_range.add(v)
-    return sorted((expected - seen) | repeated | out_of_range)
+    """Labels missing from, repeated in, or outside 1..ne, ascending."""
+    values = np.sort(values)
+    repeated = values[1:][values[1:] == values[:-1]]
+    outside = values[(values < 1) | (values > ne)]
+    missing = np.setdiff1d(np.arange(1, ne + 1), values)
+    return sorted(set(repeated.tolist()) | set(outside.tolist()) | set(missing.tolist()))
 
 
 def check_antimagic(lab):
@@ -97,26 +111,21 @@ def check_antimagic(lab):
     offending vertex pair.  A broken bijection short-circuits: the sums are
     not evaluated and ``duplicate`` stays ``None``.
     """
-    graph = lab.graph
-    ne = len(graph.edges)
-    covered = set(lab.assignment) == set(graph.edges)
-    values = list(lab.assignment.values())
-    bijection_ok = covered and sorted(values) == list(range(1, ne + 1))
-    if not bijection_ok:
-        return Verdict(False, False, None, _label_issues(values, ne))
-    report = vertex_sums(lab)
-    first_seen = {}
-    candidates = []
-    for v in graph.vertices:  # graph.vertices is lex sorted
-        s = report.total[v]
-        prev = first_seen.get(s)
-        if prev is None:
-            first_seen[s] = v
-        elif prev is not True:
-            candidates.append((prev, v))
-            first_seen[s] = True  # keep only the first two per sum
-    duplicate = min(candidates) if candidates else None
-    return Verdict(duplicate is None, True, duplicate, [])
+    ne = len(lab.graph.edge_array)
+    if lab.labels is None:
+        return Verdict(False, False, None, _label_issues(np.array(list(lab.assignment.values())), ne))
+    if not (np.sort(lab.labels) == np.arange(1, ne + 1)).all():
+        return Verdict(False, False, None, _label_issues(lab.labels, ne))
+    sums = vertex_sums(lab).sums
+    order = np.argsort(sums, kind="stable")
+    repeated = (sums[order[1:]] == sums[order[:-1]]).nonzero()[0]
+    if not repeated.size:
+        return Verdict(True, True, None, [])
+    # vertices are sorted, and the stable sort keeps each sum's vertices in
+    # order: the pair starting at the least repeated vertex comes first
+    at = repeated[np.argmin(order[repeated])]
+    vertices = lab.graph.vertex_array
+    return Verdict(False, True, (tuple(vertices[order[at]].tolist()), tuple(vertices[order[at + 1]].tolist())), [])
 
 
 @dataclass
@@ -171,61 +180,74 @@ class PropertyReport:
 
 
 def _cert_vertex(v, transposed):
-    r, c = (v[1], v[0]) if transposed else v
-    return [r, c]
+    r, c = int(v[0]), int(v[1])
+    return [c, r] if transposed else [r, c]
+
+
+def _coords(rows, cols, by_column=False):
+    """The (r, c) pairs of ``rows`` x ``cols`` as (L, 2) rows, row by row or column by column."""
+    r, c = np.meshgrid(rows, cols, indexing="xy" if by_column else "ij")
+    return np.stack((r.ravel(), c.ravel()), axis=1)
+
+
+def _sums_at(total, vertices):
+    return total[vertices[:, 0] - 1, vertices[:, 1] - 1]
 
 
 def _chain_check(name, chain, total, transposed, note=None):
-    """Strictly increasing sums along ``chain`` (a list of vertices)."""
-    if not chain:
+    """Strictly increasing sums along ``chain``, (L, 2) vertex rows, in the sum matrix ``total``."""
+    if len(chain) == 0:
         return PropertyCheck(name, True, note="empty range")
-    for x, y in zip(chain, chain[1:]):
-        if not total[x] < total[y]:
-            cert = {
-                "vertices": [_cert_vertex(x, transposed), _cert_vertex(y, transposed)],
-                "sums": [total[x], total[y]],
-            }
-            return PropertyCheck(name, False, cert, note)
+    sums = _sums_at(total, chain)
+    bad = np.flatnonzero(sums[:-1] >= sums[1:])
+    if bad.size:
+        at = bad[0]
+        cert = {
+            "vertices": [_cert_vertex(chain[at], transposed), _cert_vertex(chain[at + 1], transposed)],
+            "sums": [int(sums[at]), int(sums[at + 1])],
+        }
+        return PropertyCheck(name, False, cert, note)
     return PropertyCheck(name, True, note=note)
 
 
 def _parity_check(name, vertices, total, want_even, transposed):
-    for v in vertices:
-        if total[v] % 2 != (0 if want_even else 1):
-            cert = {"vertex": _cert_vertex(v, transposed), "sum": total[v]}
-            return PropertyCheck(name, False, cert)
+    sums = _sums_at(total, vertices)
+    bad = np.flatnonzero(sums % 2 != (0 if want_even else 1))
+    if bad.size:
+        cert = {"vertex": _cert_vertex(vertices[bad[0]], transposed), "sum": int(sums[bad[0]])}
+        return PropertyCheck(name, False, cert)
     return PropertyCheck(name, True)
 
 
 def _distinct_check(name, vertices, total, transposed):
-    seen = {}
-    for v in vertices:
-        s = total[v]
-        if s in seen:
-            cert = {
-                "vertices": [_cert_vertex(seen[s], transposed), _cert_vertex(v, transposed)],
-                "sum": s,
-            }
-            return PropertyCheck(name, False, cert)
-        seen[s] = v
+    sums = _sums_at(total, vertices)
+    repeat = _first_repeat(sums[:, None])
+    if repeat is not None:
+        earlier, later = repeat
+        cert = {
+            "vertices": [_cert_vertex(vertices[earlier], transposed), _cert_vertex(vertices[later], transposed)],
+            "sum": int(sums[later]),
+        }
+        return PropertyCheck(name, False, cert)
     return PropertyCheck(name, True)
 
 
 def _grid_interior_checks(m, n, total, transposed):
     # interior columns 2..n, row by row; the last row stops 2t columns early
     t = (n - m) // 2
-    chain = [(i, j) for i in range(1, m + 1) for j in range(2, n + 1)]
-    chain += [(m + 1, j) for j in range(2, n - 2 * t + 1)]
+    interior = np.zeros((m + 1, n + 1), dtype=bool)
+    interior[:m, 1:n] = True
+    interior[m, 1 : n - 2 * t] = True
+    chain = np.argwhere(interior) + 1
     checks = [
         _parity_check("interior-sums-even", chain, total, True, transposed),
         _chain_check("interior-even-chain", chain, total, transposed),
     ]
-    interior = set(chain)
-    rest = [v for v in sorted(total) if v not in interior]
+    rest = np.argwhere(~interior) + 1
     checks.append(_parity_check("boundary-sums-odd", rest, total, False, transposed))
     checks.append(_distinct_check("boundary-odd-distinct", rest, total, transposed))
     if m % 2 == 0:
-        lo, hi = total[(2, n + 1)], total[(2, 1)]
+        lo, hi = int(total[1, n]), int(total[1, 0])
         ok = lo == 6 * n + 3 and hi == 6 * n + 5
         cert = None
         if not ok:
@@ -241,22 +263,18 @@ def _grid_interior_checks(m, n, total, transposed):
 def _prism_column_checks(m, n, total, transposed):
     reversed_second = n % 2 == 0
     checks = []
-    flat = []
     for j in range(1, n + 2):
-        column = [(i, j) for i in range(1, m + 1)]
+        column = _coords(range(1, m + 1), [j])
         if reversed_second and j == 2:
-            checks.append(
-                _chain_check("layer-2-reversed-chain", list(reversed(column)), total, transposed)
-            )
+            checks.append(_chain_check("layer-2-reversed-chain", column[::-1], total, transposed))
         else:
             checks.append(_chain_check(f"layer-{j}-chain", column, total, transposed))
-        flat.extend(sorted(total[v] for v in column))
-    ok = all(x < y for x, y in zip(flat, flat[1:]))
+    flat = np.sort(total, axis=0).T.ravel()
+    bad = np.flatnonzero(flat[:-1] >= flat[1:])
     cert = None
-    if not ok:
-        idx = next(i for i, (x, y) in enumerate(zip(flat, flat[1:])) if not x < y)
-        cert = {"sorted_sums": [flat[idx], flat[idx + 1]]}
-    checks.append(PropertyCheck("layers-ascending-blocks", ok, cert))
+    if bad.size:
+        cert = {"sorted_sums": [int(flat[bad[0]]), int(flat[bad[0] + 1])]}
+    checks.append(PropertyCheck("layers-ascending-blocks", not bad.size, cert))
     return checks
 
 
@@ -270,32 +288,31 @@ def check_paper_properties(spec, lab):
     spec.validate()
     if lab.graph.spec != spec:
         raise InvalidParameterError("labeling was not produced for this spec")
-    total = vertex_sums(lab).total
+    # the sum at vertex (r, c) sits at total[r - 1, c - 1]
+    total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
     transposed = spec.family == LATTICE and spec.m > spec.n
     if transposed:
         spec_eval = FamilySpec(LATTICE, spec.n, spec.m)
-        total = {(c, r): value for (r, c), value in total.items()}
+        total = total.T
     else:
         spec_eval = spec
     m, n = spec_eval.m, spec_eval.n
     if spec_eval.family == PATH:
-        chain = [(i, 1) for i in range(1, m + 2)]
-        checks = [_chain_check("path-chain", chain, total, transposed)]
+        checks = [_chain_check("path-chain", _coords(range(1, m + 2), [1]), total, transposed)]
     elif spec_eval.family == CYCLE:
-        chain = [(i, 1) for i in range(1, m + 1)]
-        checks = [_chain_check("cycle-chain", chain, total, transposed)]
+        checks = [_chain_check("cycle-chain", _coords(range(1, m + 1), [1]), total, transposed)]
     elif spec_eval.family == PRISM:
         if n >= 2:
             checks = _prism_column_checks(m, n, total, transposed)
         else:
-            chain = [(i, j) for i in range(1, m + 1) for j in (1, 2)]
+            chain = _coords(range(1, m + 1), [1, 2])
             checks = [_chain_check("two-layer-chain", chain, total, transposed)]
     elif m >= 2:
         checks = _grid_interior_checks(m, n, total, transposed)
     elif n >= 2:
-        chain = [(i, j) for j in range(1, n + 2) for i in (1, 2)]
+        chain = _coords([1, 2], range(1, n + 2), by_column=True)
         checks = [_chain_check("thin-interleaved-chain", chain, total, transposed)]
     else:
-        chain = [(1, 1), (2, 1), (1, 2), (2, 2)]
+        chain = _coords([1, 2], [1, 2], by_column=True)
         checks = [_chain_check("square-chain", chain, total, transposed)]
     return PropertyReport(spec, transposed, checks)

@@ -184,6 +184,30 @@ def test_verify_deeply_nested_json_exits_3(capsys, tmp_path):
     assert err.startswith("antimagic:")
 
 
+BIG = 2**70
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        (f"1\t1\t2\t1\t{BIG}\n", "line 1: label"),
+        (f"1\t1\t2\t1\t1\n2\t1\t{BIG}\t1\t2\n", "line 2: r2"),
+        (f"1\t1\t2\t1\t{-BIG}\n", "line 1: label"),
+        (json.dumps({"edges": [{"u": [1, 1], "v": [2, 1], "label": BIG}]}), "edge label"),
+        (json.dumps({"edges": [{"u": [1, BIG], "v": [2, 1], "label": 1}]}), 'edge field "u"'),
+        (json.dumps({"family": "path", "m": 2, "edges": [{"u": [1, 1], "v": [3, 1], "label": 1},
+                                                         {"u": [2, 1], "v": [3, BIG], "label": 2}]}), 'edge field "v"'),
+    ],
+)
+def test_verify_values_outside_int64_exit_3(capsys, tmp_path, text, field):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    for argv in (["verify", str(path)], ["properties", "--input", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("antimagic:") and field in err and "64-bit" in err
+
+
 def test_verify_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", str(tmp_path / "absent.tsv")])
     assert code == 2

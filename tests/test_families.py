@@ -13,7 +13,6 @@ from antimagic import (
     SizeRefusalError,
     build_graph,
     canonical_edge,
-    factor_arrangements,
     graph_from_edges,
     k2_graph,
     make_arrangement,
@@ -26,6 +25,7 @@ from antimagic.families import (
     _factor_edge_index,
     _factor_edges_at,
     _factor_edges_below,
+    factor_kinds,
 )
 
 
@@ -170,18 +170,18 @@ def test_counts_match_materialized_graph(spec, nv, ne):
     ],
 )
 def test_factor_dispatch(spec, row_kind, row_size, col_kind, col_size):
-    row_arr, col_arr = factor_arrangements(spec)
-    assert (row_arr.kind, row_arr.size) == (row_kind, row_size)
-    assert (col_arr.kind, col_arr.size) == (col_kind, col_size)
+    kind_of_rows, kind_of_cols, rows, cols = factor_kinds(spec)
+    assert (kind_of_rows, rows) == (row_kind, row_size)
+    assert (kind_of_cols, cols) == (col_kind, col_size)
 
 
 def test_path_and_cycle_factors():
-    row_arr, col_arr = factor_arrangements(FamilySpec(PATH, 6))
-    assert (row_arr.kind, row_arr.size) == (SKIP_PATH, 7)
-    assert col_arr is None
-    row_arr, col_arr = factor_arrangements(FamilySpec(CYCLE, 6))
-    assert (row_arr.kind, row_arr.size) == (SKIP_CYCLE, 6)
-    assert col_arr is None
+    row_kind, col_kind, rows, _ = factor_kinds(FamilySpec(PATH, 6))
+    assert (row_kind, rows) == (SKIP_PATH, 7)
+    assert col_kind is None
+    row_kind, col_kind, rows, _ = factor_kinds(FamilySpec(CYCLE, 6))
+    assert (row_kind, rows) == (SKIP_CYCLE, 6)
+    assert col_kind is None
 
 
 def test_build_graph_canonical_and_consistent():

@@ -10,10 +10,10 @@ from antimagic import (
     FamilySpec,
     InvalidParameterError,
     build_graph,
+    canonical_edge,
     check_antimagic,
     label,
     merge_sequence,
-    transpose_labeling,
     ur_coloring,
     vertex_sums,
 )
@@ -186,17 +186,22 @@ def test_unit_grid_frozen():
     assert sums_by_row(FamilySpec(LATTICE, 1, 1)) == [[3, 6], [4, 7]]
 
 
+def swap_indices(lab):
+    """Every edge of ``lab`` with the two coordinates of both endpoints swapped."""
+    return {canonical_edge((c1, r1), (c2, r2)): v for ((r1, c1), (r2, c2)), v in lab.assignment.items()}
+
+
 def test_tall_grid_labels_match_transposed_wide_grid():
     tall = label(FamilySpec(LATTICE, 5, 3))
     wide = label(FamilySpec(LATTICE, 3, 5))
     assert set(tall.assignment) == set(build_graph(FamilySpec(LATTICE, 5, 3)).edges)
-    remapped = transpose_labeling(wide, FamilySpec(LATTICE, 5, 3))
-    assert remapped.assignment == tall.assignment
+    assert swap_indices(wide) == tall.assignment
+    assert vertex_sums(tall).sums.reshape(6, 4).tolist() == vertex_sums(wide).sums.reshape(4, 6).T.tolist()
 
 
 def test_transpose_rejects_wrong_target():
-    with pytest.raises(InvalidParameterError):
-        transpose_labeling(label(FamilySpec(LATTICE, 3, 5)), FamilySpec(LATTICE, 3, 5))
+    swapped = swap_indices(label(FamilySpec(LATTICE, 3, 5)))
+    assert set(swapped) != set(build_graph(FamilySpec(LATTICE, 3, 5)).edges)
 
 
 # --- prisms ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Closed forms vs. materialized labelers, and the bounded-memory verifier."""
 
 import itertools
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -278,6 +280,36 @@ def test_edge_blocks_use_memory_independent_of_side_length(spec, by_label, fresh
         assert closed_form_label(edge_key(spec, ((r1, c1), (r2, c2)))) == value
 
 
+def test_prism_blocks_pack_rows_like_grids():
+    # ring row 1 starts two edges and every later row one; only row 1 is sized for three slots
+    prism = [len(block) for block in iter_edge_blocks(FamilySpec(PRISM, 450, 450))]
+    grid = [len(block) for block in iter_edge_blocks(FamilySpec(LATTICE, 450, 450))]
+    assert len(prism) == len(grid) == 226
+    assert max(prism) <= BLOCK_EDGES
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [FamilySpec(LATTICE, 400, 700), FamilySpec(LATTICE, 700, 400), FamilySpec(LATTICE, 1, 5000)],
+        [FamilySpec(PRISM, 301, 500), FamilySpec(PRISM, 3, 4000), FamilySpec(PRISM, 500, 1)],
+    ],
+    ids=["lattice", "prism"],
+)
+def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
+    # the dealers share no label formula with the closed forms, so this checks one against the other
+    start = time.perf_counter()
+    for spec in specs:
+        lab = label(spec)
+        streamed = np.concatenate(list(iter_edge_blocks(spec)))
+        assert np.array_equal(np.column_stack((lab.graph.edge_array, lab.labels)), streamed), spec
+        forms, transposed = _forms(spec)
+        sums = np.stack([forms.column_sums(j) for j in range(1, forms.cols + 1)], axis=1)
+        total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
+        assert np.array_equal(total, sums.T if transposed else sums), spec
+    assert time.perf_counter() - start < 10.0
+
+
 # --- streaming verification ----------------------------------------------
 
 
@@ -381,6 +413,34 @@ def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_f
             expected.missing_or_repeated_labels,
             expected.duplicate,
         )
+
+
+def _open_spill_files():
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the descriptor listdir itself used
+            pass
+    return [link for link in links if "antimagic-stream-" in link]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
+    spec = FamilySpec(LATTICE, 5, 7)
+    forms, _ = _forms(spec)
+
+    class Miscounting(type(forms)):
+        def column_sums(self, j, keep=None):
+            sums = super().column_sums(j, keep)
+            return np.concatenate((sums, sums))
+
+    monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), Miscounting)
+    stream._forms_cached.cache_clear()
+    with pytest.raises(AssertionError, match="miscounted") as excinfo:
+        stream_verify(spec, chunk_target=4)
+    # the traceback keeps the stores alive, so only closing them releases the files
+    assert excinfo.traceback and _open_spill_files() == []
 
 
 @pytest.mark.parametrize("chunk_target", [0, -5, 2.5, "8", True])

@@ -42,6 +42,18 @@ def test_vertex_sums_requires_full_cover():
         vertex_sums(Labeling(lab.graph, extra))
 
 
+def test_vertex_sums_stay_exact_beyond_int64():
+    # int64 labels whose sums at degree-2 vertices pass the int64 range
+    lab = label(FamilySpec(PATH, 4))
+    big = {edge: (1 << 62) + value for edge, value in lab.assignment.items()}
+    want = dict.fromkeys(lab.graph.vertices, 0)
+    for (a, b), value in big.items():
+        want[a] += value
+        want[b] += value
+    assert max(want.values()) >= 1 << 63
+    assert vertex_sums(Labeling(lab.graph, big)).total == want
+
+
 def test_check_antimagic_accepts_construction():
     verdict = check_antimagic(label(FamilySpec(LATTICE, 3, 4)))
     assert verdict.antimagic and verdict.bijection_ok
