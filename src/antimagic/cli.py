@@ -61,10 +61,13 @@ def _open_output(path):
 
 
 def _read_input(path):
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8 text: {exc}") from exc
 
 
 def _cmd_generate(args):
@@ -76,18 +79,16 @@ def _cmd_generate(args):
             raise InvalidParameterError("--stream emits tsv only")
         if spec.family not in (LATTICE, PRISM):
             raise InvalidParameterError("--stream covers lattice and prism specs only")
+    # label, or validate the stream, before opening the output: a refused spec leaves the file as it was
+    if args.stream:
+        texts = map(tsv_text, iter_edge_blocks(spec, by_label=args.by_label))
+    elif args.format == "tsv":
+        texts = [tsv_text(labeling_tsv_rows(label(spec), by_label=args.by_label))]
+    else:
+        texts = [(labeling_to_json if args.format == "json" else labeling_to_dot)(label(spec))]
     with _open_output(args.output) as out:
-        if args.format == "tsv":
-            if args.stream:
-                blocks = iter_edge_blocks(spec, by_label=args.by_label)
-            else:
-                blocks = [labeling_tsv_rows(label(spec), by_label=args.by_label)]
-            for block in blocks:
-                out.write(tsv_text(block))
-        elif args.format == "json":
-            out.write(labeling_to_json(label(spec)))
-        else:
-            out.write(labeling_to_dot(label(spec)))
+        for text in texts:
+            out.write(text)
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ from .families import (
     CYCLE,
     FAMILIES,
     LATTICE,
+    MAX_MATERIALIZED_EDGES,
     PATH,
     PRISM,
     FamilySpec,
@@ -225,10 +226,13 @@ def parse_json(text):
         spec = FamilySpec(family, m)
     try:
         spec.validate()
-        graph = build_graph(spec)
+        # a count mismatch needs no graph, but above the cap build_graph refuses first
+        count = spec.edge_count()
+        mismatch = len(rows) != count and count <= MAX_MATERIALIZED_EDGES
+        graph = None if mismatch else build_graph(spec)
     except InvalidParameterError as exc:
         raise FormatError(str(exc)) from exc
-    if not np.array_equal(graph.edge_array, rows[:, :4]):
+    if mismatch or not np.array_equal(graph.edge_array, rows[:, :4]):
         raise FormatError(f"edges do not match {family} m={m}" + (f" n={n}" if n else ""))
     return Labeling(graph, rows[:, 4].copy())
 

@@ -22,6 +22,7 @@ from .families import (
     PRISM,
     SKIP_PATH,
     FamilySpec,
+    _check_ints,
     build_graph,
     make_arrangement,
 )
@@ -44,6 +45,13 @@ class Labeling:
         self._given = None
         if not isinstance(labels, np.ndarray):
             self._given = dict(labels)
+            given = self._given.values()
+            if set(map(type, given)) - {int}:  # one bulk test; the slow check names the first non-int
+                _check_ints(**{f"label of {edge}": value for edge, value in self._given.items()})
+            low, high = min(given, default=0), max(given, default=0)
+            if low < -(1 << 63) or high >= 1 << 63:
+                bad = low if low < -(1 << 63) else high
+                raise InvalidParameterError(f"label {bad} is outside the 64-bit integer range")
             try:
                 values = [self._given[e] for e in graph.edges]
             except KeyError:
@@ -98,15 +106,6 @@ def ur_coloring(arr):
     return colors
 
 
-def _dealt(spec, first, second=()):
-    """``spec``'s labeling with first-factor copies ``first`` (K1, cols) and second-factor copies ``second`` (rows, K2)."""
-    graph = build_graph(spec)
-    labels = np.empty(len(graph.edge_array), dtype=np.int64)
-    labels[graph.copies[0]] = first
-    labels[graph.copies[1]] = second
-    return Labeling(graph, labels)
-
-
 def _usual_edges(size):
     """Whether each edge of a skip-path on ``size`` vertices is a U edge, in listing order."""
     colors = ur_coloring(make_arrangement(SKIP_PATH, size))
@@ -114,7 +113,7 @@ def _usual_edges(size):
 
 
 def _grid(m, n):
-    """Grid labeling for n >= m >= 2.
+    """Grid labels for n >= m >= 2.
 
     Stage one spreads the evens 2..2mn+2m over the row-direction edges: the
     k-th row edge owns a block of n+1 consecutive evens, dealt across columns
@@ -125,23 +124,11 @@ def _grid(m, n):
     """
     blocks = np.arange(2, 2 * m * (n + 1) + 1, 2).reshape(m, n + 1)
     blocks = np.where(_usual_edges(m + 1)[:, None], blocks, blocks[:, ::-1])
-    seq = np.array(merge_sequence(m, n), dtype=np.int64).reshape(m + 1, n)
-    return _dealt(FamilySpec(LATTICE, m, n), blocks, seq)
-
-
-def _thin_grid(n):
-    """Two-row grid labeling for n >= 2 (the long side carries the skip naming).
-
-    Row one's skip edges take the odds 1..2n-1 in listing order, row two's
-    the evens 2..2n, and the rung in column j takes 2n+j.  Sums interleave
-    into one strictly increasing chain, column by column.
-    """
-    rungs = np.arange(2 * n + 1, 3 * n + 2)[None, :]
-    return _dealt(FamilySpec(LATTICE, 1, n), rungs, np.arange(1, 2 * n + 1).reshape(n, 2).T)
+    return blocks, np.array(merge_sequence(m, n), dtype=np.int64).reshape(m + 1, n)
 
 
 def _prism(m, n):
-    """Prism labeling for m >= 3, n >= 2.
+    """Prism labels for m >= 3, n >= 2.
 
     Stage one labels ring copy j with (j-1)m+1..jm in listing order.  Stage
     two gives the k-th path edge the block mn+km+1..mn+(k+1)m, dealt along
@@ -155,19 +142,24 @@ def _prism(m, n):
     if not usual[1]:  # the second path edge is R exactly when n is even
         rings[:, 1] = rings[::-1, 1]
     links = np.arange(m * (n + 1) + 1, m * (2 * n + 1) + 1).reshape(n, m).T
-    return _dealt(FamilySpec(PRISM, m, n), rings, np.where(usual, links, links[::-1]))
+    return rings, np.where(usual, links, links[::-1])
 
 
-def _two_layer_prism(m):
-    """Prism with a single path edge (n = 1): two ring layers plus rungs.
+def _ladder(spec):
+    """Ladder labels: the two-row grid 1 x n (n >= 2) or the two-layer prism m x 1.
 
-    Layer one takes the odds 1..2m-1 in ring listing order, layer two the
-    evens 2..2m, and the rung at ring position i takes 2m+i.  The sums read
-    strictly increasing when the two layers are interleaved position by
-    position.
+    Two copies of a long factor with L = mn edges are joined by rungs, one
+    per long-factor vertex.  Long edge k takes 2k-1 on side one and 2k on
+    side two, in listing order, and the rung at position p takes 2L+p.  The
+    sums read strictly increasing when the two sides are interleaved
+    position by position.
     """
-    rungs = np.arange(2 * m + 1, 3 * m + 1)[:, None]
-    return _dealt(FamilySpec(PRISM, m, 1), np.arange(1, 2 * m + 1).reshape(m, 2), rungs)
+    long = spec.m * spec.n
+    sides = np.arange(1, 2 * long + 1).reshape(long, 2)  # (long edge, side)
+    rungs = np.arange(2 * long + 1, spec.edge_count() + 1)
+    if spec.family == PRISM:  # the rings are the first factor, the rungs the second
+        return sides, rungs[:, None]
+    return rungs[None, :], sides.T
 
 
 def label(spec):
@@ -180,20 +172,26 @@ def label(spec):
     give the rungs 1 and 4 and the row edges 2 and 3.  Grids with m > n are
     labeled through their transpose and mapped back, so callers always get
     labels on the coordinates they asked for.
+
+    Each construction deals the labels of the first-factor copies (K1, cols)
+    and the second-factor copies (rows, K2), which the graph's ``copies``
+    place in canonical edge order.
     """
-    spec.validate()
+    graph = build_graph(spec)  # validates, and refuses a size above the cap before any dealing
     m, n = spec.m, spec.n
     if spec.family in (PATH, CYCLE):
-        return _dealt(spec, np.arange(1, spec.edge_count() + 1)[:, None])
-    if spec.family == PRISM:
-        return _prism(m, n) if n >= 2 else _two_layer_prism(m)
-    if m > n:
+        first, second = np.arange(1, spec.edge_count() + 1)[:, None], ()
+    elif spec.family == PRISM:
+        first, second = _prism(m, n) if n >= 2 else _ladder(spec)
+    elif m > n:
         # the transpose's first-factor copy (k, j) is this grid's second-factor copy (j, k)
         wide = label(FamilySpec(LATTICE, n, m))
-        first, second = (wide.labels[at] for at in wide.graph.copies)
-        return _dealt(spec, second.T, first.T)
-    if m >= 2:
-        return _grid(m, n)
-    if n >= 2:
-        return _thin_grid(n)
-    return _dealt(spec, [[1, 4]], [[2], [3]])
+        second, first = (wide.labels[at].T for at in wide.graph.copies)
+    elif m >= 2:
+        first, second = _grid(m, n)
+    else:
+        first, second = _ladder(spec) if n >= 2 else ([[1, 4]], [[2], [3]])
+    labels = np.empty(len(graph.edge_array), dtype=np.int64)
+    labels[graph.copies[0]] = first
+    labels[graph.copies[1]] = second
+    return Labeling(graph, labels)

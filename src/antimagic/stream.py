@@ -1,11 +1,14 @@
 """Closed-form edge labels, block emission and bounded-memory verification for huge grids and prisms.
 
 Everything the materialized labelers compute by dealing out lists has a
-closed form under the skip namings.  A construction here is two label
-formulas and their inverse: ``first(k, j)``, the label of first-factor edge
-``k`` in column ``j``, ``second(i, k)``, the label of second-factor edge
-``k`` in row ``i``, and ``invert``.  All three are branch-free arithmetic,
-so one expression takes ints (one edge) or int64 arrays (a block of edges).
+closed form under the skip namings.  A construction here is one class with
+two label formulas and their inverse: ``first(k, j)``, the label of
+first-factor edge ``k`` in column ``j``, ``second(i, k)``, the label of
+second-factor edge ``k`` in row ``i``, and ``invert``.  All three are
+branch-free arithmetic, so one expression takes ints (one edge) or int64
+arrays (a block of edges).  There are four: the general grid, the 1 x 1
+grid, the general prism, and the ladder, which covers both the two-row grid
+and the two-layer prism.
 
 On top of these sit ``closed_form_label``; ``iter_edge_blocks``, which
 emits every edge as int64 arrays of at most ``BLOCK_EDGES`` rows, in
@@ -73,43 +76,6 @@ def _merge(m, n, p):
     head = m * n + (m + n + 1) // 2 - (n - m) // 2
     q = p - head
     return 2 * p - 1 + (q > 0) * (q % 2 * (2 * m * n + 2 * m + 2 - 2 * head) - q)
-
-
-# Label formulas of the constructions.  k is a 1-based factor-edge listing
-# index, i a row, j a column.  The formulas are branch-free arithmetic, so
-# each argument may be an int or an int64 array (``usual`` a bool or a bool
-# array); ints give ints.
-
-def _even_block_label(m, n, k, j, usual):
-    """Grid row-direction edge: j-th (or mirrored) even of the k-th block."""
-    return 2 * (n + 1) * (k - 1) + 2 * (n + 2 - j) + usual * (4 * j - 2 * n - 4)
-
-
-def _ring_label(m, k, j, reversed_second):
-    """Prism cycle edge in layer j, with the optional second-layer reversal."""
-    flip = reversed_second * (j == 2)  # layer 2's block m+1..2m in reverse
-    return (1 - 2 * flip) * ((j - 1) * m + k) + flip * (3 * m + 1)
-
-
-def _layer_link_label(m, n, k, i, usual):
-    """Prism layer-to-layer edge at ring position i for path edge k."""
-    return m * n + k * m + (1 - usual) * (m + 1) + (2 * usual - 1) * i
-
-
-def _thin_row_label(k, i):
-    return 2 * k + i - 2
-
-
-def _thin_rung_label(n, j):
-    return 2 * n + j
-
-
-def _two_layer_ring_label(k, j):
-    return 2 * k + j - 2
-
-
-def _two_layer_rung_label(m, i):
-    return 2 * m + i
 
 
 def _incidence(kind, size, k):
@@ -187,7 +153,9 @@ class _GridForms(_Forms):
     """Closed forms for the general grid construction (2 <= m <= n)."""
 
     def first(self, k, j):
-        return _even_block_label(self.m, self.n, k, j, _usual(self.m + 1, k))
+        # the j-th even of the k-th block of n+1, counted from the far end for an R edge
+        n = self.n
+        return 2 * (n + 1) * (k - 1) + 2 * (n + 2 - j) + _usual(self.m + 1, k) * (4 * j - 2 * n - 4)
 
     def second(self, i, k):
         return _merge(self.m, self.n, (i - 1) * self.n + k)
@@ -206,19 +174,29 @@ class _GridForms(_Forms):
         return first, _select(first, k, (p - 1) % n + 1), _select(first, j, (p - 1) // n + 1)
 
 
-class _ThinForms(_Forms):
-    """Closed forms for the two-row grid construction (m = 1, n >= 2)."""
+class _LadderForms(_Forms):
+    """Closed forms for the ladders: two-row grids (m = 1, n >= 2) and two-layer prisms (n = 1).
+
+    Two copies of a long factor with L = mn edges are joined by rungs.  Long
+    edge k takes 2k-1 on side 1 and 2k on side 2, and the rung at position p
+    takes 2L+p.  A grid's rungs are its first factor (so m = 1 picks them out),
+    a prism's its second.
+    """
+
+    def _label(self, rung, k, pos):
+        # a rung is its factor's one edge, k = 1; k - 1 keeps the block's shape
+        return 2 * self.m * self.n + pos + k - 1 if rung else 2 * k + pos - 2
 
     def first(self, k, j):
-        # the rung factor has the one edge k = 1; k keeps the block's shape
-        return _thin_rung_label(self.n, j) + k - 1
+        return self._label(self.m == 1, k, j)
 
     def second(self, i, k):
-        return _thin_row_label(k, i)
+        return self._label(self.m != 1, k, i)
 
     def invert(self, lab):
-        first = lab > 2 * self.n
-        return first, _select(first, 1, (lab + 1) // 2), _select(first, lab - 2 * self.n, 2 - lab % 2)
+        rung = lab > 2 * self.m * self.n
+        k, pos = _select(rung, 1, (lab + 1) // 2), _select(rung, lab - 2 * self.m * self.n, 2 - lab % 2)
+        return rung == (self.m == 1), k, pos
 
 
 class _UnitForms(_Forms):
@@ -237,48 +215,34 @@ class _UnitForms(_Forms):
 class _PrismForms(_Forms):
     """Closed forms for the general prism construction (m >= 3, n >= 2)."""
 
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.reversed_second = spec.n % 2 == 0
-
     def first(self, k, j):
-        return _ring_label(self.m, k, j, self.reversed_second)
+        # ring copy j takes (j-1)m+1..jm; for even n, layer 2's block is reversed in place
+        flip = (self.n % 2 == 0) * (j == 2)
+        return (1 - 2 * flip) * ((j - 1) * self.m + k) + flip * (3 * self.m + 1)
 
     def second(self, i, k):
-        return _layer_link_label(self.m, self.n, k, i, _usual(self.n + 1, k))
+        # path edge k deals mn+km+1..mn+(k+1)m along the ring, reversed for an R edge
+        usual = _usual(self.n + 1, k)
+        return self.m * (self.n + k) + (1 - usual) * (self.m + 1) + (2 * usual - 1) * i
 
     def invert(self, lab):
         m, n = self.m, self.n
         first = lab <= m * (n + 1)
         j = (lab - 1) // m + 1
-        k = _select(self.reversed_second * (j == 2), 2 * m + 1 - lab, lab - (j - 1) * m)
+        k = _select((n % 2 == 0) * (j == 2), 2 * m + 1 - lab, lab - (j - 1) * m)
         link = (lab - m * n - 1) // m
         offset = lab - m * n - link * m
         i = _select(_usual(n + 1, link), offset, m + 1 - offset)
         return first, _select(first, k, link), _select(first, j, i)
 
 
-class _TwoLayerForms(_Forms):
-    """Closed forms for the two-layer prism construction (n = 1)."""
-
-    def first(self, k, j):
-        return _two_layer_ring_label(k, j)
-
-    def second(self, i, k):
-        return _two_layer_rung_label(self.m, i)
-
-    def invert(self, lab):
-        first = lab <= 2 * self.m
-        return first, _select(first, (lab + 1) // 2, 1), _select(first, 2 - lab % 2, lab - 2 * self.m)
-
-
 # the factor namings of a normalized spec pick its construction
 _CONSTRUCTIONS = {
     (SKIP_PATH, CONSECUTIVE_PATH): _GridForms,
-    (CONSECUTIVE_PATH, SKIP_PATH): _ThinForms,
+    (CONSECUTIVE_PATH, SKIP_PATH): _LadderForms,
     (CONSECUTIVE_PATH, CONSECUTIVE_PATH): _UnitForms,
     (SKIP_CYCLE, SKIP_PATH): _PrismForms,
-    (SKIP_CYCLE, CONSECUTIVE_PATH): _TwoLayerForms,
+    (SKIP_CYCLE, CONSECUTIVE_PATH): _LadderForms,
 }
 
 

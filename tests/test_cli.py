@@ -1,9 +1,13 @@
 """End-to-end command line coverage via in-process main(argv) calls."""
 
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from antimagic import (
     LATTICE,
@@ -13,6 +17,7 @@ from antimagic import (
     labeling_to_json,
     labeling_tsv_lines,
     parse_json,
+    oracle,
     parse_tsv,
     stream,
 )
@@ -120,6 +125,26 @@ def test_generate_output_file(capsys, tmp_path):
     assert sorted(lab.assignment.values()) == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["generate", "path", "1"], 2),
+        (["generate", "lattice", "2", "2", "--stream"], 2),
+        (["generate", "lattice", "9000", "9000"], 4),
+        (["generate", "lattice", "9000", "9000", "--format", "dot"], 4),
+        (["generate", "lattice", "2000000000", "3", "--format", "tsv"], 4),
+        (["generate", "lattice", "2000000000", "3", "--format", "tsv", "--stream"], 4),
+        (["generate", "prism", "3", "2000000000", "--format", "tsv", "--stream", "--by-label"], 4),
+    ],
+)
+def test_refused_generate_keeps_existing_output_file(capsys, tmp_path, argv, want):
+    target = tmp_path / "keep.json"
+    target.write_bytes(b"earlier contents\n")
+    code, out, err = run(capsys, argv + ["-o", str(target)])
+    assert (code, out) == (want, "") and err.startswith("antimagic:")
+    assert target.read_bytes() == b"earlier contents\n"
+
+
 def test_output_dir_env_prefixes_relative_paths(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ANTIMAGIC_OUTPUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, ["generate", "path", "3", "--format", "tsv", "-o", "rel.tsv"])
@@ -206,6 +231,16 @@ def test_verify_values_outside_int64_exit_3(capsys, tmp_path, text, field):
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")
         assert err.startswith("antimagic:") and field in err and "64-bit" in err
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"1\t1\t2\t1\t1\n\x80\n", b'{"edges": [], "x": "\xc3"}'])
+def test_non_utf8_input_file_exits_3(capsys, tmp_path, data):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    for argv in (["verify", str(path)], ["properties", "--input", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("antimagic:") and "UTF-8" in err
 
 
 def test_verify_missing_file_exits_2(capsys, tmp_path):
@@ -366,3 +401,103 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     first = run(capsys, argv)
     second = run(capsys, argv)
     assert first == second
+
+
+# --- fuzz -------------------------------------------------------------------
+
+_FUZZ_LABELING = label(FamilySpec(LATTICE, 1, 2))
+_FUZZ_FILES = (
+    labeling_to_json(_FUZZ_LABELING).encode(),
+    "".join(line + "\n" for line in labeling_tsv_lines(_FUZZ_LABELING)).encode(),
+    b"1\t1\t2\t1\t1\n",  # K2: not antimagic
+)
+_HUGE = str(1 << 40)  # every command refuses this size before any work
+_FUZZ_COMMANDS = (
+    ["generate", "lattice", "2", "3"],
+    ["generate", "prism", "3", "1", "--format", "tsv", "--stream", "--by-label"],
+    ["generate", "path", "3", "--format", "dot"],
+    ["verify", "FILE", "--format", "json"],
+    ["verify", "-"],
+    ["properties", "--input", "FILE"],
+    ["properties", "cycle", "4", "--format", "json"],
+    ["search", "path", "3", "--prune"],
+    ["search", "cycle", "3", "--random", "3", "--seed", "7"],
+    ["bench", "prism", "3", "2", "--chunk-target", "4"],
+    ["bench", "lattice", "3", _HUGE],
+    ["generate", "prism", _HUGE, "2", "--format", "tsv"],
+)
+_FUZZ_TOKENS = (
+    "path", "cycle", "lattice", "prism", "moebius", "generate", "verify", "properties", "search", "bench",
+    "--format", "json", "tsv", "dot", "text", "--stream", "--by-label", "--input", "--prune", "--random",
+    "--seed", "--chunk-target", "--help", "-", "FILE", "", "x", "2.5", "-1", "0", "1", "2", "3", "4", _HUGE,
+)
+_argv_edits = st.lists(
+    st.tuples(st.sampled_from(("replace", "delete", "insert")), st.integers(0, 9), st.sampled_from(_FUZZ_TOKENS)),
+    max_size=2,
+)
+_file_edits = st.lists(
+    st.tuples(
+        st.sampled_from(("truncate", "flip", "nest")),
+        st.integers(0, len(max(_FUZZ_FILES, key=len))),
+        st.one_of(st.integers(1, 3), st.integers(1, 255)),  # a small xor often keeps a digit a digit
+        st.sampled_from((1, 40, 100_000)),
+    ),
+    max_size=3,
+)
+
+
+def _edit_argv(argv, edits):
+    argv = list(argv)
+    for op, at, token in edits:
+        at = min(at, len(argv))
+        if op == "insert":
+            argv.insert(at, token)
+        elif argv and op == "replace":
+            argv[min(at, len(argv) - 1)] = token
+        elif argv:
+            del argv[min(at, len(argv) - 1)]
+    return argv
+
+
+def _edit_file(data, edits):
+    for op, at, byte, depth in edits:
+        at = min(at, len(data))
+        if op == "truncate":
+            data = data[:at]
+        elif op == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ byte]) + data[at + 1 :]
+        elif op == "nest":
+            data = data[:at] + b"[" * depth + data[at:] + b"]" * depth
+    return data
+
+
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS),
+    argv_edits=_argv_edits,
+    base=st.sampled_from(_FUZZ_FILES),
+    file_edits=_file_edits,
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_main_fuzz_exits_with_a_documented_code(tmp_path_factory, command, argv_edits, base, file_edits):
+    argv = _edit_argv(command, argv_edits)
+    # --random counts stay small; exhaustive search is capped at 6 edges (720 labelings)
+    for at, token in enumerate(argv[:-1]):
+        if token == "--random":
+            assume(argv[at + 1] in ("-1", "0", "1", "2", "3", "4"))
+    data = _edit_file(base, file_edits)
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_bytes(data)
+    argv = [str(path) if token == "FILE" else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with (
+        mock.patch.object(oracle, "MAX_EXHAUSTIVE_EDGES", 6),
+        mock.patch("sys.stdin", stdin),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(argv)
+    event(f"exit {code}")  # pytest --hypothesis-show-statistics shows how often each exit is reached
+    assert code in range(5), (argv, data)
+    if code >= 2:
+        assert out.getvalue() == "", (argv, code)

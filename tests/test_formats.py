@@ -1,6 +1,7 @@
 """Round-trips and rejection paths for the JSON, TSV, and DOT serializers."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from antimagic import (
     PRISM,
     FamilySpec,
     FormatError,
+    SizeRefusalError,
     check_antimagic,
     label,
     labeling_to_dot,
@@ -183,6 +185,26 @@ def test_json_header_must_match_edges():
     doc = json.loads(labeling_to_json(lab))
     doc["m"] = 5
     with pytest.raises(FormatError, match="do not match"):
+        parse_json(json.dumps(doc))
+
+
+def test_json_header_edge_count_mismatch_builds_no_graph():
+    # one edge under a header for a 2,002,000-edge lattice: the counts differ, so no graph is needed
+    doc = {"family": LATTICE, "m": 1000, "n": 1000, "edges": [{"u": [1, 1], "v": [1, 2], "label": 1}]}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="edges do not match lattice m=1000 n=1000"):
+            parse_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_json_header_above_materialization_cap_is_refused():
+    doc = {"family": LATTICE, "m": 9000, "n": 9000, "edges": [{"u": [1, 1], "v": [1, 2], "label": 1}]}
+    with pytest.raises(SizeRefusalError):
         parse_json(json.dumps(doc))
 
 

@@ -18,7 +18,7 @@ from antimagic import (
     vertex_sums,
 )
 from antimagic.families import SKIP_PATH, make_arrangement
-from antimagic.labelings import R, U
+from antimagic.labelings import R, Labeling, U
 
 
 def sums_by_row(spec):
@@ -281,3 +281,31 @@ def test_labels_form_bijection_and_antimagic(spec):
 def test_label_rejects_invalid_spec():
     with pytest.raises(InvalidParameterError):
         label(FamilySpec(PATH, 1))
+
+
+@pytest.mark.parametrize(
+    "values,fragment",
+    [
+        ((1.9, 2.2), "must be an int, got 1.9"),
+        ((1, 2.0), "must be an int, got 2.0"),
+        ((True, 2), "must be an int, got True"),
+        (("1", 2), "must be an int, got '1'"),
+        ((2**70, 1), f"label {2**70} is outside the 64-bit integer range"),
+        ((1, -(2**70)), f"label {-(2**70)} is outside the 64-bit integer range"),
+        ((1 << 63, -1), f"label {1 << 63} is outside the 64-bit integer range"),
+    ],
+)
+def test_mapping_labels_must_be_int64_ints(values, fragment):
+    # no truncation (1.9 -> 1, "1" -> 1, True -> 1) and no numpy OverflowError
+    graph = build_graph(FamilySpec(PATH, 2))
+    with pytest.raises(InvalidParameterError, match=fragment):
+        Labeling(graph, dict(zip(graph.edges, values)))
+    # a mapping that adds an edge is checked too
+    with pytest.raises(InvalidParameterError, match=fragment):
+        Labeling(graph, {**dict(zip(graph.edges, values)), ((9, 9), (9, 10)): 3})
+
+
+def test_mapping_labels_at_the_int64_bounds_are_kept():
+    graph = build_graph(FamilySpec(PATH, 2))
+    lab = Labeling(graph, dict(zip(graph.edges, ((1 << 63) - 1, -(1 << 63)))))
+    assert lab.labels.tolist() == [(1 << 63) - 1, -(1 << 63)]
