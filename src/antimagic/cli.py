@@ -74,11 +74,8 @@ def _cmd_generate(args):
     spec = _spec_from(args.family, args.m, args.n)
     if args.by_label and args.format != "tsv":
         raise InvalidParameterError("--by-label applies to tsv output only")
-    if args.stream:
-        if args.format != "tsv":
-            raise InvalidParameterError("--stream emits tsv only")
-        if spec.family not in (LATTICE, PRISM):
-            raise InvalidParameterError("--stream covers lattice and prism specs only")
+    if args.stream and args.format != "tsv":
+        raise InvalidParameterError("--stream emits tsv only")
     # label, or validate the stream, before opening the output: a refused spec leaves the file as it was
     if args.stream:
         texts = map(tsv_text, iter_edge_blocks(spec, by_label=args.by_label))

@@ -170,8 +170,8 @@ def label(spec):
     the vertex indices.  The 1 x 1 grid is a 4-cycle: the cycle's labels,
     carried onto the corners 1 -> (1,1), 2 -> (2,1), 3 -> (1,2), 4 -> (2,2),
     give the rungs 1 and 4 and the row edges 2 and 3.  Grids with m > n are
-    labeled through their transpose and mapped back, so callers always get
-    labels on the coordinates they asked for.
+    dealt as their transpose, whose two label matrices, transposed and
+    swapped, land on the coordinates the caller asked for.
 
     Each construction deals the labels of the first-factor copies (K1, cols)
     and the second-factor copies (rows, K2), which the graph's ``copies``
@@ -185,8 +185,8 @@ def label(spec):
         first, second = _prism(m, n) if n >= 2 else _ladder(spec)
     elif m > n:
         # the transpose's first-factor copy (k, j) is this grid's second-factor copy (j, k)
-        wide = label(FamilySpec(LATTICE, n, m))
-        second, first = (wide.labels[at].T for at in wide.graph.copies)
+        wide = _grid(n, m) if n >= 2 else _ladder(FamilySpec(LATTICE, n, m))
+        second, first = (dealt.T for dealt in wide)
     elif m >= 2:
         first, second = _grid(m, n)
     else:

@@ -27,7 +27,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -102,51 +102,38 @@ class _Forms:
     branch-free arithmetic: each argument may be an int or an int64 array,
     ints give exact Python ints, and the caller passes valid indices only.
     Column sums derive from the label blocks here, once for every
-    construction.
+    construction.  The forms hold no arrays, so a cached entry stays small.
     """
 
     def __init__(self, spec):
         self.m, self.n = spec.m, spec.n
         self.row_kind, self.col_kind, self.rows, self.cols = factor_kinds(spec)
 
-    @cached_property
-    def _rows_index(self):
-        # row indices 1..rows; the row factor's edge indices are a prefix
-        return np.arange(1, self.rows + 1, dtype=np.int64)
+    def columns(self, keep=None):
+        """Yield the vertex sums of every column in order, rows ascending.
 
-    @cached_property
-    def _edges_index(self):
-        return self._rows_index[: _factor_edge_count(self.row_kind, self.rows)]
-
-    @cached_property
-    def _row_incidence(self):
-        return _incidence(self.row_kind, self.rows, self._edges_index)
-
-    def live_size(self):
-        """Values the forms keep between columns."""
-        return self._rows_index.size + sum(a.size for a in self._row_incidence)
-
-    def column_sums(self, j, keep=None):
-        """Vertex sums of column ``j``, rows ascending.
-
-        The first-factor block at ``j`` is gathered over the row factor's
-        incidence, and the blocks of the second-factor edges meeting column
-        ``j`` add in row by row.  Each block is computed once.  ``keep``, if
+        Each column's first-factor block is gathered over the row factor's
+        incidence, and the blocks of the second-factor edges meeting the
+        column add in row by row.  Each block is computed once.  ``keep``, if
         given, is handed the blocks whose labels column ``j`` owns while they
-        are live: its first-factor copy, then second-factor edge ``j``.
+        are live: its first-factor copy, then second-factor edge ``j``.  The
+        sweep's index arrays are locals, so they live only while it runs.
         """
-        a, b, single = self._row_incidence
-        block = self.first(self._edges_index, j)
-        sums = block[a] + block[b]
-        sums[single] -= block[a[single]]
-        if keep is not None:
-            keep(block)
-        for k in _factor_edges_at(self.col_kind, self.cols, j):
-            block = self.second(self._rows_index, k)
-            sums += block
-            if keep is not None and k == j:
+        rows = np.arange(1, self.rows + 1, dtype=np.int64)
+        edges = rows[: _factor_edge_count(self.row_kind, self.rows)]  # the row factor's edge indices
+        a, b, single = _incidence(self.row_kind, self.rows, edges)
+        for j in range(1, self.cols + 1):
+            block = self.first(edges, j)
+            sums = block[a] + block[b]
+            sums[single] -= block[a[single]]
+            if keep is not None:
                 keep(block)
-        return sums
+            for k in _factor_edges_at(self.col_kind, self.cols, j):
+                block = self.second(rows, k)
+                sums += block
+                if keep is not None and k == j:
+                    keep(block)
+            yield sums
 
 
 class _GridForms(_Forms):
@@ -540,8 +527,7 @@ def _collect_duplicates(store):
 def _locate_duplicate_pair(forms, dup_values, transposed):
     targets = np.array(dup_values, dtype=np.int64)
     hits = {}
-    for j in range(1, forms.cols + 1):
-        column = forms.column_sums(j)
+    for j, column in enumerate(forms.columns(), start=1):
         for idx in np.flatnonzero(np.isin(column, targets)):
             i = int(idx) + 1
             vertex = (j, i) if transposed else (i, j)
@@ -571,8 +557,8 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
         _BucketStore(ne, ne + 1, chunk_target, tmpdir, "labels") as label_store,
         _BucketStore(nv, 4 * ne + 1, chunk_target, tmpdir, "sums") as sum_store,
     ):
-        for j in range(1, forms.cols + 1):
-            sum_store.add(forms.column_sums(j, label_store.add))
+        for sums in forms.columns(label_store.add):
+            sum_store.add(sums)
         if label_store.count != ne or sum_store.count != nv:
             raise AssertionError(f"stream enumeration miscounted for {spec}")
         bijection_ok, label_issues = _check_permutation(label_store, ne)
@@ -584,8 +570,11 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     if stats is not None:
         stats.edges_labeled = ne
         stats.sums_checked = nv
-        # the column's sums and kept blocks count in the stores; one passing block is not kept
-        stats.peak_live_values = forms.live_size() + forms.rows + label_store.peak + sum_store.peak
+        # the sweep holds the row indices, the incidence's two edges per row and its
+        # degree-1 rows (two on a path, none on a cycle), and one passing block that
+        # is not kept; the column's sums and kept blocks count in the stores
+        single = 2 * (forms.rows - _factor_edge_count(forms.row_kind, forms.rows))
+        stats.peak_live_values = 4 * forms.rows + single + label_store.peak + sum_store.peak
         stats.spill_files = label_store.spills + sum_store.spills
         stats.elapsed_seconds = time.perf_counter() - start
     return Verdict(antimagic, bijection_ok, duplicate, label_issues)

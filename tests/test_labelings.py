@@ -17,6 +17,7 @@ from antimagic import (
     ur_coloring,
     vertex_sums,
 )
+from antimagic import labelings
 from antimagic.families import SKIP_PATH, make_arrangement
 from antimagic.labelings import R, Labeling, U
 
@@ -197,6 +198,19 @@ def test_tall_grid_labels_match_transposed_wide_grid():
     assert set(tall.assignment) == set(build_graph(FamilySpec(LATTICE, 5, 3)).edges)
     assert swap_indices(wide) == tall.assignment
     assert vertex_sums(tall).sums.reshape(6, 4).tolist() == vertex_sums(wide).sums.reshape(4, 6).T.tolist()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (6, 1)])
+def test_tall_grid_builds_one_graph(shape, monkeypatch):
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return build_graph(spec)
+
+    monkeypatch.setattr(labelings, "build_graph", counting)
+    label(FamilySpec(LATTICE, *shape))
+    assert built == [FamilySpec(LATTICE, *shape)]
 
 
 def test_transpose_rejects_wrong_target():

@@ -304,7 +304,7 @@ def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
         streamed = np.concatenate(list(iter_edge_blocks(spec)))
         assert np.array_equal(np.column_stack((lab.graph.edge_array, lab.labels)), streamed), spec
         forms, transposed = _forms(spec)
-        sums = np.stack([forms.column_sums(j) for j in range(1, forms.cols + 1)], axis=1)
+        sums = np.stack(list(forms.columns()), axis=1)
         total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
         assert np.array_equal(total, sums.T if transposed else sums), spec
     assert time.perf_counter() - start < 10.0
@@ -319,8 +319,8 @@ def test_streamed_column_sums_match_vertex_sums(spec):
     total = vertex_sums(label(spec)).total
     forms, transposed = _forms(spec)
     streamed = {}
-    for j in range(1, forms.cols + 1):
-        for i, value in enumerate(forms.column_sums(j).tolist(), start=1):
+    for j, column in enumerate(forms.columns(), start=1):
+        for i, value in enumerate(column.tolist(), start=1):
             streamed[(j, i) if transposed else (i, j)] = value
     assert streamed == total
 
@@ -360,6 +360,23 @@ def test_stream_verify_live_state_stays_bounded():
     stats_t = StreamStats()
     assert stream_verify(FamilySpec(LATTICE, 1500, 8), chunk_target=chunk, stats=stats_t).antimagic
     assert stats_t.peak_live_values == stats.peak_live_values
+
+
+# the counts the sweep and both stores report; a path's two degree-1 rows count, a ring has none
+@pytest.mark.parametrize(
+    "spec, chunk_target, peak, spills",
+    [
+        (FamilySpec(LATTICE, 1, 7), 4, 25, 9),
+        (FamilySpec(LATTICE, 7, 1), DEFAULT_CHUNK_TARGET, 48, 0),
+        (FamilySpec(LATTICE, 5, 7), 4, 40, 31),
+        (FamilySpec(PRISM, 5, 1), 4, 31, 6),
+        (FamilySpec(PRISM, 8, 6), DEFAULT_CHUNK_TARGET, 192, 0),
+    ],
+)
+def test_stream_verify_accounting_is_pinned(spec, chunk_target, peak, spills):
+    stats = StreamStats()
+    assert stream_verify(spec, chunk_target=chunk_target, stats=stats).antimagic
+    assert (stats.peak_live_values, stats.spill_files) == (peak, spills)
 
 
 def _faulty(construction, remap):
@@ -431,9 +448,9 @@ def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
     forms, _ = _forms(spec)
 
     class Miscounting(type(forms)):
-        def column_sums(self, j, keep=None):
-            sums = super().column_sums(j, keep)
-            return np.concatenate((sums, sums))
+        def columns(self, keep=None):
+            for sums in super().columns(keep):
+                yield np.concatenate((sums, sums))
 
     monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), Miscounting)
     stream._forms_cached.cache_clear()
@@ -441,6 +458,20 @@ def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
         stream_verify(spec, chunk_target=4)
     # the traceback keeps the stores alive, so only closing them releases the files
     assert excinfo.traceback and _open_spill_files() == []
+
+
+def test_stream_verify_leaves_no_sweep_arrays_behind(fresh_forms):
+    stream_verify(FamilySpec(PRISM, 5, 1))  # warm-up: lazy imports and first-call caches
+    spec = FamilySpec(PRISM, 400_000, 1)
+    tracemalloc.start()
+    try:
+        assert stream_verify(spec).antimagic
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the forms stay cached for closed_form_label, without the sweep's ring-long arrays
+    assert stream._forms_cached.cache_info().currsize == 2
+    assert held < 1 << 20
 
 
 @pytest.mark.parametrize("chunk_target", [0, -5, 2.5, "8", True])
@@ -452,11 +483,10 @@ def test_stream_verify_rejects_chunk_target_below_one(chunk_target):
 @pytest.mark.parametrize("spec", SMALL_SPECS[::7])
 def test_column_label_arrays_match_scalar_forms(spec):
     forms, _ = _forms(spec)
-    seen = []
-    for j in range(1, forms.cols + 1):
-        blocks = []
-        forms.column_sums(j, blocks.append)
+    seen, blocks = [], []
+    for j, _ in enumerate(forms.columns(blocks.append), start=1):
         first, *second = blocks
+        blocks.clear()
         assert first.tolist() == [forms.first(k, j) for k in range(1, first.size + 1)]
         if j < forms.cols:
             assert second[0].tolist() == [forms.second(i, j) for i in range(1, forms.rows + 1)]
