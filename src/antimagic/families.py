@@ -6,6 +6,11 @@ standalone paths and cycles live in a single column.  The factor paths and
 cycles come in fixed "arrangements": vertex namings under which most edges
 join indices ``i`` and ``i + 2``.  All labeling schemes in this package are
 stated against these namings, so the graphs here must use them verbatim.
+
+A product graph's edges are factor-edge copies.  Their canonical order
+(sorted endpoint pairs) has one closed form, ``_copy_at`` and
+``_copy_endpoints``, through which the graphs, the labeler and the stream
+blocks all place edges.
 """
 
 from __future__ import annotations
@@ -122,16 +127,6 @@ def _factor_edges_at(kind, size, v):
     return [k for k in candidates if 1 <= k <= count and v in _factor_edge_endpoints(kind, size, k)]
 
 
-def _factor_edges_below(kind, size, x):
-    """How many factor edges start below vertex ``x``, an int or array in 1..size+1.
-
-    Listing order sorts the edges by (lower, upper) endpoint, so they are edges 1..that.
-    """
-    below = x - 1 + (kind == SKIP_CYCLE) * (x > 1)  # a cycle's vertex 1 starts two edges
-    count = _factor_edge_count(kind, size)
-    return below - (below > count) * (below - count)
-
-
 def _check_ints(**values):
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
@@ -216,17 +211,13 @@ class Graph:
     ``edge_array`` holds the (E, 4) int64 rows ``r1, c1, r2, c2``, each edge
     in canonical endpoint order, all sorted; ``vertex_array`` the sorted
     (V, 2) vertex rows; ``ends`` the (E, 2) rows of ``vertex_array`` each edge
-    joins.  A family graph's ``copies`` hold the edge index of first-factor
-    edge k in column j at ``copies[0][k-1, j-1]`` and of second-factor edge k
-    in row i at ``copies[1][i-1, k-1]``.  ``edges`` and ``vertices`` are
-    tuple lists built on first read.
+    joins.  ``edges`` and ``vertices`` are tuple lists built on first read.
     """
 
     spec: FamilySpec | None
     edge_array: np.ndarray
     vertex_array: np.ndarray
     ends: np.ndarray
-    copies: tuple | None = None
 
     @cached_property
     def edges(self):
@@ -237,46 +228,62 @@ class Graph:
         return list(map(tuple, self.vertex_array.tolist()))
 
 
-def _copy_index(row_kind, col_kind, rows, cols):
-    """Canonical edge index of every first-factor copy (K1, cols) and second-factor copy (rows, K2).
+def _select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: one ``np.where`` over arrays, a conditional on ints."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
 
-    The edges whose lower endpoint is (r, c) are consecutive: first the
-    second-factor edge c (a path's edge c starts at c; none in the last
-    column), then the first-factor edges starting at row r.  So row r
-    starts after r - 1 rows of cols - 1 second-factor edges and, in every
-    column, the first-factor edges that start above it.
+
+def _copy_at(row_kind, col_kind, rows, cols, index):
+    """The copy at 0-based canonical edge position ``index``: ``(first, k, pos)``, ints or arrays.
+
+    That is first-factor edge ``k`` in column ``pos``, or second-factor edge
+    ``k`` in row ``pos``.  The edges with lower endpoint (r, c) are
+    consecutive: second-factor edge c (column factors are paths, whose edge c
+    starts at c; none in the last column), then the first-factor edges that
+    start at row r.  Listing order sorts a factor's edges by lower endpoint,
+    and every vertex but the last starts one edge, except a cycle's vertex 1,
+    which starts two.  So a row spans 2 cols - 1 positions, a cycle's row 1
+    cols more, and the last row cols - 1.
     """
-    below = _factor_edges_below(row_kind, rows, np.arange(1, rows + 2))
-    per_column = 1 + np.diff(below)  # edges starting at (r, c), for c < cols
-    start = np.arange(rows) * (cols - 1) + below[:-1] * cols
-    k = np.arange(1, _factor_edge_count(row_kind, rows) + 1)
-    a = _factor_edge_endpoints(row_kind, rows, k)[0] - 1
-    j = np.arange(cols)
-    first = (start[a] + k - 1 - below[a])[:, None] + j * per_column[a][:, None] + (j < cols - 1)
-    second = start[:, None] + np.arange(_factor_edge_count(col_kind, cols)) * per_column[:, None]
-    return first, second
+    extra = row_kind == SKIP_CYCLE  # a cycle's row 1 starts edges 1 and 2
+    wide = 2 * cols - 1
+    r = 1 + (index >= wide + extra * cols) * ((index - extra * cols) // wide)
+    below = r - 1 + extra * (r > 1)  # first-factor edges starting above row r
+    slots = 2 + extra * (r == 1) - (r == rows)  # per column, but the last
+    offset = index - (r - 1) * (cols - 1) - below * cols
+    # the last column has no second-factor edge; one more column's slots makes c 1-based
+    c, slot = divmod(offset + (offset >= (cols - 1) * slots) + slots, slots)
+    first = slot > 0
+    return first, _select(first, below + slot, c), _select(first, c, r)
 
 
-def build_graph(spec):
-    """Materialize the graph for ``spec`` with canonically sorted edges."""
+def _copy_endpoints(row_kind, col_kind, rows, cols, first, k, pos):
+    """Endpoints ``r1, c1, r2, c2`` of the copy ``(first, k, pos)``, lower first; ints or arrays."""
+    a, b = _factor_edge_endpoints(row_kind, rows, k)
+    c, d = _factor_edge_endpoints(col_kind, cols, k)
+    return _select(first, a, pos), _select(first, pos, c), _select(first, b, pos), _select(first, pos, d)
+
+
+def _graph_and_copies(spec):
+    """``spec``'s graph and the copy ``(first, k, pos)`` at every edge position."""
     spec.validate()
     if spec.edge_count() > MAX_MATERIALIZED_EDGES:
         raise SizeRefusalError(
             f"{spec.edge_count()} edges exceeds the materialization cap of "
             f"{MAX_MATERIALIZED_EDGES}; use the stream module for this size"
         )
-    row_kind, col_kind, rows, cols = factor_kinds(spec)
-    copies = _copy_index(row_kind, col_kind, rows, cols)
-    r = np.arange(1, rows + 1)[:, None]
-    c = np.arange(1, cols + 1)
-    a, b = _factor_edge_endpoints(row_kind, rows, np.arange(1, _factor_edge_count(row_kind, rows) + 1)[:, None])
-    d, e = _factor_edge_endpoints(col_kind, cols, np.arange(1, _factor_edge_count(col_kind, cols) + 1))
-    edges = np.empty((spec.edge_count(), 4), dtype=np.int64)
-    edges[copies[0]] = np.stack(np.broadcast_arrays(a, c, b, c), axis=-1)
-    edges[copies[1]] = np.stack(np.broadcast_arrays(r, d, r, e), axis=-1)
-    vertices = np.stack(np.broadcast_arrays(r, c), axis=-1).reshape(-1, 2)
+    factors = factor_kinds(spec)
+    copies = _copy_at(*factors, np.arange(spec.edge_count()))
+    edges = np.column_stack(_copy_endpoints(*factors, *copies))
+    cols = spec.col_count()
+    vertices = np.stack(np.divmod(np.arange(spec.vertex_count()), cols), axis=1) + 1
     ends = (edges[:, 0::2] - 1) * cols + edges[:, 1::2] - 1
-    return Graph(spec, edges, vertices, ends, copies)
+    return Graph(spec, edges, vertices, ends), copies
+
+
+def build_graph(spec):
+    """Materialize the graph for ``spec`` with canonically sorted edges."""
+    return _graph_and_copies(spec)[0]
 
 
 def _adhoc_graph(edge_array):
@@ -311,6 +318,12 @@ def _first_repeat(rows):
 
 def graph_from_edges(edges):
     """Ad-hoc graph from canonical edges (file input, negative controls)."""
+    rows = [(*a, *b) for a, b in edges]
+    coords = [value for row in rows for value in row]
+    if set(map(type, coords)) - {int}:  # one bulk test; the slow check names the first non-int
+        _check_ints(**{f"coordinate {i % 4 + 1} of edge {i // 4 + 1}": value for i, value in enumerate(coords)})
+    if min(coords, default=0) < -(1 << 63) or max(coords, default=0) >= 1 << 63:
+        raise InvalidParameterError("an edge coordinate is outside the 64-bit integer range")
     seen = set()
     for a, b in edges:
         if canonical_edge(a, b) != (a, b):
@@ -318,7 +331,7 @@ def graph_from_edges(edges):
         if (a, b) in seen:
             raise InvalidParameterError(f"repeated edge {(a, b)}")
         seen.add((a, b))
-    rows = np.array([(*a, *b) for a, b in edges], dtype=np.int64).reshape(-1, 4)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
     return _adhoc_graph(rows[_lex_order(rows)])
 
 

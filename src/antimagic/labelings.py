@@ -23,7 +23,8 @@ from .families import (
     SKIP_PATH,
     FamilySpec,
     _check_ints,
-    build_graph,
+    _graph_and_copies,
+    _select,
     make_arrangement,
 )
 
@@ -34,16 +35,21 @@ R = "R"
 class Labeling:
     """Labels on a graph's edges.
 
-    ``labels`` is an int64 array aligned with ``graph.edge_array``.  A
-    mapping edge -> int64 label is accepted too; when it misses or adds
-    edges, ``labels`` is None and only the mapping is kept.  ``assignment``
-    is the read-only edge -> label view, built on first read.
+    ``labels`` is an int64 array aligned with ``graph.edge_array`` (narrower
+    integer arrays are widened).  A mapping edge -> int64 label is accepted
+    too; when it misses or adds edges, ``labels`` is None and only the
+    mapping is kept.  ``assignment`` is the read-only edge -> label view,
+    built on first read.
     """
 
     def __init__(self, graph, labels):
         self.graph = graph
         self._given = None
-        if not isinstance(labels, np.ndarray):
+        if isinstance(labels, np.ndarray):
+            if labels.shape != (len(graph.edge_array),) or labels.dtype.kind not in "iu" or labels.dtype == np.uint64:
+                raise InvalidParameterError(f"labels must be one int64 per edge, got {labels.dtype} {labels.shape}")
+            labels = labels.astype(np.int64, copy=False)
+        else:
             self._given = dict(labels)
             given = self._given.values()
             if set(map(type, given)) - {int}:  # one bulk test; the slow check names the first non-int
@@ -174,13 +180,13 @@ def label(spec):
     swapped, land on the coordinates the caller asked for.
 
     Each construction deals the labels of the first-factor copies (K1, cols)
-    and the second-factor copies (rows, K2), which the graph's ``copies``
-    place in canonical edge order.
+    and the second-factor copies (rows, K2).  The graph's copy at each edge
+    position indexes the two matrices, laid end to end, in one ``take``.
     """
-    graph = build_graph(spec)  # validates, and refuses a size above the cap before any dealing
+    graph, (is_first, k, pos) = _graph_and_copies(spec)  # validates, and refuses a size above the cap
     m, n = spec.m, spec.n
     if spec.family in (PATH, CYCLE):
-        first, second = np.arange(1, spec.edge_count() + 1)[:, None], ()
+        first, second = np.arange(1, spec.edge_count() + 1)[:, None], np.empty(0, dtype=np.int64)
     elif spec.family == PRISM:
         first, second = _prism(m, n) if n >= 2 else _ladder(spec)
     elif m > n:
@@ -191,7 +197,6 @@ def label(spec):
         first, second = _grid(m, n)
     else:
         first, second = _ladder(spec) if n >= 2 else ([[1, 4]], [[2], [3]])
-    labels = np.empty(len(graph.edge_array), dtype=np.int64)
-    labels[graph.copies[0]] = first
-    labels[graph.copies[1]] = second
-    return Labeling(graph, labels)
+    cols, first = spec.col_count(), np.ravel(first)  # K2 = cols - 1 second-factor edges per row
+    flat = _select(is_first, (k - 1) * cols + pos - 1, first.size + (pos - 1) * (cols - 1) + k - 1)
+    return Labeling(graph, np.concatenate((first, np.ravel(second))).take(flat))

@@ -10,15 +10,18 @@ arrays (a block of edges).  There are four: the general grid, the 1 x 1
 grid, the general prism, and the ladder, which covers both the two-row grid
 and the two-layer prism.
 
-On top of these sit ``closed_form_label``; ``iter_edge_blocks``, which
-emits every edge as int64 arrays of at most ``BLOCK_EDGES`` rows, in
-canonical order or, inverting label ranges, by label (``iter_labeled_edges``
-is its per-edge view); and ``stream_verify``, which sweeps the columns,
-adding each column's first-factor block, gathered over the row factor's
-incidence, to the blocks of the edges meeting it.  It checks bijectivity and
-sum distinctness exactly: labels and sums are buffered, and each full buffer
-is scattered into value-range buckets on disk, so live state stays at one
-column of the normalized orientation plus the two buffers and one bucket.
+A copy ``(first, k, pos)`` is labeled by ``_copy_label``, and its endpoints
+and canonical position come from the closed forms in
+:mod:`antimagic.families`.  On top of these sit ``closed_form_label``;
+``iter_edge_blocks``, which emits every edge as int64 arrays, one range of
+``BLOCK_EDGES`` positions at a time, mapped to copies by canonical position
+or, inverting the labels, by label (``iter_labeled_edges`` is its per-edge
+view); and ``stream_verify``, which sweeps the columns, adding each column's
+first-factor block, gathered over the row factor's incidence, to the blocks
+of the edges meeting it.  It checks bijectivity and sum distinctness
+exactly: labels and sums are buffered, and each full buffer is scattered
+into value-range buckets on disk, so live state stays at one column of the
+normalized orientation plus the two buffers and one bucket.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ from .families import (
     SKIP_PATH,
     FamilySpec,
     _check_ints,
+    _copy_at,
+    _copy_endpoints,
     _factor_edge_count,
     _factor_edge_endpoints,
     _factor_edge_index,
     _factor_edges_at,
-    _factor_edges_below,
+    _select,
     factor_kinds,
 )
 from .verification import Verdict
@@ -57,11 +62,6 @@ BLOCK_EDGES = 1 << 11  # the most edges in one block of iter_edge_blocks
 
 ROW = "row"
 COL = "col"
-
-
-def _select(cond, a, b):
-    """``a`` where ``cond`` holds, else ``b``: a branch-free select for ints or arrays."""
-    return b + cond * (a - b)
 
 
 def _usual(size, k):
@@ -268,6 +268,21 @@ def _forms(spec):
         raise
 
 
+def _spec_factors(forms, transposed):
+    """``factor_kinds`` of the spec ``forms`` label: theirs, swapped for a transposed grid."""
+    if transposed:
+        return forms.col_kind, forms.row_kind, forms.cols, forms.rows
+    return forms.row_kind, forms.col_kind, forms.rows, forms.cols
+
+
+def _copy_label(forms, transposed, first, k, pos):
+    """Label of the copy ``(first, k, pos)``, named in the spec's own orientation; ints or arrays."""
+    first = first != transposed  # the transpose's first factor is the spec's second
+    if type(first) is bool:  # one edge: only its own formula
+        return forms.first(k, pos) if first else forms.second(pos, k)
+    return _select(first, forms.first(k, pos), forms.second(pos, k))
+
+
 class EdgeKey(NamedTuple):
     """One edge of a lattice or prism, named without materializing the graph.
 
@@ -286,15 +301,14 @@ class EdgeKey(NamedTuple):
     def _resolve(self):
         """Check that the key names an edge of ``spec``.
 
-        Returns the forms labeling it, whether it copies their first factor,
-        and that factor's kind and size.
+        Returns the forms labeling it and whether they label the transpose.
         """
         forms, transposed = _forms(self.spec)
         if self.orientation not in (ROW, COL):
             raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
         if type(self.k) is not int or type(self.pos) is not int:
             _check_ints(k=self.k, pos=self.pos)
-        first = (self.orientation == ROW) != transposed
+        first = (self.orientation == ROW) != transposed  # whether it copies the forms' first factor
         kind, size, cross = (
             (forms.row_kind, forms.rows, forms.cols) if first else (forms.col_kind, forms.cols, forms.rows)
         )
@@ -302,28 +316,20 @@ class EdgeKey(NamedTuple):
             raise InvalidParameterError(f"{kind} of size {size} has no edge {self.k}")
         if not 1 <= self.pos <= cross:
             raise InvalidParameterError(f"cross position {self.pos} out of range 1..{cross}")
-        return forms, first, kind, size
+        return forms, transposed
 
     def endpoints(self):
-        _, _, kind, size = self._resolve()
-        a, b = _factor_edge_endpoints(kind, size, self.k)
-        if self.orientation == ROW:
-            return ((a, self.pos), (b, self.pos))
-        return ((self.pos, a), (self.pos, b))
+        factors = _spec_factors(*self._resolve())
+        r1, c1, r2, c2 = _copy_endpoints(*factors, self.orientation == ROW, self.k, self.pos)
+        return ((r1, c1), (r2, c2))
 
 
 def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
-    forms, transposed = _forms(spec)
+    row_kind, col_kind, rows, cols = _spec_factors(*_forms(spec))
     (r1, c1), (r2, c2) = edge
     if {type(r1), type(c1), type(r2), type(c2)} != {int}:
         _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
-    # spec's own factors: the forms' factors, swapped for a transposed grid
-    row_kind, rows, col_kind, cols = (
-        (forms.col_kind, forms.cols, forms.row_kind, forms.rows)
-        if transposed
-        else (forms.row_kind, forms.rows, forms.col_kind, forms.cols)
-    )
     if c1 == c2:
         if not 1 <= c1 <= cols:
             raise InvalidParameterError(f"column {c1} out of range")
@@ -337,69 +343,35 @@ def edge_key(spec, edge):
 
 def closed_form_label(key):
     """Label of the edge named by ``key``, in O(1), matching the labelers."""
-    forms, first, _, _ = key._resolve()
-    return forms.first(key.k, key.pos) if first else forms.second(key.pos, key.k)
-
-
-def _canonical_blocks(spec, forms, transposed):
-    """Canonical edge order as arrays: whole rows at a time, or a long row in column spans.
-
-    The edges with lower endpoint (r, c) fill slots in canonical order: slot 0
-    holds column-factor edge c (a path's edge c starts at c), the next slots
-    the row factor's edges starting at row r.  Slots with no edge are dropped.
-    Row 1 starts the most row-factor edges and row 2 as many as any later
-    row, so row 1 is sized alone and the rest by row 2.
-    """
-    row_kind, col_kind, rows, cols = factor_kinds(spec)
-    first, second = forms.first, lambda k, pos: forms.second(pos, k)
-    row_label, col_label = (second, first) if transposed else (first, second)  # spec's rows are the forms' columns
-    starting = _factor_edges_below(row_kind, rows, 2)  # at row 1
-    bands = ((1, 1, 1 + starting), (2, rows, 1 + _factor_edges_below(row_kind, rows, 3) - starting))
-    for top, bottom, slots in bands:
-        width = max(1, BLOCK_EDGES // slots)
-        height = max(1, width // cols)
-        for r in range(top, bottom + 1, height):
-            for c in range(1, cols + 1, width):
-                rr = np.arange(r, min(bottom, r + height - 1) + 1, dtype=np.int64)[:, None, None]
-                cc = np.arange(c, min(cols, c + width - 1) + 1, dtype=np.int64)[:, None]
-                k = _factor_edges_below(row_kind, rows, rr) + np.arange(1, slots)
-                edges = np.empty((rr.size, cc.size, slots, 5), dtype=np.int64)
-                edges[..., 0] = edges[:, :, :1, 2] = rr
-                edges[..., 1] = edges[:, :, 1:, 3] = cc
-                edges[:, :, :1, 3] = _factor_edge_endpoints(col_kind, cols, cc)[1]
-                edges[:, :, :1, 4] = col_label(cc, rr)
-                edges[:, :, 1:, 2] = _factor_edge_endpoints(row_kind, rows, k)[1]
-                edges[:, :, 1:, 4] = row_label(k, cc)
-                kept = np.empty(edges.shape[:3], dtype=bool)
-                kept[:, :, :1] = cc < cols
-                kept[:, :, 1:] = k <= _factor_edges_below(row_kind, rows, rr + 1)
-                yield edges[kept]
-
-
-def _label_blocks(spec, forms, transposed):
-    """Label order as arrays: the closed forms inverted over label ranges."""
-    edges = spec.edge_count()
-    for low in range(1, edges + 1, BLOCK_EDGES):
-        labels = np.arange(low, min(edges, low + BLOCK_EDGES - 1) + 1, dtype=np.int64)
-        first, k, pos = forms.invert(labels)
-        a, b = _factor_edge_endpoints(forms.row_kind, forms.rows, k)
-        c, d = _factor_edge_endpoints(forms.col_kind, forms.cols, k)
-        ends = (_select(first, a, pos), _select(first, pos, c), _select(first, b, pos), _select(first, pos, d))
-        block = np.stack((*ends, labels), axis=1)
-        yield block[:, [1, 0, 3, 2, 4]] if transposed else block
+    return _copy_label(*key._resolve(), key.orientation == ROW, key.k, key.pos)
 
 
 def iter_edge_blocks(spec, by_label=False):
     """Yield every edge as rows ``r1, c1, r2, c2, label`` of ``(B, 5)`` int64 arrays.
 
     Default order is canonical (sorted endpoint pairs); ``by_label`` walks
-    labels 1..|E| instead, inverting the closed forms block by block.  No
-    block has more than ``BLOCK_EDGES`` rows, so memory does not grow with
-    the side lengths.  Validation happens up front, not at the first block.
+    labels 1..|E| instead.  Each block is a range of at most ``BLOCK_EDGES``
+    positions in that order, mapped to its copies by the canonical closed
+    form or by inverting the labels, so memory does not grow with the side
+    lengths.  Validation happens up front, not at the first block.
     """
     forms, transposed = _forms(spec)
-    blocks = (_label_blocks if by_label else _canonical_blocks)(spec, forms, transposed)
-    return (block[at : at + BLOCK_EDGES] for block in blocks for at in range(0, len(block), BLOCK_EDGES))
+    factors = _spec_factors(forms, transposed)
+    edges = spec.edge_count()
+
+    def blocks():
+        for low in range(0, edges, BLOCK_EDGES):
+            index = np.arange(low, min(edges, low + BLOCK_EDGES), dtype=np.int64)
+            if by_label:
+                label = index + 1
+                first, k, pos = forms.invert(label)
+                first = first != transposed
+            else:
+                first, k, pos = _copy_at(*factors, index)
+                label = _copy_label(forms, transposed, first, k, pos)
+            yield np.column_stack((*_copy_endpoints(*factors, first, k, pos), label))
+
+    return blocks()
 
 
 def iter_labeled_edges(spec, by_label=False):

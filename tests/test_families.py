@@ -24,7 +24,6 @@ from antimagic.families import (
     _factor_edge_endpoints,
     _factor_edge_index,
     _factor_edges_at,
-    _factor_edges_below,
     factor_kinds,
 )
 
@@ -94,11 +93,10 @@ def test_endpoint_forms_match_listing(kind):
         for v in range(1, size + 1):
             at = [k for k, e in enumerate(edges, start=1) if v in e]
             assert _factor_edges_at(kind, size, v) == at
-            lower = sorted((b, k) for k, (a, b) in enumerate(edges, start=1) if a == v)
-            starting = range(_factor_edges_below(kind, size, v) + 1, _factor_edges_below(kind, size, v + 1) + 1)
-            assert [(k, edges[k - 1][1]) for k in starting] == [(k, b) for b, k in lower]
-        xs = np.arange(1, size + 2)
-        assert _factor_edges_below(kind, size, xs).tolist() == [_factor_edges_below(kind, size, x) for x in xs.tolist()]
+            # the starts _copy_at counts on: one edge per vertex but the last, two at a cycle's vertex 1
+            starting = [k for k, (a, b) in enumerate(edges, start=1) if a == v]
+            assert len(starting) == 1 + (kind == SKIP_CYCLE and v == 1) - (v == size)
+        assert list(edges) == sorted(edges)
         with pytest.raises(InvalidParameterError):
             _factor_edge_index(kind, size, size, size + 1)
 
@@ -234,6 +232,21 @@ def test_graph_from_edges_validation():
     graph = graph_from_edges([((1, 1), (2, 1)), ((1, 1), (3, 1))])
     assert graph.spec is None
     assert graph.vertices == [(1, 1), (2, 1), (3, 1)]
+    assert graph_from_edges([((-(1 << 63), 1), ((1 << 63) - 1, 1))]).edges == [((-(1 << 63), 1), ((1 << 63) - 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "edge,fragment",
+    [
+        (((1, 1), (1.5, 1)), "coordinate 3 of edge 2 must be an int, got 1.5"),
+        (((True, 1), (2, 1)), "coordinate 1 of edge 2 must be an int, got True"),
+        (((1, 1), (2**70, 1)), "outside the 64-bit integer range"),
+    ],
+)
+def test_graph_from_edges_rejects_non_int64_coordinates(edge, fragment):
+    # no truncation of 1.5 into a self-loop, no bool read as 1, and no numpy OverflowError
+    with pytest.raises(InvalidParameterError, match=fragment):
+        graph_from_edges([((1, 1), (1, 2)), edge])
 
 
 def test_k2_graph():

@@ -1,5 +1,6 @@
 """Construction correctness: frozen sum values, coloring and merge oracles."""
 
+import numpy as np
 import pytest
 
 from antimagic import (
@@ -18,7 +19,7 @@ from antimagic import (
     vertex_sums,
 )
 from antimagic import labelings
-from antimagic.families import SKIP_PATH, make_arrangement
+from antimagic.families import SKIP_PATH, _graph_and_copies, make_arrangement
 from antimagic.labelings import R, Labeling, U
 
 
@@ -206,9 +207,9 @@ def test_tall_grid_builds_one_graph(shape, monkeypatch):
 
     def counting(spec):
         built.append(spec)
-        return build_graph(spec)
+        return _graph_and_copies(spec)
 
-    monkeypatch.setattr(labelings, "build_graph", counting)
+    monkeypatch.setattr(labelings, "_graph_and_copies", counting)
     label(FamilySpec(LATTICE, *shape))
     assert built == [FamilySpec(LATTICE, *shape)]
 
@@ -323,3 +324,22 @@ def test_mapping_labels_at_the_int64_bounds_are_kept():
     graph = build_graph(FamilySpec(PATH, 2))
     lab = Labeling(graph, dict(zip(graph.edges, ((1 << 63) - 1, -(1 << 63)))))
     assert lab.labels.tolist() == [(1 << 63) - 1, -(1 << 63)]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.arange(1, 3), np.arange(1, 5).reshape(2, 2), np.array([1.0, 1.5, 3.0]), np.array([1, 2, 3], dtype=np.uint64)],
+    ids=["short", "2-D", "float", "uint64"],
+)
+def test_array_labels_must_be_one_int64_per_edge(labels):
+    # refused up front: not a broadcast ValueError in check_antimagic, and no float label
+    graph = build_graph(FamilySpec(PATH, 3))
+    with pytest.raises(InvalidParameterError, match="one int64 per edge"):
+        Labeling(graph, labels)
+
+
+def test_narrow_integer_array_labels_become_int64():
+    graph = build_graph(FamilySpec(PATH, 3))
+    lab = Labeling(graph, np.array([1, 2, 3], dtype=np.int32))
+    assert lab.labels.dtype == np.int64
+    assert check_antimagic(lab).antimagic

@@ -32,7 +32,14 @@ from antimagic import (
     vertex_sums,
 )
 from antimagic import stream
-from antimagic.families import SKIP_PATH, _factor_edge_count, make_arrangement
+from antimagic.families import (
+    SKIP_PATH,
+    _copy_at,
+    _copy_endpoints,
+    _factor_edge_count,
+    factor_kinds,
+    make_arrangement,
+)
 from antimagic.labelings import Labeling, U
 from antimagic.stream import (
     BLOCK_EDGES,
@@ -209,6 +216,19 @@ def test_forms_exact_at_huge_sizes(spec, data):
     assert edge_key(spec, key.endpoints()) == key
     assert closed_form_label(key) == labels[0]
 
+    # canonical positions, with their neighbours: ints match arrays, and each copy names its edge
+    factors, edges = factor_kinds(spec), spec.edge_count()
+    at = sorted({p + d for p in indices(edges) for d in (-2, -1, 0) if 0 <= p + d < edges})
+    copies = [_copy_at(*factors, p) for p in at]
+    ends = [_copy_endpoints(*factors, *copy) for copy in copies]
+    assert all(type(v) is int for end in ends for v in end)
+    array_copies = _copy_at(*factors, np.array(at, dtype=np.int64))
+    assert list(zip(*(part.tolist() for part in array_copies))) == copies
+    assert list(zip(*(part.tolist() for part in _copy_endpoints(*factors, *array_copies)))) == ends
+    for (first, k, pos), (r1, c1, r2, c2) in zip(copies, ends):
+        assert edge_key(spec, ((r1, c1), (r2, c2))) == EdgeKey(spec, ROW if first else COL, k, pos)
+    assert ends == sorted(set(ends))  # ascending with position, as build_graph lists the edges
+
 
 def test_closed_form_label_allocates_nothing_of_side_length(fresh_forms):
     spec = FamilySpec(LATTICE, 1 << 24, 1 << 24)
@@ -281,11 +301,13 @@ def test_edge_blocks_use_memory_independent_of_side_length(spec, by_label, fresh
 
 
 def test_prism_blocks_pack_rows_like_grids():
-    # ring row 1 starts two edges and every later row one; only row 1 is sized for three slots
-    prism = [len(block) for block in iter_edge_blocks(FamilySpec(PRISM, 450, 450))]
-    grid = [len(block) for block in iter_edge_blocks(FamilySpec(LATTICE, 450, 450))]
-    assert len(prism) == len(grid) == 226
-    assert max(prism) <= BLOCK_EDGES
+    # blocks are position ranges in either order, so every block but the last is full
+    for spec, count in ((FamilySpec(PRISM, 450, 450), 198), (FamilySpec(LATTICE, 450, 450), 199)):
+        for by_label in (False, True):
+            sizes = [len(block) for block in iter_edge_blocks(spec, by_label)]
+            assert len(sizes) == count
+            assert sizes[:-1] == [BLOCK_EDGES] * (count - 1)
+            assert 0 < sizes[-1] <= BLOCK_EDGES
 
 
 @pytest.mark.parametrize(
