@@ -162,6 +162,7 @@ def _cmd_bench(args):
     print(f"sums checked: {stats.sums_checked}")
     print(f"peak live values: {stats.peak_live_values}")
     print(f"spill files: {stats.spill_files}")
+    print(f"spill bytes: {stats.spill_bytes}")
     print(f"elapsed seconds: {stats.elapsed_seconds:.3f}")
     return EXIT_OK if verdict.antimagic else EXIT_NEGATIVE
 

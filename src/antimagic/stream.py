@@ -65,9 +65,9 @@ COL = "col"
 
 
 def _usual(size, k):
-    # skip-path edge k is U iff its walk position is odd: (k+1)/2 for odd k,
-    # size - k/2 for even k (the turnaround edge fits either rule)
-    return ((k + 1) // 2 + (1 - k % 2) * size) % 2 == 1
+    # skip-path edge k is U iff its walk position is odd: (k+1)/2 for odd k, size - k/2
+    # for even k (the turnaround edge fits either rule), i.e. (k+1)/2 flipped by size's parity
+    return (((k + 1) >> 1) ^ (~k & size)) & 1 == 1
 
 
 def _merge(m, n, p):
@@ -75,7 +75,7 @@ def _merge(m, n, p):
     # alternate between the tail evens (q odd) and the remaining odds
     head = m * n + (m + n + 1) // 2 - (n - m) // 2
     q = p - head
-    return 2 * p - 1 + (q > 0) * (q % 2 * (2 * m * n + 2 * m + 2 - 2 * head) - q)
+    return 2 * p - 1 + (q > 0) * ((q & 1) * (2 * m * n + 2 * m + 2 - 2 * head) - q)
 
 
 def _incidence(kind, size, k):
@@ -114,25 +114,31 @@ class _Forms:
 
         Each column's first-factor block is gathered over the row factor's
         incidence, and the blocks of the second-factor edges meeting the
-        column add in row by row.  Each block is computed once.  ``keep``, if
-        given, is handed the blocks whose labels column ``j`` owns while they
-        are live: its first-factor copy, then second-factor edge ``j``.  The
-        sweep's index arrays are locals, so they live only while it runs.
+        column add in row by row, reusing the one the previous column ended
+        with (edge j-1 on a grid; skip-path blocks are made in both columns).
+        ``keep``, if given, is handed the blocks whose labels column ``j``
+        owns while they are live: its first-factor copy, then second-factor
+        edge ``j``.  The sweep's index arrays are locals, so they live only
+        while it runs.
         """
         rows = np.arange(1, self.rows + 1, dtype=np.int64)
         edges = rows[: _factor_edge_count(self.row_kind, self.rows)]  # the row factor's edge indices
         a, b, single = _incidence(self.row_kind, self.rows, edges)
+        last = carried = None  # the previous column's last second-factor edge and its block
         for j in range(1, self.cols + 1):
+            meeting = _factor_edges_at(self.col_kind, self.cols, j)
+            carried = carried if last in meeting else None  # free a block no column shares
             block = self.first(edges, j)
             sums = block[a] + block[b]
             sums[single] -= block[a[single]]
             if keep is not None:
                 keep(block)
-            for k in _factor_edges_at(self.col_kind, self.cols, j):
-                block = self.second(rows, k)
+            for k in meeting:
+                block = carried if k == last else self.second(rows, k)
                 sums += block
                 if keep is not None and k == j:
                     keep(block)
+            last, carried = k, block
             yield sums
 
 
@@ -388,40 +394,40 @@ class StreamStats:
     sums_checked: int = 0
     peak_live_values: int = 0
     spill_files: int = 0
+    spill_bytes: int = 0
     elapsed_seconds: float = 0.0
 
 
 class _BucketStore:
-    """Routes int64 values into ascending value-range buckets, in batches.
+    """Routes integer values into ascending value-range buckets, in batches.
 
     ``add`` appends to a buffer.  Once the buffer holds ``chunk_target``
     values it is sorted once and scattered with one write per non-empty
     bucket, each bucket to its own temp file; a store whose buffer never
-    fills opens no file.  Iterating yields every bucket sorted, so the whole
-    multiset comes back in ascending order while only one bucket is live.
-    ``peak`` counts the most values the store held at once.  As a context
-    manager it closes every file still open on exit.
+    fills opens no file.  Values are ``uint32`` while ``upper`` and every
+    value fit; the first value outside 0..2**32-1 widens the store to int64,
+    rewriting its open files one at a time.  Iterating yields every bucket,
+    unsorted, while only one is live.  ``peak`` counts the most values held
+    at once, ``written`` the bytes written to files.  On exit, as a context
+    manager, it closes every file still open.
     """
 
     def __init__(self, expected, upper, chunk_target, tmpdir, tag):
         self.nbuckets = min(512, -(-expected // chunk_target))
         self.width = max(1, -(-upper // self.nbuckets))
+        self.dtype = np.dtype(np.uint32 if upper <= 1 << 32 else np.int64)
         self.chunk_target = chunk_target
         self.files = [None] * self.nbuckets
         self.prefix = os.path.join(tmpdir, tag)
         self.buffer = []
-        self.buffered = 0
-        self.count = 0
-        self.spills = 0
-        self.peak = 0
+        self.buffered = self.count = self.spills = self.written = self.peak = 0
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        for handle in self.files:
-            if handle is not None:
-                handle.close()
+        for handle in filter(None, self.files):
+            handle.close()
         self.files = [None] * self.nbuckets
 
     def add(self, arr):
@@ -435,21 +441,30 @@ class _BucketStore:
     def _take_buffer(self):
         """The buffered values sorted, with the bucket bounds cut into them; empties the buffer."""
         values = np.concatenate([np.empty(0, dtype=np.int64), *self.buffer])
-        values.sort()
         self.buffer, self.buffered = [], 0
+        if self.dtype == np.uint32 and values.size and (values.min() < 0 or values.max() >= 1 << 32):
+            self.dtype = np.dtype(np.int64)
+            for handle in filter(None, self.files):  # the wider copy overwrites all of the file
+                handle.seek(0)
+                part = np.fromfile(handle, dtype=np.uint32).astype(np.int64)
+                handle.seek(0)
+                self.written += handle.write(part)
+                self.peak = max(self.peak, values.size + part.size)
+        values = values.astype(self.dtype, copy=False)
+        values.sort()
         inner = np.searchsorted(values, np.arange(1, self.nbuckets) * self.width)
-        return values, np.concatenate(([0], inner, [values.size]))
+        return values, [0, *inner.tolist(), values.size]
 
     def _scatter(self):
         values, cuts = self._take_buffer()
-        for b in np.flatnonzero(np.diff(cuts)):
+        for b in np.flatnonzero(np.diff(cuts)).tolist():
             if self.files[b] is None:
                 self.files[b] = open(f"{self.prefix}-{b:04d}.bin", "w+b")
                 self.spills += 1
-            self.files[b].write(values[cuts[b] : cuts[b + 1]].tobytes())
+            self.written += self.files[b].write(values[cuts[b] : cuts[b + 1]])  # no copy
 
-    def iter_sorted(self):
-        """Yield ``(lo, hi, sorted values)`` for every bucket, ascending.
+    def iter_buckets(self):
+        """Yield ``(lo, hi, values)`` for every bucket, ascending; the values are unsorted.
 
         A bucket holds the values in ``lo..hi-1``; the first also takes those
         below its range and the last those above.
@@ -461,23 +476,33 @@ class _BucketStore:
             part = values[cuts[b] : cuts[b + 1]]
             if handle is not None:
                 handle.seek(0)
-                part = np.fromfile(handle, dtype=np.int64)
-                part.sort()
+                part = np.fromfile(handle, dtype=self.dtype)
                 handle.close()
                 self.files[b] = None
                 self.peak = max(self.peak, part.size)
             yield b * self.width, (b + 1) * self.width, part
 
 
+def _distinct(chunk, lo, hi):
+    """Whether ``chunk``'s values are pairwise distinct and all in ``lo..hi-1``; a bitmap, no sort."""
+    if chunk.size and (chunk.min() < lo or chunk.max() >= hi):
+        return False
+    seen = np.zeros(hi - lo, dtype=bool)
+    seen[np.subtract(chunk, lo, dtype=np.intp)] = True  # intp: no cast in the indexing
+    return np.count_nonzero(seen) == chunk.size
+
+
 def _check_permutation(store, n):
     """(bijection_ok, missing/repeated/out-of-range sample) for a streamed multiset."""
     issues = set()
     ok = store.count == n
-    for lo, hi, chunk in store.iter_sorted():
-        expected = np.arange(max(lo, 1), min(hi - 1, n) + 1, dtype=np.int64)
-        if np.array_equal(chunk, expected):
-            continue
+    for lo, hi, chunk in store.iter_buckets():
+        first, stop = max(lo, 1), max(lo, 1, min(hi, n + 1))  # the bucket's share of 1..n
+        if chunk.size == stop - first and _distinct(chunk, first, stop):
+            continue  # its whole share once each; only a failing bucket is sorted
         ok = False
+        chunk.sort()
+        expected = np.arange(first, stop, dtype=np.int64)
         repeated = chunk[1:][chunk[1:] == chunk[:-1]]
         outside = chunk[(chunk < 1) | (chunk > n)]
         missing = np.setdiff1d(expected, chunk, assume_unique=False)
@@ -489,7 +514,10 @@ def _check_permutation(store, n):
 
 def _collect_duplicates(store):
     dups = set()
-    for _, _, chunk in store.iter_sorted():
+    for lo, hi, chunk in store.iter_buckets():
+        if _distinct(chunk, lo, hi):
+            continue  # only a bucket with a repeat, or a stray value, is sorted
+        chunk.sort()
         repeated = chunk[1:][chunk[1:] == chunk[:-1]]
         for v in np.unique(repeated):
             dups.add(int(v))
@@ -548,5 +576,6 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
         single = 2 * (forms.rows - _factor_edge_count(forms.row_kind, forms.rows))
         stats.peak_live_values = 4 * forms.rows + single + label_store.peak + sum_store.peak
         stats.spill_files = label_store.spills + sum_store.spills
+        stats.spill_bytes = label_store.written + sum_store.written
         stats.elapsed_seconds = time.perf_counter() - start
     return Verdict(antimagic, bijection_ok, duplicate, label_issues)

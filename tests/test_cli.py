@@ -380,6 +380,14 @@ def test_bench_chunk_target_spills(capsys):
     assert int(spill.split(":")[1]) > 0
 
 
+def test_bench_reports_spill_bytes_after_spill_files(capsys):
+    code, out, _ = run(capsys, ["bench", "lattice", "5", "7", "--chunk-target", "4"])
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("spill files: 31")
+    assert lines[at + 1] == "spill bytes: 520"  # all 82 labels and 48 sums, 4 bytes each
+
+
 @pytest.mark.parametrize("chunk_target", ["0", "-5"])
 def test_bench_rejects_chunk_target_below_one(capsys, chunk_target):
     code, out, err = run(capsys, ["bench", "lattice", "3", "3", "--chunk-target", chunk_target])

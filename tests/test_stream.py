@@ -2,12 +2,13 @@
 
 import itertools
 import os
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import (
@@ -85,6 +86,14 @@ def test_usual_formula_matches_coloring_hypothesis(size, data):
     k = data.draw(st.integers(min_value=1, max_value=size - 1))
     colors = ur_coloring(make_arrangement(SKIP_PATH, size))
     assert _usual(size, k) == (colors[k] == U)
+
+
+@pytest.mark.parametrize("size", range(2, 65))
+def test_usual_bit_form_matches_modular_form(size):
+    ks = list(range(1, size + 4))
+    want = [((k + 1) // 2 + (1 - k % 2) * size) % 2 == 1 for k in ks]
+    assert [_usual(size, k) for k in ks] == want
+    assert _usual(size, np.array(ks, dtype=np.int64)).tolist() == want
 
 
 @given(
@@ -401,6 +410,23 @@ def test_stream_verify_accounting_is_pinned(spec, chunk_target, peak, spills):
     assert (stats.peak_live_values, stats.spill_files) == (peak, spills)
 
 
+# every value spills once, as 4-byte words; int64 files would take twice as many bytes
+@pytest.mark.parametrize(
+    "spec, chunk_target, spill_bytes",
+    [
+        (FamilySpec(LATTICE, 5, 7), 4, 520),
+        (FamilySpec(LATTICE, 7, 1), DEFAULT_CHUNK_TARGET, 0),
+        (FamilySpec(PRISM, 5, 1), 4, 100),
+        (FamilySpec(PRISM, 300, 300), DEFAULT_CHUNK_TARGET, 1_082_400),
+        (FamilySpec(LATTICE, 2000, 2000), DEFAULT_CHUNK_TARGET, 48_032_004),
+    ],
+)
+def test_stream_verify_spill_bytes_are_pinned(spec, chunk_target, spill_bytes):
+    stats = StreamStats()
+    assert stream_verify(spec, chunk_target=chunk_target, stats=stats).antimagic
+    assert stats.spill_bytes == spill_bytes
+
+
 def _faulty(construction, remap):
     class Faulty(construction):
         def first(self, k, j):
@@ -452,6 +478,28 @@ def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_f
             expected.missing_or_repeated_labels,
             expected.duplicate,
         )
+
+
+# labels at -1 and 2**32 widen both stores to int64, after some buckets spilled
+@pytest.mark.parametrize("spec", [FamilySpec(LATTICE, 4, 6), FamilySpec(LATTICE, 1, 6), FamilySpec(PRISM, 5, 4)])
+@pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
+def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_forms, monkeypatch):
+    forms, _ = _forms(spec)
+    low, high = 2, spec.edge_count() - 1
+    moved = _faulty(type(forms), lambda lab: lab - (lab == low) * (low + 1) + (lab == high) * ((1 << 32) - high))
+    monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), moved)
+    stream._forms_cached.cache_clear()
+    lab = Labeling(build_graph(spec), {((r1, c1), (r2, c2)): v for r1, c1, r2, c2, v in iter_labeled_edges(spec)})
+    values = sorted(lab.assignment.values())
+    assert (values[0], values[-1]) == (-1, 1 << 32)
+    expected = check_antimagic(lab)
+    got = stream_verify(spec, chunk_target=chunk_target)
+    assert (got.antimagic, got.bijection_ok, got.missing_or_repeated_labels, got.duplicate) == (
+        expected.antimagic,
+        expected.bijection_ok,
+        expected.missing_or_repeated_labels,
+        expected.duplicate,
+    )
 
 
 def _open_spill_files():
@@ -571,3 +619,45 @@ def test_duplicate_collection(chunk_target, tmp_path):
     assert (store.spills == 0) == (8 < chunk_target)
     assert _collect_duplicates(store) == [40, 100]
     assert store.peak > 0
+
+
+VALUES_OUTSIDE = [0, -1, 1 << 32, -(1 << 40)]
+
+
+@st.composite
+def multisets(draw):
+    """``(n, values)``: part of a permutation of 1..n plus repeats and strays, shuffled."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    values = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(min_value=0, max_value=n))]
+    extra = st.one_of(st.integers(min_value=-2, max_value=n + 2), st.sampled_from([n + 1, *VALUES_OUTSIDE]))
+    values += draw(st.lists(extra, max_size=8))
+    assume(values)
+    return n, draw(st.permutations(values))
+
+
+def filled_store(values, upper, chunk_target, tmpdir, tag):
+    store = _BucketStore(len(values), upper, chunk_target, tmpdir, tag)
+    for start in range(0, len(values), 3):
+        store.add(np.array(values[start : start + 3], dtype=np.int64))
+    return store
+
+
+@pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
+@given(multisets())
+@settings(max_examples=150, deadline=None)
+def test_bucket_checks_match_unique_reference(chunk_target, case):
+    n, values = case
+    chunk_target = resolve_chunk_target(chunk_target, len(values))
+    unique, counts = np.unique(values, return_counts=True)
+    present = set(unique.tolist())
+    repeated = unique[counts > 1].tolist()
+    outside = [v for v in present if not 1 <= v <= n]
+    wide = any(not 0 <= v < 1 << 32 for v in values)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        with filled_store(values, n + 1, chunk_target, tmpdir, "t") as store:
+            ok, issues = _check_permutation(store, n)
+            assert store.dtype == (np.int64 if wide else np.uint32)
+        assert ok == (len(values) == n and present == set(range(1, n + 1)))
+        assert issues == sorted({*repeated, *outside, *(set(range(1, n + 1)) - present)})
+        with filled_store(values, n + 1, chunk_target, tmpdir, "d") as store:
+            assert _collect_duplicates(store) == repeated
