@@ -1,8 +1,8 @@
 """Serialization of labelings as JSON, TSV, and pinned-layout DOT.
 
-Writers format the labeling's arrays with one ``%`` operation per block of
-rows; TSV shares its block formatter with ``generate --stream``.  The JSON
-and TSV forms round-trip.  A headerless file (all TSV, JSON without a
+Writers format int rows with a numpy digit kernel, which TSV shares with
+``generate --stream``; only the DOT node lines (float positions) use ``%``.
+The JSON and TSV forms round-trip.  A headerless file (all TSV, JSON without a
 family) gets an ad-hoc graph built from the edges in the file, so external
 labelings (including single-edge negative controls) can be verified.  A
 headered JSON file gets the family's graph: its header must describe exactly
@@ -36,21 +36,51 @@ from .labelings import Labeling
 from .verification import vertex_sums
 
 _ROWS_PER_BLOCK = 1 << 11
-_TSV_ROW = "%d\t%d\t%d\t%d\t%d\n"
 _TSV_FIELDS = ("r1", "c1", "r2", "c2", "label")
+_DOT_NODE = '  "%d,%d" [label="%d" pos="%.3f,%.3f!"];\n'  # the one template with float fields, so formatted by %
+
+
+def _blocks(rows):
+    return (rows[at : at + _ROWS_PER_BLOCK] for at in range(0, len(rows), _ROWS_PER_BLOCK))
 
 
 def _format_rows(fmt, rows):
-    """``fmt`` applied to every row of a 2-D array, a block of rows per ``%`` operation."""
-    return "".join(
-        fmt * len(block) % tuple(block.ravel().tolist())
-        for block in (rows[at : at + _ROWS_PER_BLOCK] for at in range(0, len(rows), _ROWS_PER_BLOCK))
-    )
+    """``fmt``, whose fields are all ``%d``, applied to every row of a 2-D int array.
+
+    A block of B rows is a (width, B) byte matrix: broadcast literals, then per field
+    a sign row if the block holds a negative value and a row per digit, cut by ``// 10``
+    in uint32, uint64 or Python ints, whichever holds the block.  A keep mask from
+    ``>= 10**p`` drops leading zeros and unused signs; the kept bytes are the text.
+    """
+    literals = [np.frombuffer(part.encode(), np.uint8) for part in fmt.split("%d")]
+    texts = []
+    for block in _blocks(rows):
+        fields = np.ascontiguousarray(block.T)
+        lows, highs = fields.min(axis=1).tolist(), fields.max(axis=1).tolist()
+        digits = [len(str(max(high, -low))) for low, high in zip(lows, highs)]
+        mat = np.empty((sum(map(len, literals)) + sum(digits) + sum(low < 0 for low in lows), len(block)), np.uint8)
+        keep = np.ones(mat.shape, bool)
+        end = len(literals[0])
+        mat[:end] = literals[0][:, None]
+        for values, low, count, literal in zip(fields, lows, digits, literals[1:]):
+            if low < 0:
+                mat[end], keep[end] = ord("-"), values < 0
+                end += 1
+            rest = np.abs(values).astype(np.uint32 if count < 10 else np.uint64 if count < 20 else object)
+            powers = np.array([10**p for p in range(count - 1, 0, -1)], rest.dtype)
+            keep[end : end + count - 1] = rest >= powers[:, None]
+            for row in range(end + count - 1, end - 1, -1):
+                quotient = rest // 10
+                mat[row], rest = rest - quotient * 10 + ord("0"), quotient
+            mat[end + count : end + count + len(literal)] = literal[:, None]
+            end += count + len(literal)
+        texts.append(mat.T[keep.T].tobytes().decode("ascii"))
+    return "".join(texts)
 
 
 def tsv_text(rows):
     """One "r1 c1 r2 c2 label" line per row of (B, 5) int rows, tab separated."""
-    return _format_rows(_TSV_ROW, rows)
+    return _format_rows("%d\t%d\t%d\t%d\t%d\n", rows)
 
 
 def labeling_to_json(lab):
@@ -109,7 +139,7 @@ def labeling_to_dot(lab):
         "  layout=neato;\n"
         "  node [shape=circle fontsize=10];\n"
         "  edge [fontsize=9];\n"
-        + _format_rows('  "%d,%d" [label="%d" pos="%.3f,%.3f!"];\n', nodes)
+        + "".join(_DOT_NODE * len(block) % tuple(block.ravel().tolist()) for block in _blocks(nodes))
         + _format_rows('  "%d,%d" -- "%d,%d" [label="%d"];\n', np.column_stack((graph.edge_array, lab.labels)))
         + "}\n"
     )

@@ -78,6 +78,20 @@ def test_stream_tsv_is_byte_identical_to_materialized(capsys, monkeypatch, spec)
             assert run(capsys, argv + ["--by-label"] * by_label) == (0, want, ""), (by_label, block)
 
 
+def test_stream_block_across_powers_of_ten_matches_str_reference(capsys):
+    # 1012 edges in one block: labels pass 9, 99 and 999, coordinates 9; the
+    # reference is built with str(), not with the writers' formatter
+    spec = FamilySpec(LATTICE, 22, 22)
+    lab = label(spec)
+    assert spec.edge_count() == 1012 <= stream.BLOCK_EDGES
+    rows = [(*edge, value) for edge, value in zip(lab.graph.edge_array.tolist(), lab.labels.tolist())]
+    argv = ["generate", "lattice", "22", "22", "--format", "tsv", "--stream"]
+    for by_label in (False, True):
+        ordered = sorted(rows, key=lambda row: row[4]) if by_label else rows
+        want = "".join("\t".join(map(str, row)) + "\n" for row in ordered)
+        assert run(capsys, argv + ["--by-label"] * by_label) == (0, want, ""), by_label
+
+
 def test_generate_stream_by_label(capsys):
     code, out, _ = run(
         capsys, ["generate", "lattice", "3", "2", "--format", "tsv", "--stream", "--by-label"]

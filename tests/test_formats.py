@@ -2,8 +2,12 @@
 
 import json
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import (
     CYCLE,
@@ -12,6 +16,7 @@ from antimagic import (
     PRISM,
     FamilySpec,
     FormatError,
+    Labeling,
     SizeRefusalError,
     check_antimagic,
     label,
@@ -23,6 +28,8 @@ from antimagic import (
     parse_tsv,
     vertex_sums,
 )
+from antimagic import formats
+from antimagic.formats import _format_rows, tsv_text
 
 ROUNDTRIP_SPECS = [
     FamilySpec(PATH, 5),
@@ -285,3 +292,84 @@ def test_dot_path_lies_on_one_axis():
     assert 'pos="1.000,0.000!"' in text
     assert 'pos="2.000,0.000!"' in text
     assert 'pos="3.000,0.000!"' in text
+
+
+# --- the digit kernel against per-row % --------------------------------------
+
+# the writers' all-%d templates: TSV rows, JSON edge and sum lines, DOT edge lines
+INT_TEMPLATES = [
+    "%d\t%d\t%d\t%d\t%d\n",
+    '    {"u": [%d, %d], "v": [%d, %d], "label": %d},\n',
+    '    "%d,%d": %d,\n',
+    '  "%d,%d" -- "%d,%d" [label="%d"];\n',
+]
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# 0, +-1, every 10**p - 1 / 10**p pair that fits int64, and both int64 ends
+EDGE_VALUES = sorted(
+    {0, 1, -1, INT64_MIN, INT64_MAX}
+    | {sign * (10**p + d) for p in range(1, 19) for d in (-1, 0) for sign in (1, -1)}
+)
+
+
+def reference_text(fmt, rows):
+    return "".join(fmt % tuple(row) for row in rows.tolist())
+
+
+def assert_matches_reference(rows):
+    """Every int template over the first columns of ``rows``, and ``tsv_text``, equal per-row ``%``."""
+    for fmt in INT_TEMPLATES:
+        fields = rows[:, : fmt.count("%d")]
+        assert _format_rows(fmt, fields) == reference_text(fmt, fields), fmt
+    assert tsv_text(rows) == reference_text(INT_TEMPLATES[0], rows)
+
+
+def test_format_rows_edge_values_in_one_block():
+    # each column holds every edge value once, in a different order, all in one block
+    column = np.array(EDGE_VALUES, dtype=np.int64)
+    rows = np.column_stack([np.roll(column, shift) for shift in range(5)])
+    assert len(rows) < formats._ROWS_PER_BLOCK
+    assert_matches_reference(rows)
+    with mock.patch.object(formats, "_ROWS_PER_BLOCK", 1):  # and each row alone, as the only value in its block
+        assert_matches_reference(rows)
+
+
+@pytest.mark.parametrize("count", [0, 1, *(formats._ROWS_PER_BLOCK + d for d in (-1, 0, 1))])
+def test_format_rows_at_block_boundaries(count):
+    # magnitudes from 1 to 19 digits, so blocks differ in their digit counts and signs
+    rng = np.random.default_rng(count)
+    rows = rng.integers(INT64_MIN, INT64_MAX, size=(count, 5), endpoint=True) >> rng.integers(0, 63, size=(count, 5))
+    rows[-1:, 1] = INT64_MIN  # the last row alone may hold a field's extreme
+    assert_matches_reference(rows)
+
+
+def test_format_rows_beyond_int64_as_python_ints():
+    # vertex sums past int64 arrive as an object array of Python ints
+    values = [0, 7, -7, 1 << 64, (1 << 64) - 1, -(1 << 65) - 3, 10**19, -(10**20), 10**25 - 1]
+    rows = np.array([[value, 1, -value] for value in values], dtype=object)
+    for block in (formats._ROWS_PER_BLOCK, 1):
+        with mock.patch.object(formats, "_ROWS_PER_BLOCK", block):
+            assert _format_rows(INT_TEMPLATES[2], rows) == reference_text(INT_TEMPLATES[2], rows)
+
+
+def test_json_sums_beyond_int64_are_exact():
+    lab = label(FamilySpec(PATH, 4))
+    big = Labeling(lab.graph, {edge: (1 << 62) + value for edge, value in lab.assignment.items()})
+    want = {f"{r},{c}": total for (r, c), total in vertex_sums(big).total.items()}
+    assert max(want.values()) >= 1 << 63
+    assert json.loads(labeling_to_json(big))["sums"] == want
+
+
+ROW_VALUES = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.integers(-(10**4), 10**4),
+    st.builds(lambda p, d, s: s * (10**p + d), st.integers(0, 18), st.sampled_from((-1, 0)), st.sampled_from((1, -1))),
+)
+
+
+@given(st.lists(st.lists(ROW_VALUES, min_size=5, max_size=5), max_size=24), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_format_rows_matches_reference_hypothesis(rows, block):
+    # small blocks put several blocks, each with its own digit counts and signs, in one call
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    with mock.patch.object(formats, "_ROWS_PER_BLOCK", block):
+        assert_matches_reference(rows)
