@@ -338,7 +338,7 @@ def test_format_rows_at_block_boundaries(count):
     # magnitudes from 1 to 19 digits, so blocks differ in their digit counts and signs
     rng = np.random.default_rng(count)
     rows = rng.integers(INT64_MIN, INT64_MAX, size=(count, 5), endpoint=True) >> rng.integers(0, 63, size=(count, 5))
-    rows[-1:, 1] = INT64_MIN  # the last row alone may hold a field's extreme
+    rows[-1:, 1] = INT64_MIN  # the last row (alone in its block at 2049 rows) holds the int64 minimum
     assert_matches_reference(rows)
 
 
