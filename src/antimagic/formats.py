@@ -6,8 +6,15 @@ The JSON and TSV forms round-trip.  A headerless file (all TSV, JSON without a
 family) gets an ad-hoc graph built from the edges in the file, so external
 labelings (including single-edge negative controls) can be verified.  A
 headered JSON file gets the family's graph: its header must describe exactly
-the edges in the file.  Parsers convert a whole well-formed file at once and
-walk any other line by line, or entry by entry, to name its first bad field.
+the edges in the file.
+
+Parsers first read every signed decimal of the file in one numpy call and
+keep the values only if the writer renders them back as exactly the input:
+that proves the file is valid, every value fits int64, and ``json.loads`` or
+the line walk would give the same rows.  Any other file takes that slower
+path, unchanged: it converts a well-formed file at once and walks any other
+line by line, or entry by entry, to name its first bad field.  Both paths end
+in the same checks.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -37,6 +45,11 @@ from .verification import vertex_sums
 
 _ROWS_PER_BLOCK = 1 << 11
 _TSV_FIELDS = ("r1", "c1", "r2", "c2", "label")
+# the JSON layout: head line, edge lines, sum lines, and the markers around them
+_JSON_EDGE = '    {"u": [%d, %d], "v": [%d, %d], "label": %d},\n'
+_JSON_SUM = '    "%d,%d": %d,\n'
+_JSON_EDGES, _JSON_SUMS, _JSON_END = '  "edges": [\n', '\n  ],\n  "sums": {\n', '\n  }\n}\n'
+_BLANK_ALL_BUT_DECIMALS = str.maketrans(dict.fromkeys(set(map(chr, range(128))) - set("-0123456789"), " "))
 _DOT_NODE = '  "%d,%d" [label="%d" pos="%.3f,%.3f!"];\n'  # the one template with float fields, so formatted by %
 
 
@@ -83,21 +96,19 @@ def tsv_text(rows):
     return _format_rows("%d\t%d\t%d\t%d\t%d\n", rows)
 
 
+def _json_text(header, edge_rows, sum_rows):
+    """The JSON file of a header dict, (E, 5) edge rows and (V, 3) vertex-sum rows."""
+    edges, sums = _format_rows(_JSON_EDGE, edge_rows), _format_rows(_JSON_SUM, sum_rows)
+    return f"{{\n  {json.dumps(header)[1:-1]},\n" + _JSON_EDGES + edges[:-2] + _JSON_SUMS + sums[:-2] + _JSON_END
+
+
 def labeling_to_json(lab):
     """Render with one edge object and one sum entry per line."""
     graph = lab.graph
     header = graph.spec.header() if graph.spec is not None else dict.fromkeys(("family", "m", "n"))
     sums = vertex_sums(lab).sums
-    edges = _format_rows(
-        '    {"u": [%d, %d], "v": [%d, %d], "label": %d},\n', np.column_stack((graph.edge_array, lab.labels))
-    )
-    sums = _format_rows('    "%d,%d": %d,\n', np.column_stack((graph.vertex_array, sums)))
-    return (
-        "{\n"
-        f"  {json.dumps(header)[1:-1]},\n"
-        '  "edges": [\n' + edges[:-2] + "\n  ],\n"
-        '  "sums": {\n' + sums[:-2] + "\n  }\n"
-        "}\n"
+    return _json_text(
+        header, np.column_stack((graph.edge_array, lab.labels)), np.column_stack((graph.vertex_array, sums))
     )
 
 
@@ -150,22 +161,37 @@ def _check_int64(what, value):
         raise FormatError(f"{what} {value} is outside the 64-bit integer range")
 
 
+def _strictly_ascending(keys):
+    """Whether every row of a 2-D int array is lexicographically greater than the row before it."""
+    greater, tied = np.zeros(len(keys) - 1, bool), np.ones(len(keys) - 1, bool)
+    for earlier, later in zip(keys[:-1].T, keys[1:].T):
+        greater |= tied & (later > earlier)
+        tied &= later == earlier
+    return bool(greater.all())
+
+
 def _checked_rows(rows):
-    """Parsed (E, 5) rows with canonical endpoints, sorted by edge; the first bad row raises."""
+    """Parsed (E, 5) rows with canonical endpoints, sorted by edge; the first bad row raises.
+
+    Rows already canonical and strictly ascending, as the writers emit edge order, hold
+    no repeat, so they skip both sorts.
+    """
     if not len(rows):
         raise FormatError("no edges found")
     u, v = rows[:, :2], rows[:, 2:4]
     swap = (u[:, 0] > v[:, 0]) | ((u[:, 0] == v[:, 0]) & (u[:, 1] > v[:, 1]))
-    canonical = rows.copy()
-    canonical[swap, :2], canonical[swap, 2:4] = v[swap], u[swap]
     loops = np.flatnonzero((u == v).all(axis=1))
-    repeat = _first_repeat(canonical[:, :4])
+    in_order = not swap.any() and _strictly_ascending(rows[:, :4])
+    if not in_order:
+        rows = rows.copy()
+        rows[swap, :2], rows[swap, 2:4] = v[swap], u[swap]
+    repeat = None if in_order else _first_repeat(rows[:, :4])
     if loops.size and (repeat is None or loops[0] < repeat[1]):
         raise FormatError(f"self-loop at {tuple(u[loops[0]].tolist())}")
     if repeat is not None:
-        r1, c1, r2, c2 = canonical[repeat[1], :4].tolist()
+        r1, c1, r2, c2 = rows[repeat[1], :4].tolist()
         raise FormatError(f"repeated edge {((r1, c1), (r2, c2))}")
-    return canonical[_lex_order(canonical[:, :4])]
+    return rows if in_order else rows[_lex_order(rows[:, :4])]
 
 
 def _headerless(rows):
@@ -173,8 +199,32 @@ def _headerless(rows):
     return Labeling(_adhoc_graph(rows[:, :4]), rows[:, 4].copy())
 
 
+def _decimal_rows(text, width):
+    """Every signed decimal in ``text`` as (N, width) int64 rows; None if numpy stops short or N is ragged.
+
+    All other ASCII is blanked first.  numpy clamps a value outside int64 rather than
+    refusing it, so the rows are only to be trusted once they render back as ``text``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy warns, not raises, on a partial read
+        try:
+            values = np.fromstring(text.translate(_BLANK_ALL_BUT_DECIMALS), dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values.reshape(-1, width) if len(values) % width == 0 else None
+
+
+def _writer_tsv(text):
+    """The (E, 5) rows of ``text`` if ``tsv_text`` renders them as exactly ``text``, else None."""
+    rows = _decimal_rows(text, 5)
+    return rows if rows is not None and tsv_text(rows) == text else None
+
+
 def _tsv_rows(text):
     """The (E, 5) rows of a TSV file; the first bad line raises, naming its field."""
+    rows = _writer_tsv(text)
+    if rows is not None:
+        return rows
     lines = text.splitlines()
     try:  # numpy parses each field as int() does
         rows = np.array([line.split() for line in lines], dtype=np.int64)
@@ -202,6 +252,27 @@ def _tsv_rows(text):
 
 def parse_tsv(text):
     return _headerless(_tsv_rows(text))
+
+
+def _writer_json(text):
+    """``(header, rows)`` if ``labeling_to_json`` renders them as exactly ``text``, else None.
+
+    The header is the ``family``/``m``/``n`` dict.  The sum lines render back from their
+    own values, since no parser reads the sums.
+    """
+    at = text.find(_JSON_EDGES)
+    stop = text.find(_JSON_SUMS, at + 1)
+    if at < 0 or stop < 0:
+        return None
+    try:  # the head line "{\n  HEADER,\n" as an object of its own
+        header = json.loads("{" + text[:at][1:-2] + "}")
+    except (ValueError, RecursionError):
+        return None
+    rows, sums = _decimal_rows(text[at:stop], 5), _decimal_rows(text[stop:], 3)  # no marker holds a digit
+    if rows is None or sums is None:
+        return None
+    header = {key: header.get(key) for key in ("family", "m", "n")}
+    return (header, rows) if _json_text(header, rows, sums) == text else None
 
 
 def _json_rows(entries):
@@ -232,13 +303,16 @@ def _json_rows(entries):
 
 
 def parse_json(text):
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
-        raise FormatError('expected an object with an "edges" list')
-    rows = _json_rows(doc["edges"])
+    parsed = _writer_json(text)
+    if parsed is None:
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise FormatError(f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
+            raise FormatError('expected an object with an "edges" list')
+        parsed = doc, _json_rows(doc["edges"])
+    doc, rows = parsed
     family = doc.get("family")
     if family is None:
         return _headerless(rows)

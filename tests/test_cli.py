@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -245,6 +246,19 @@ def test_verify_values_outside_int64_exit_3(capsys, tmp_path, text, field):
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")
         assert err.startswith("antimagic:") and field in err and "64-bit" in err
+
+
+@pytest.mark.parametrize(
+    "fmt,pattern,spelling,field",
+    [("tsv", r"\t\d+\n", "\t%d\n", "line 1: label"), ("json", r'"label": \d+', '"label": %d', "edge label")],
+)
+def test_verify_writer_file_with_two_to_the_63_exits_3(capsys, tmp_path, fmt, pattern, spelling, field):
+    # numpy's bulk read clamps 2**63 to 2**63 - 1 without a word; the file must still be refused
+    _, text, _ = run(capsys, ["generate", "lattice", "3", "4", "--format", fmt])
+    path = tmp_path / f"big.{fmt}"
+    path.write_text(re.sub(pattern, spelling % (1 << 63), text, count=1))
+    for argv in (["verify", str(path)], ["properties", "--input", str(path)]):
+        assert run(capsys, argv) == (3, "", f"antimagic: {field} 9223372036854775808 is outside the 64-bit integer range\n")
 
 
 @pytest.mark.parametrize("data", [b"\xff\xfe", b"1\t1\t2\t1\t1\n\x80\n", b'{"edges": [], "x": "\xc3"}'])

@@ -1,7 +1,9 @@
 """Round-trips and rejection paths for the JSON, TSV, and DOT serializers."""
 
 import json
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,7 @@ from antimagic import (
     vertex_sums,
 )
 from antimagic import formats
-from antimagic.formats import _format_rows, tsv_text
+from antimagic.formats import _format_rows, labeling_tsv_rows, tsv_text
 
 ROUNDTRIP_SPECS = [
     FamilySpec(PATH, 5),
@@ -373,3 +375,178 @@ def test_format_rows_matches_reference_hypothesis(rows, block):
     rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
     with mock.patch.object(formats, "_ROWS_PER_BLOCK", block):
         assert_matches_reference(rows)
+
+
+# --- the re-rendered fast read against the fallback alone ---------------------
+
+EQUIVALENCE_SPECS = [
+    FamilySpec(PATH, 5),
+    FamilySpec(CYCLE, 8),
+    FamilySpec(LATTICE, 1, 1),
+    FamilySpec(LATTICE, 3, 4),
+    FamilySpec(LATTICE, 5, 2),
+    FamilySpec(PRISM, 3, 1),
+    FamilySpec(PRISM, 5, 3),
+]
+
+
+def writer_texts(spec):
+    """Headered JSON, headerless JSON, and TSV in edge and in label order, as the writers emit them."""
+    lab = label(spec)
+    tsv = tsv_text(labeling_tsv_rows(lab))
+    return [labeling_to_json(lab), labeling_to_json(parse_tsv(tsv)), tsv, tsv_text(labeling_tsv_rows(lab, True))]
+
+
+WRITER_TEXTS = {
+    f"{spec.family}-{spec.m}x{spec.n}-{kind}": text
+    for spec in EQUIVALENCE_SPECS
+    for kind, text in zip(("json", "headerless-json", "tsv", "tsv-by-label"), writer_texts(spec))
+}
+
+
+def parse_outcome(text):
+    """What ``parse_labeling`` makes of ``text``: spec, edge, vertex and label arrays, or the error it raises."""
+    try:
+        lab = parse_labeling(text)
+    except Exception as exc:  # a refusal must be the same refusal on both paths
+        return type(exc).__name__, str(exc)
+    graph = lab.graph
+    return graph.spec, graph.edge_array.tolist(), graph.vertex_array.tolist(), lab.labels.tolist()
+
+
+def fallback_outcome(text):
+    with mock.patch.object(formats, "_writer_json", return_value=None):
+        with mock.patch.object(formats, "_writer_tsv", return_value=None):
+            return parse_outcome(text)
+
+
+def fast_read(text):
+    """The fast path's reading of ``text``: (header, rows) for JSON, rows for TSV, or None."""
+    return formats._writer_json(text) if text.startswith("{") else formats._writer_tsv(text)
+
+
+@pytest.mark.parametrize("text", WRITER_TEXTS.values(), ids=WRITER_TEXTS)
+def test_fast_read_takes_writer_output_and_agrees_with_the_fallback(text):
+    assert fast_read(text) is not None
+    assert parse_outcome(text) == fallback_outcome(text)
+
+
+def mutate_byte(text, draw):
+    at = draw(st.integers(0, len(text) - 1))
+    byte = draw(st.sampled_from(list("0123456789- \t\n\r{}[]\",:+.xé")))
+    return draw(st.sampled_from([text[:at] + byte + text[at:], text[:at] + text[at + 1 :], text[:at] + byte + text[at + 1 :]]))
+
+
+def mutate_number(text, draw):
+    """One integer of ``text`` as +1, 007, -0, 2**63 or -2**63."""
+    start, end = draw(st.sampled_from([m.span() for m in re.finditer(r"-?\d+", text)]))
+    number = text[start:end]
+    sign, digits = ("-", number[1:]) if number.startswith("-") else ("", number)
+    spelling = draw(st.sampled_from(["+" + digits, sign + "00" + digits, "-0", str(1 << 63), str(-(1 << 63))]))
+    return text[:start] + spelling + text[end:]
+
+
+def mutate_layout(text, draw):
+    return draw(st.sampled_from([text.replace("\t", " "), text.replace("\n", "\r\n"), text[:-1]]))
+
+
+def mutate_json_keys(text, draw):
+    """Reorder the header or one edge's keys, or repeat a key, or edit one vertex sum."""
+    edge = draw(st.sampled_from(list(re.finditer(r'\{"u": (\[.*?\]), "v": (\[.*?\]), "label": (-?\d+)\}', text))))
+    u, v, value = edge.groups()
+    total = draw(st.sampled_from(list(re.finditer(r'(    "\d+,\d+": )(-?\d+)', text))))
+    head = re.match(r'\{\n  "family": (.*?), "m": (.*?), "n": (.*?),\n', text)
+    family, m, n = head.groups()
+    edits = [
+        (edge.span(), f'{{"v": {v}, "u": {u}, "label": {value}}}'),
+        (edge.span(), f'{{"u": {u}, "v": {v}, "label": {value}, "label": {value}}}'),
+        (edge.span(), f'{{"u": {u}, "v": {v}, "label": {int(value) + 1}, "label": {value}}}'),
+        (head.span(), f'{{\n  "m": {m}, "family": {family}, "n": {n},\n'),
+        (head.span(), f'{{\n  "family": {family}, "m": {m}, "m": {m}, "n": {n},\n'),
+        (total.span(), f"{total[1]}{int(total[2]) + 1}"),
+    ]
+    (start, end), replacement = draw(st.sampled_from(edits))
+    return text[:start] + replacement + text[end:]
+
+
+@given(st.sampled_from(list(WRITER_TEXTS.values())), st.data())
+@settings(max_examples=400, deadline=None)
+def test_fast_read_equals_the_fallback_alone_hypothesis(text, data):
+    mutations = [mutate_byte, mutate_number, mutate_layout] + [mutate_json_keys] * text.startswith("{")
+    mutated = data.draw(st.sampled_from(mutations))(text, data.draw)
+    assert parse_outcome(mutated) == fallback_outcome(mutated)
+
+
+def test_every_one_byte_edit_of_a_small_file_equals_the_fallback():
+    # every position, so the head line and the section markers are each hit
+    for text in writer_texts(FamilySpec(LATTICE, 1, 1)):
+        for at in range(len(text)):
+            for edited in [text[:at] + text[at + 1 :]] + [text[:at] + byte + text[at + 1 :] for byte in " x0-\n,}"]:
+                assert parse_outcome(edited) == fallback_outcome(edited), (at, edited)
+
+
+def test_clamped_int64_values_fall_back():
+    # numpy reads 2**63 as 2**63 - 1 without a word; the re-render shows the difference
+    json_text, _, tsv, _ = writer_texts(FamilySpec(LATTICE, 3, 4))
+    big_json = re.sub(r'"label": \d+', f'"label": {1 << 63}', json_text, count=1)
+    big_tsv = re.sub(r"\t\d+\n", f"\t{1 << 63}\n", tsv, count=1)
+    for text, field in [(big_json, "edge label"), (big_tsv, "line 1: label")]:
+        assert fast_read(text) is None
+        assert parse_outcome(text) == ("FormatError", f"{field} {1 << 63} is outside the 64-bit integer range")
+
+
+def test_edited_sum_parses_to_the_same_labeling():
+    lab = label(FamilySpec(LATTICE, 3, 4))
+    text = labeling_to_json(lab)
+    edited = text.replace('    "1,1": 3,\n', '    "1,1": 4,\n')
+    assert edited != text
+    # no parser reads the sums, so the fast read takes the edited file as written
+    assert fast_read(edited) is not None
+    assert parse_outcome(edited) == fallback_outcome(edited) == parse_outcome(text)
+
+
+def test_a_numpy_partial_read_warning_falls_back_and_does_not_escape():
+    # numpy 2.x raises ValueError on a partial read, older numpy warns with DeprecationWarning
+    real = np.fromstring
+
+    def warning_fromstring(*args, **kwargs):
+        warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+        return real(*args, **kwargs)[:-1]
+
+    for text in writer_texts(FamilySpec(PRISM, 4, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(np, "fromstring", warning_fromstring):
+                assert fast_read(text) is None
+                outcome = parse_outcome(text)
+        assert caught == []
+        assert outcome == fallback_outcome(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_parse_peak_memory_at_lattice_161x162(fmt):
+    lab = label(FamilySpec(LATTICE, 161, 162))
+    text = labeling_to_json(lab) if fmt == "json" else tsv_text(labeling_tsv_rows(lab))
+    parse = parse_json if fmt == "json" else parse_tsv
+    tracemalloc.start()
+    try:
+        back = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.labels, lab.labels)
+    # json.loads and the line walk peaked at 32.4 and 29.2 MB here; the fast read at 10.7 and 8.9 MB
+    assert peak < 16 << 20
+
+
+def test_canonical_ascending_rows_skip_both_sorts():
+    rows = labeling_tsv_rows(label(FamilySpec(LATTICE, 3, 4)))
+    with mock.patch.object(formats, "_first_repeat") as repeat, mock.patch.object(formats, "_lex_order") as order:
+        assert formats._checked_rows(rows) is rows
+    assert not repeat.called and not order.called
+    with pytest.raises(FormatError, match=r"self-loop at \(1, 1\)"):
+        formats._checked_rows(np.array([[1, 1, 1, 1, 1], [1, 1, 2, 1, 2]]))
+    shuffled = rows[::-1]
+    assert np.array_equal(formats._checked_rows(shuffled), rows)
+    with pytest.raises(FormatError, match="repeated edge"):
+        formats._checked_rows(np.concatenate((rows, rows[-1:])))
