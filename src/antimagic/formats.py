@@ -12,9 +12,9 @@ Parsers first read every signed decimal of the file in one numpy call and
 keep the values only if the writer renders them back as exactly the input:
 that proves the file is valid, every value fits int64, and ``json.loads`` or
 the line walk would give the same rows.  Any other file takes that slower
-path, unchanged: it converts a well-formed file at once and walks any other
-line by line, or entry by entry, to name its first bad field.  Both paths end
-in the same checks.
+path: ``json.loads``, whose entries convert at once when well formed and are
+walked one by one otherwise, or a TSV walk line by line; either names the
+first bad field.  Both paths end in the same checks.
 """
 
 from __future__ import annotations
@@ -204,12 +204,15 @@ def _decimal_rows(text, width):
 
     All other ASCII is blanked first.  numpy clamps a value outside int64 rather than
     refusing it, so the rows are only to be trusted once they render back as ``text``.
+    That check also rejects a short read: a text the writer renders is read to its end.
+    ``warnings.catch_warnings`` swaps the process-wide filters, so this is not thread-safe
+    before Python 3.14.
     """
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # older numpy warns, not raises, on a partial read
+        warnings.simplefilter("ignore", DeprecationWarning)  # older numpy warns, not raises, on a partial read
         try:
             values = np.fromstring(text.translate(_BLANK_ALL_BUT_DECIMALS), dtype=np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):
+        except ValueError:
             return None
     return values.reshape(-1, width) if len(values) % width == 0 else None
 
@@ -225,15 +228,8 @@ def _tsv_rows(text):
     rows = _writer_tsv(text)
     if rows is not None:
         return rows
-    lines = text.splitlines()
-    try:  # numpy parses each field as int() does
-        rows = np.array([line.split() for line in lines], dtype=np.int64)
-        if rows.ndim == 2 and rows.shape[1] == 5:
-            return rows
-    except (ValueError, OverflowError):
-        pass  # a comment, a blank line, a bad field or a value outside int64
     rows = []
-    for ln, raw in enumerate(lines, start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

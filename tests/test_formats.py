@@ -535,7 +535,7 @@ def test_parse_peak_memory_at_lattice_161x162(fmt):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.labels, lab.labels)
-    # json.loads and the line walk peaked at 32.4 and 29.2 MB here; the fast read at 10.7 and 8.9 MB
+    # json.loads and the line walk peaked at 32.4 and 29.2 MB here; the fast read at 12.8 and 8.9 MB
     assert peak < 16 << 20
 
 
