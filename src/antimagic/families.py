@@ -316,23 +316,61 @@ def _first_repeat(rows):
     return int(order[(ordered == ordered[at]).all(axis=1).argmax()]), int(order[at])
 
 
+def _lex_greater(a, b):
+    """Which rows of the 2-D int array ``a`` are lexicographically greater than the same rows of ``b``."""
+    greater, tied = np.zeros(len(a), bool), np.ones(len(a), bool)
+    for x, y in zip(a.T, b.T):
+        greater |= tied & (x > y)
+        tied &= x == y
+    return greater
+
+
+def _canonical_rows(rows):
+    """(E, 4+) int rows ``r1, c1, r2, c2, ...`` with endpoints in canonical order, sorted by edge.
+
+    The first self-loop or repeated edge raises.  Rows already canonical and strictly
+    ascending, as the writers emit edge order, hold no repeat, so they skip both sorts.
+    """
+    u, v = rows[:, :2], rows[:, 2:4]
+    swap = _lex_greater(u, v)
+    loops = np.flatnonzero((u == v).all(axis=1))
+    in_order = not swap.any() and _lex_greater(rows[1:, :4], rows[:-1, :4]).all()
+    if not in_order:
+        rows = rows.copy()
+        rows[swap, :2], rows[swap, 2:4] = v[swap], u[swap]
+    repeat = None if in_order else _first_repeat(rows[:, :4])
+    if loops.size and (repeat is None or loops[0] < repeat[1]):
+        raise InvalidParameterError(f"self-loop at {tuple(u[loops[0]].tolist())}")
+    if repeat is not None:
+        r1, c1, r2, c2 = rows[repeat[1], :4].tolist()
+        raise InvalidParameterError(f"repeated edge {((r1, c1), (r2, c2))}")
+    return rows if in_order else rows[_lex_order(rows[:, :4])]
+
+
 def graph_from_edges(edges):
-    """Ad-hoc graph from canonical edges (file input, negative controls)."""
-    rows = [(*a, *b) for a, b in edges]
+    """Ad-hoc graph from canonical edges (file input, negative controls).
+
+    ``edges`` is any iterable of edges, each a pair of ``(row, col)`` endpoints, tuples or
+    lists.  The first edge that is not canonical, a self-loop or a repeat raises.
+    """
+    rows = []
+    for a, b in edges:
+        if len(a) != 2 or len(b) != 2:
+            raise InvalidParameterError(f"edge {(a, b)} does not join two (row, col) pairs")
+        rows.append((*a, *b))
     coords = [value for row in rows for value in row]
     if set(map(type, coords)) - {int}:  # one bulk test; the slow check names the first non-int
         _check_ints(**{f"coordinate {i % 4 + 1} of edge {i // 4 + 1}": value for i, value in enumerate(coords)})
     if min(coords, default=0) < -(1 << 63) or max(coords, default=0) >= 1 << 63:
         raise InvalidParameterError("an edge coordinate is outside the 64-bit integer range")
-    seen = set()
-    for a, b in edges:
-        if canonical_edge(a, b) != (a, b):
-            raise InvalidParameterError(f"edge {(a, b)} is not in canonical endpoint order")
-        if (a, b) in seen:
-            raise InvalidParameterError(f"repeated edge {(a, b)}")
-        seen.add((a, b))
     rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    return _adhoc_graph(rows[_lex_order(rows)])
+    # the first fault in list order is named: check the rows before the first swapped one
+    swapped = np.flatnonzero(_lex_greater(rows[:, :2], rows[:, 2:]))
+    checked = _canonical_rows(rows[: swapped[0] if swapped.size else len(rows)])
+    if swapped.size:
+        r1, c1, r2, c2 = rows[swapped[0]].tolist()
+        raise InvalidParameterError(f"edge {((r1, c1), (r2, c2))} is not in canonical endpoint order")
+    return _adhoc_graph(checked)
 
 
 def k2_graph():

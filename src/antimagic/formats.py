@@ -12,14 +12,13 @@ Parsers first read every signed decimal of the file in one numpy call and
 keep the values only if the writer renders them back as exactly the input:
 that proves the file is valid, every value fits int64, and ``json.loads`` or
 the line walk would give the same rows.  Any other file takes that slower
-path: ``json.loads``, whose entries convert at once when well formed and are
-walked one by one otherwise, or a TSV walk line by line; either names the
-first bad field.  Both paths end in the same checks.
+path: ``json.loads`` and a walk over its edge entries, or a TSV walk line by
+line; either names the first bad field.  Both paths end in the edge-list
+check that ``graph_from_edges`` also runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -36,8 +35,7 @@ from .families import (
     PRISM,
     FamilySpec,
     _adhoc_graph,
-    _first_repeat,
-    _lex_order,
+    _canonical_rows,
     build_graph,
 )
 from .labelings import Labeling
@@ -161,37 +159,14 @@ def _check_int64(what, value):
         raise FormatError(f"{what} {value} is outside the 64-bit integer range")
 
 
-def _strictly_ascending(keys):
-    """Whether every row of a 2-D int array is lexicographically greater than the row before it."""
-    greater, tied = np.zeros(len(keys) - 1, bool), np.ones(len(keys) - 1, bool)
-    for earlier, later in zip(keys[:-1].T, keys[1:].T):
-        greater |= tied & (later > earlier)
-        tied &= later == earlier
-    return bool(greater.all())
-
-
 def _checked_rows(rows):
-    """Parsed (E, 5) rows with canonical endpoints, sorted by edge; the first bad row raises.
-
-    Rows already canonical and strictly ascending, as the writers emit edge order, hold
-    no repeat, so they skip both sorts.
-    """
+    """Parsed (E, 5) rows with canonical endpoints, sorted by edge; the first bad row raises."""
     if not len(rows):
         raise FormatError("no edges found")
-    u, v = rows[:, :2], rows[:, 2:4]
-    swap = (u[:, 0] > v[:, 0]) | ((u[:, 0] == v[:, 0]) & (u[:, 1] > v[:, 1]))
-    loops = np.flatnonzero((u == v).all(axis=1))
-    in_order = not swap.any() and _strictly_ascending(rows[:, :4])
-    if not in_order:
-        rows = rows.copy()
-        rows[swap, :2], rows[swap, 2:4] = v[swap], u[swap]
-    repeat = None if in_order else _first_repeat(rows[:, :4])
-    if loops.size and (repeat is None or loops[0] < repeat[1]):
-        raise FormatError(f"self-loop at {tuple(u[loops[0]].tolist())}")
-    if repeat is not None:
-        r1, c1, r2, c2 = rows[repeat[1], :4].tolist()
-        raise FormatError(f"repeated edge {((r1, c1), (r2, c2))}")
-    return rows if in_order else rows[_lex_order(rows[:, :4])]
+    try:
+        return _canonical_rows(rows)
+    except InvalidParameterError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _headerless(rows):
@@ -273,15 +248,7 @@ def _writer_json(text):
 
 def _json_rows(entries):
     """The (E, 5) rows of the edge entries; the first bad entry raises, naming its field."""
-    try:
-        rows = [(*e["u"], *e["v"], e["label"]) for e in entries]
-        # no bool, float or string, and a "u" pair (so the 5-wide rows make "v" one too)
-        if not set(map(type, itertools.chain.from_iterable(rows))) - {int} and {len(e["u"]) for e in entries} <= {2}:
-            rows = np.array(rows, dtype=np.int64).reshape(-1, 5)
-            if len(rows) == len(entries):
-                return rows
-    except (TypeError, KeyError, ValueError, OverflowError):
-        pass
+    rows = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise FormatError(f"edge entries must be objects, got {entry!r}")
@@ -295,7 +262,8 @@ def _json_rows(entries):
                 raise FormatError(f'edge field "{key}" must be a pair of integers, got {raw!r}')
             for coordinate in raw:
                 _check_int64(f'edge field "{key}" value', coordinate)
-    raise AssertionError("an edge entry failed the bulk parse but passed every check")
+        rows.append((*entry["u"], *entry["v"], value))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
 def parse_json(text):

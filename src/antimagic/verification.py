@@ -179,11 +179,6 @@ class PropertyReport:
         return lines
 
 
-def _cert_vertex(v, transposed):
-    r, c = int(v[0]), int(v[1])
-    return [c, r] if transposed else [r, c]
-
-
 def _coords(rows, cols, by_column=False):
     """The (r, c) pairs of ``rows`` x ``cols`` as (L, 2) rows, row by row or column by column."""
     r, c = np.meshgrid(rows, cols, indexing="xy" if by_column else "ij")
@@ -194,7 +189,7 @@ def _sums_at(total, vertices):
     return total[vertices[:, 0] - 1, vertices[:, 1] - 1]
 
 
-def _chain_check(name, chain, total, transposed, note=None):
+def _chain_check(name, chain, total, note=None):
     """Strictly increasing sums along ``chain``, (L, 2) vertex rows, in the sum matrix ``total``."""
     if len(chain) == 0:
         return PropertyCheck(name, True, note="empty range")
@@ -203,56 +198,63 @@ def _chain_check(name, chain, total, transposed, note=None):
     if bad.size:
         at = bad[0]
         cert = {
-            "vertices": [_cert_vertex(chain[at], transposed), _cert_vertex(chain[at + 1], transposed)],
+            "vertices": [chain[at].tolist(), chain[at + 1].tolist()],
             "sums": [int(sums[at]), int(sums[at + 1])],
         }
         return PropertyCheck(name, False, cert, note)
     return PropertyCheck(name, True, note=note)
 
 
-def _parity_check(name, vertices, total, want_even, transposed):
+def _parity_check(name, vertices, total, want_even):
     sums = _sums_at(total, vertices)
     bad = np.flatnonzero(sums % 2 != (0 if want_even else 1))
     if bad.size:
-        cert = {"vertex": _cert_vertex(vertices[bad[0]], transposed), "sum": int(sums[bad[0]])}
+        cert = {"vertex": vertices[bad[0]].tolist(), "sum": int(sums[bad[0]])}
         return PropertyCheck(name, False, cert)
     return PropertyCheck(name, True)
 
 
-def _distinct_check(name, vertices, total, transposed):
+def _distinct_check(name, vertices, total):
     sums = _sums_at(total, vertices)
     repeat = _first_repeat(sums[:, None])
     if repeat is not None:
         earlier, later = repeat
         cert = {
-            "vertices": [_cert_vertex(vertices[earlier], transposed), _cert_vertex(vertices[later], transposed)],
+            "vertices": [vertices[earlier].tolist(), vertices[later].tolist()],
             "sum": int(sums[later]),
         }
         return PropertyCheck(name, False, cert)
     return PropertyCheck(name, True)
 
 
-def _grid_interior_checks(m, n, total, transposed):
+def _grid_checks(m, n, total):
+    """The m x n grid's sum orderings; a tall grid's vertex rows are laid out in its transpose and flipped back."""
+    flip = -1 if m > n else 1
+    m, n = sorted((m, n))
+    if m == 1:
+        chain = _coords([1, 2], range(1, n + 2), by_column=True)[:, ::flip]
+        return [_chain_check("thin-interleaved-chain" if n >= 2 else "square-chain", chain, total)]
     # interior columns 2..n, row by row; the last row stops 2t columns early
     t = (n - m) // 2
     interior = np.zeros((m + 1, n + 1), dtype=bool)
     interior[:m, 1:n] = True
     interior[m, 1 : n - 2 * t] = True
-    chain = np.argwhere(interior) + 1
+    chain = (np.argwhere(interior) + 1)[:, ::flip]
+    rest = (np.argwhere(~interior) + 1)[:, ::flip]
     checks = [
-        _parity_check("interior-sums-even", chain, total, True, transposed),
-        _chain_check("interior-even-chain", chain, total, transposed),
+        _parity_check("interior-sums-even", chain, total, True),
+        _chain_check("interior-even-chain", chain, total),
+        _parity_check("boundary-sums-odd", rest, total, False),
+        _distinct_check("boundary-odd-distinct", rest, total),
     ]
-    rest = np.argwhere(~interior) + 1
-    checks.append(_parity_check("boundary-sums-odd", rest, total, False, transposed))
-    checks.append(_distinct_check("boundary-odd-distinct", rest, total, transposed))
     if m % 2 == 0:
-        lo, hi = int(total[1, n]), int(total[1, 0])
+        anchors = np.array([[2, n + 1], [2, 1]])[:, ::flip]
+        lo, hi = _sums_at(total, anchors).tolist()
         ok = lo == 6 * n + 3 and hi == 6 * n + 5
         cert = None
         if not ok:
             cert = {
-                "vertices": [_cert_vertex((2, n + 1), transposed), _cert_vertex((2, 1), transposed)],
+                "vertices": anchors.tolist(),
                 "sums": [lo, hi],
                 "expected": [6 * n + 3, 6 * n + 5],
             }
@@ -260,15 +262,15 @@ def _grid_interior_checks(m, n, total, transposed):
     return checks
 
 
-def _prism_column_checks(m, n, total, transposed):
+def _prism_column_checks(m, n, total):
     reversed_second = n % 2 == 0
     checks = []
     for j in range(1, n + 2):
         column = _coords(range(1, m + 1), [j])
         if reversed_second and j == 2:
-            checks.append(_chain_check("layer-2-reversed-chain", column[::-1], total, transposed))
+            checks.append(_chain_check("layer-2-reversed-chain", column[::-1], total))
         else:
-            checks.append(_chain_check(f"layer-{j}-chain", column, total, transposed))
+            checks.append(_chain_check(f"layer-{j}-chain", column, total))
     flat = np.sort(total, axis=0).T.ravel()
     bad = np.flatnonzero(flat[:-1] >= flat[1:])
     cert = None
@@ -290,29 +292,17 @@ def check_paper_properties(spec, lab):
         raise InvalidParameterError("labeling was not produced for this spec")
     # the sum at vertex (r, c) sits at total[r - 1, c - 1]
     total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
-    transposed = spec.family == LATTICE and spec.m > spec.n
-    if transposed:
-        spec_eval = FamilySpec(LATTICE, spec.n, spec.m)
-        total = total.T
-    else:
-        spec_eval = spec
-    m, n = spec_eval.m, spec_eval.n
-    if spec_eval.family == PATH:
-        checks = [_chain_check("path-chain", _coords(range(1, m + 2), [1]), total, transposed)]
-    elif spec_eval.family == CYCLE:
-        checks = [_chain_check("cycle-chain", _coords(range(1, m + 1), [1]), total, transposed)]
-    elif spec_eval.family == PRISM:
+    m, n = spec.m, spec.n
+    if spec.family == PATH:
+        checks = [_chain_check("path-chain", _coords(range(1, m + 2), [1]), total)]
+    elif spec.family == CYCLE:
+        checks = [_chain_check("cycle-chain", _coords(range(1, m + 1), [1]), total)]
+    elif spec.family == PRISM:
         if n >= 2:
-            checks = _prism_column_checks(m, n, total, transposed)
+            checks = _prism_column_checks(m, n, total)
         else:
             chain = _coords(range(1, m + 1), [1, 2])
-            checks = [_chain_check("two-layer-chain", chain, total, transposed)]
-    elif m >= 2:
-        checks = _grid_interior_checks(m, n, total, transposed)
-    elif n >= 2:
-        chain = _coords([1, 2], range(1, n + 2), by_column=True)
-        checks = [_chain_check("thin-interleaved-chain", chain, total, transposed)]
+            checks = [_chain_check("two-layer-chain", chain, total)]
     else:
-        chain = _coords([1, 2], [1, 2], by_column=True)
-        checks = [_chain_check("square-chain", chain, total, transposed)]
-    return PropertyReport(spec, transposed, checks)
+        checks = _grid_checks(m, n, total)
+    return PropertyReport(spec, spec.family == LATTICE and m > n, checks)

@@ -249,6 +249,42 @@ def test_graph_from_edges_rejects_non_int64_coordinates(edge, fragment):
         graph_from_edges([((1, 1), (1, 2)), edge])
 
 
+@pytest.mark.parametrize(
+    "edges,fragment",
+    [
+        ([((1, 1), (1, 2)), ((1, 1), (1, 1)), ((1, 1), (1, 2))], r"self-loop at \(1, 1\)"),
+        ([((1, 1), (1, 2)), ((2, 1), (1, 1)), ((1, 1), (1, 2))], "not in canonical endpoint order"),
+        ([((1, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 1), (1, 2))], r"repeated edge \(\(1, 1\), \(1, 2\)\)"),
+        ([((1, 1), (1, 1)), ((2, 1), (1, 1)), ((2, 1), (1, 1))], r"self-loop at \(1, 1\)"),
+    ],
+)
+def test_graph_from_edges_checks_a_one_shot_iterable(edges, fragment):
+    for given in (edges, iter(edges), (edge for edge in edges)):
+        with pytest.raises(InvalidParameterError, match=fragment):
+            graph_from_edges(given)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [((1, 2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 7))],
+        [((1,), (2, 1, 5))],
+        [((1, 1), (1, 2)), ((1, 1), (2.5,))],
+        [((1, 1), (1, 2)), ((), (1.5, 1, 1, 1))],
+    ],
+)
+def test_graph_from_edges_refuses_endpoints_that_are_not_pairs(edges):
+    with pytest.raises(InvalidParameterError, match=r"does not join two \(row, col\) pairs"):
+        graph_from_edges(edges)
+
+
+def test_graph_from_edges_accepts_list_pairs():
+    graph = graph_from_edges([([1, 1], [2, 1]), ([1, 1], [1, 2])])
+    assert graph.edges == [((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    with pytest.raises(InvalidParameterError, match="repeated edge"):
+        graph_from_edges([([1, 1], [2, 1]), ([1, 1], [2, 1])])
+
+
 def test_k2_graph():
     graph = k2_graph()
     assert graph.edges == [((1, 1), (2, 1))]

@@ -30,7 +30,7 @@ from antimagic import (
     parse_tsv,
     vertex_sums,
 )
-from antimagic import formats
+from antimagic import families, formats
 from antimagic.formats import _format_rows, labeling_tsv_rows, tsv_text
 
 ROUNDTRIP_SPECS = [
@@ -541,7 +541,7 @@ def test_parse_peak_memory_at_lattice_161x162(fmt):
 
 def test_canonical_ascending_rows_skip_both_sorts():
     rows = labeling_tsv_rows(label(FamilySpec(LATTICE, 3, 4)))
-    with mock.patch.object(formats, "_first_repeat") as repeat, mock.patch.object(formats, "_lex_order") as order:
+    with mock.patch.object(families, "_first_repeat") as repeat, mock.patch.object(families, "_lex_order") as order:
         assert formats._checked_rows(rows) is rows
     assert not repeat.called and not order.called
     with pytest.raises(FormatError, match=r"self-loop at \(1, 1\)"):

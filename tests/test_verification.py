@@ -1,5 +1,7 @@
 """Verifier behavior: verdicts, certificates, and structural property checks."""
 
+import random
+
 import pytest
 
 from antimagic import (
@@ -187,6 +189,30 @@ def test_transposed_certificates_use_caller_coordinates():
             assert 1 <= r <= 7 and 1 <= c <= 3
 
 
+@pytest.mark.parametrize("m,n", [(6, 2), (7, 3), (9, 4)])
+def test_transposed_certificates_hold_their_sums(m, n):
+    spec = FamilySpec(LATTICE, m, n)
+    lab = label(spec)
+    rng = random.Random(m * n)
+    pairs = [(0, -1)] + [(rng.randrange(len(lab.labels)), rng.randrange(len(lab.labels))) for _ in range(40)]
+    checked = set()
+    for i, j in pairs:
+        labels = lab.labels.copy()
+        labels[[i, j]] = labels[[j, i]]
+        tampered = Labeling(lab.graph, labels)
+        total = vertex_sums(tampered).total
+        for check in check_paper_properties(spec, tampered).checks:
+            cert = check.certificate or {}
+            if "vertex" in cert:
+                assert total[tuple(cert["vertex"])] == cert["sum"]
+            if "vertices" in cert:
+                sums = cert["sums"] if "sums" in cert else [cert["sum"]] * 2
+                assert [total[tuple(v)] for v in cert["vertices"]] == sums
+            checked.update([check.name] if cert else [])
+    assert {"interior-even-chain", "boundary-sums-odd"} <= checked
+    assert ("even-m-anchor-swap" in checked) == (n % 2 == 0)
+
+
 def test_properties_reject_foreign_labeling():
     lab = label(FamilySpec(LATTICE, 2, 2))
     with pytest.raises(InvalidParameterError):
@@ -194,7 +220,7 @@ def test_properties_reject_foreign_labeling():
 
 
 def test_empty_chain_passes_with_note():
-    check = _chain_check("sample", [], {}, False)
+    check = _chain_check("sample", [], {})
     assert check.passed and check.note == "empty range"
 
 
