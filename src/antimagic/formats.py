@@ -56,7 +56,12 @@ def _blocks(rows):
 
 
 def _format_rows(fmt, rows):
-    """``fmt``, whose fields are all ``%d``, applied to every row of a 2-D int array.
+    """``fmt``, whose fields are all ``%d``, applied to every row of a 2-D int array."""
+    return "".join(_row_blocks(fmt, rows))
+
+
+def _row_blocks(fmt, rows):
+    """The text of :func:`_format_rows`, yielded one block of rows at a time.
 
     A block of B rows is a (width, B) byte matrix: broadcast literals, then per field
     a sign row if the block holds a negative value and a row per digit, cut by ``// 10``
@@ -64,7 +69,6 @@ def _format_rows(fmt, rows):
     ``>= 10**p`` drops leading zeros and unused signs; the kept bytes are the text.
     """
     literals = [np.frombuffer(part.encode(), np.uint8) for part in fmt.split("%d")]
-    texts = []
     for block in _blocks(rows):
         fields = np.ascontiguousarray(block.T)
         lows, highs = fields.min(axis=1).tolist(), fields.max(axis=1).tolist()
@@ -85,8 +89,7 @@ def _format_rows(fmt, rows):
                 mat[row], rest = rest - quotient * 10 + ord("0"), quotient
             mat[end + count : end + count + len(literal)] = literal[:, None]
             end += count + len(literal)
-        texts.append(mat.T[keep.T].tobytes().decode("ascii"))
-    return "".join(texts)
+        yield mat.T[keep.T].tobytes().decode("ascii")
 
 
 def tsv_text(rows):
@@ -96,8 +99,10 @@ def tsv_text(rows):
 
 def _json_text(header, edge_rows, sum_rows):
     """The JSON file of a header dict, (E, 5) edge rows and (V, 3) vertex-sum rows."""
-    edges, sums = _format_rows(_JSON_EDGE, edge_rows), _format_rows(_JSON_SUM, sum_rows)
-    return f"{{\n  {json.dumps(header)[1:-1]},\n" + _JSON_EDGES + edges[:-2] + _JSON_SUMS + sums[:-2] + _JSON_END
+    # one join of the block texts; only each list's last block is cut, to drop its final ",\n"
+    edges, sums = [*_row_blocks(_JSON_EDGE, edge_rows)] or [""], [*_row_blocks(_JSON_SUM, sum_rows)] or [""]
+    edges[-1], sums[-1] = edges[-1][:-2], sums[-1][:-2]
+    return "".join((f"{{\n  {json.dumps(header)[1:-1]},\n", _JSON_EDGES, *edges, _JSON_SUMS, *sums, _JSON_END))
 
 
 def labeling_to_json(lab):

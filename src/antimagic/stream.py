@@ -16,12 +16,13 @@ and canonical position come from the closed forms in
 ``iter_edge_blocks``, which emits every edge as int64 arrays, one range of
 ``BLOCK_EDGES`` positions at a time, mapped to copies by canonical position
 or, inverting the labels, by label (``iter_labeled_edges`` is its per-edge
-view); and ``stream_verify``, which sweeps the columns, adding each column's
-first-factor block, gathered over the row factor's incidence, to the blocks
-of the edges meeting it.  It checks bijectivity and sum distinctness
-exactly: labels and sums are buffered, and each full buffer is scattered
-into value-range buckets on disk, so live state stays at one column of the
-normalized orientation plus the two buffers and one bucket.
+view); and ``stream_verify``, which sweeps the columns in spans of rows,
+adding each column's first-factor block, gathered over the row factor's
+incidence, to the blocks of the edges meeting it.  It checks bijectivity and
+sum distinctness exactly: labels and sums are buffered, and each full buffer
+is scattered into value-range buckets on disk, so live state stays at one
+span of a column (a quarter chunk, or eight short sides) plus the two
+buffers and one bucket.
 """
 
 from __future__ import annotations
@@ -78,18 +79,23 @@ def _merge(m, n, p):
     return 2 * p - 1 + (q > 0) * ((q & 1) * (2 * m * n + 2 * m + 2 - 2 * head) - q)
 
 
-def _incidence(kind, size, k):
-    """Vertex -> edge incidence of a factor with edges ``k``, as 0-based offsets.
+def _incidence(kind, size, r0, r1):
+    """The factor edges meeting vertices ``r0..r1`` and their incidence, as 0-based offsets.
 
-    Every factor vertex meets one or two edges.  Returns ``(a, b, single)``:
-    vertex ``v`` meets edges ``a[v]`` and ``b[v]``, which coincide for the
-    degree-1 vertices listed in ``single``.
+    Every factor edge ``k`` has both endpoints in ``k-1..k+2`` (a cycle's
+    edge 1 joins 1 and 2, its last edge the last two vertices), so the
+    candidates are edges ``r0-2..r1+1``.  Returns ``(edges, a, b, single)``:
+    vertex ``r0 + v`` meets edges ``edges[a[v]]`` and ``edges[b[v]]``, which
+    coincide for the degree-1 vertices listed in ``single``.
     """
-    ends = np.concatenate(_factor_edge_endpoints(kind, size, k)) - 1
-    edge_of = np.concatenate((k, k))[np.argsort(ends, kind="stable")] - 1
-    degree = np.bincount(ends, minlength=size)
+    edges = np.arange(max(1, r0 - 2), min(_factor_edge_count(kind, size), r1 + 1) + 1, dtype=np.int64)
+    ends = np.concatenate(_factor_edge_endpoints(kind, size, edges)) - r0
+    inside = (ends >= 0) & (ends <= r1 - r0)
+    ends, offsets = ends[inside], np.tile(np.arange(edges.size), 2)[inside]
+    edge_of = offsets[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=r1 - r0 + 1)
     last = np.cumsum(degree) - 1
-    return edge_of[last - degree + 1], edge_of[last], np.flatnonzero(degree == 1)
+    return edges, edge_of[last - degree + 1], edge_of[last], np.flatnonzero(degree == 1)
 
 
 class _Forms:
@@ -109,37 +115,42 @@ class _Forms:
         self.m, self.n = spec.m, spec.n
         self.row_kind, self.col_kind, self.rows, self.cols = factor_kinds(spec)
 
-    def columns(self, keep=None):
-        """Yield the vertex sums of every column in order, rows ascending.
+    def columns(self, span, keep=None):
+        """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
 
-        Each column's first-factor block is gathered over the row factor's
-        incidence, and the blocks of the second-factor edges meeting the
-        column add in row by row, reusing the one the previous column ended
-        with (edge j-1 on a grid; skip-path blocks are made in both columns).
-        ``keep``, if given, is handed the blocks whose labels column ``j``
-        owns while they are live: its first-factor copy, then second-factor
-        edge ``j``.  The sweep's index arrays are locals, so they live only
-        while it runs.
+        The rows are swept in spans of at most ``span``, each span column by
+        column.  A column's first-factor block is gathered over the incidence
+        of the row factor's edges meeting the span, and the blocks of the
+        second-factor edges meeting the column add in row by row, reusing the
+        one the previous column ended with (edge j-1 on a grid; skip-path
+        blocks are made in both columns).  ``keep``, if given, is handed the
+        blocks whose labels the span's column ``j`` owns while they are live:
+        its first-factor edges whose listing index is a row of the span, then
+        second-factor edge ``j``.  The sweep's index arrays are locals, so they
+        live only while it runs.
         """
-        rows = np.arange(1, self.rows + 1, dtype=np.int64)
-        edges = rows[: _factor_edge_count(self.row_kind, self.rows)]  # the row factor's edge indices
-        a, b, single = _incidence(self.row_kind, self.rows, edges)
-        last = carried = None  # the previous column's last second-factor edge and its block
-        for j in range(1, self.cols + 1):
-            meeting = _factor_edges_at(self.col_kind, self.cols, j)
-            carried = carried if last in meeting else None  # free a block no column shares
-            block = self.first(edges, j)
-            sums = block[a] + block[b]
-            sums[single] -= block[a[single]]
-            if keep is not None:
-                keep(block)
-            for k in meeting:
-                block = carried if k == last else self.second(rows, k)
-                sums += block
-                if keep is not None and k == j:
-                    keep(block)
-            last, carried = k, block
-            yield sums
+        count = _factor_edge_count(self.row_kind, self.rows)
+        for r0 in range(1, self.rows + 1, span):
+            r1 = min(self.rows, r0 + span - 1)
+            rows = np.arange(r0, r1 + 1, dtype=np.int64)
+            edges, a, b, single = _incidence(self.row_kind, self.rows, r0, r1)
+            owned = slice(r0 - edges[0], min(r1, count) + 1 - edges[0])
+            last = carried = None  # the previous column's last second-factor edge and its block
+            for j in range(1, self.cols + 1):
+                meeting = _factor_edges_at(self.col_kind, self.cols, j)
+                carried = carried if last in meeting else None  # free a block no column shares
+                block = self.first(edges, j)
+                sums = block[a] + block[b]
+                sums[single] -= block[a[single]]
+                if keep is not None:
+                    keep(block[owned])
+                for k in meeting:
+                    block = carried if k == last else self.second(rows, k)
+                    sums += block
+                    if keep is not None and k == j:
+                        keep(block)
+                last, carried = k, block
+                yield j, r0, sums
 
 
 class _GridForms(_Forms):
@@ -524,12 +535,12 @@ def _collect_duplicates(store):
     return sorted(dups)
 
 
-def _locate_duplicate_pair(forms, dup_values, transposed):
+def _locate_duplicate_pair(forms, dup_values, transposed, span):
     targets = np.array(dup_values, dtype=np.int64)
     hits = {}
-    for j, column in enumerate(forms.columns(), start=1):
+    for j, r0, column in forms.columns(span):
         for idx in np.flatnonzero(np.isin(column, targets)):
-            i = int(idx) + 1
+            i = r0 + int(idx)
             vertex = (j, i) if transposed else (i, j)
             hits.setdefault(int(column[idx]), []).append(vertex)
     pairs = [tuple(sorted(vertices)[:2]) for vertices in hits.values() if len(vertices) >= 2]
@@ -542,9 +553,10 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     Sweeps columns, computing each column's vertex sums in closed form, and
     checks exactly (no sampling, no hashing tricks) that the labels are a
     bijection onto 1..|E| and the sums are pairwise distinct.  Live state is
-    one column of the normalized orientation plus a label and a sum buffer of
-    about ``chunk_target`` values each; value-range buckets on disk carry the
-    rest, and a stream that never fills a buffer touches no disk.
+    one span of a column of the normalized orientation, at most
+    ``max(chunk_target // 4, 8 * (min(m, n) + 2))`` rows, plus a label and a
+    sum buffer of about ``chunk_target`` values each; value-range buckets on
+    disk carry the rest, and a stream that never fills a buffer touches no disk.
     """
     start = time.perf_counter()
     forms, transposed = _forms(spec)
@@ -552,12 +564,14 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     if chunk_target < 1:
         raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
     nv, ne = spec.vertex_count(), spec.edge_count()
+    # rows per sweep span; a grid column, at most the short side plus one rows, always fits in one
+    span = min(forms.rows, max(chunk_target // 4, 8 * (min(spec.m, spec.n) + 2)))
     with (
         tempfile.TemporaryDirectory(prefix="antimagic-stream-") as tmpdir,
         _BucketStore(ne, ne + 1, chunk_target, tmpdir, "labels") as label_store,
         _BucketStore(nv, 4 * ne + 1, chunk_target, tmpdir, "sums") as sum_store,
     ):
-        for sums in forms.columns(label_store.add):
+        for _, _, sums in forms.columns(span, label_store.add):
             sum_store.add(sums)
         if label_store.count != ne or sum_store.count != nv:
             raise AssertionError(f"stream enumeration miscounted for {spec}")
@@ -565,16 +579,16 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
         dup_values = _collect_duplicates(sum_store)
     duplicate = None
     if bijection_ok and dup_values:
-        duplicate = _locate_duplicate_pair(forms, dup_values, transposed)
+        duplicate = _locate_duplicate_pair(forms, dup_values, transposed, span)
     antimagic = bijection_ok and not dup_values
     if stats is not None:
         stats.edges_labeled = ne
         stats.sums_checked = nv
-        # the sweep holds the row indices, the incidence's two edges per row and its
-        # degree-1 rows (two on a path, none on a cycle), and one passing block that
-        # is not kept; the column's sums and kept blocks count in the stores
+        # the sweep holds a span's row indices, the incidence's two edges per row and
+        # its degree-1 rows (two on a path, none on a cycle), and one passing block
+        # that is not kept; the span's sums and kept blocks count in the stores
         single = 2 * (forms.rows - _factor_edge_count(forms.row_kind, forms.rows))
-        stats.peak_live_values = 4 * forms.rows + single + label_store.peak + sum_store.peak
+        stats.peak_live_values = 4 * span + single + label_store.peak + sum_store.peak
         stats.spill_files = label_store.spills + sum_store.spills
         stats.spill_bytes = label_store.written + sum_store.written
         stats.elapsed_seconds = time.perf_counter() - start

@@ -63,6 +63,14 @@ SMALL_SPECS = (
 )
 
 
+def _column_sums(forms, span):
+    """The (rows, cols) vertex sums of a sweep in spans of ``span`` rows, normalized orientation."""
+    total = np.zeros((forms.rows, forms.cols), dtype=np.int64)
+    for j, r0, sums in forms.columns(span):
+        total[r0 - 1 : r0 - 1 + sums.size, j - 1] = sums
+    return total
+
+
 @pytest.fixture
 def fresh_forms():
     stream._forms_cached.cache_clear()
@@ -328,14 +336,15 @@ def test_prism_blocks_pack_rows_like_grids():
     ids=["lattice", "prism"],
 )
 def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
-    # the dealers share no label formula with the closed forms, so this checks one against the other
+    # the dealers share no label formula with the closed forms, so this checks one against the other;
+    # spans of 97 rows split every ring and the 401-row grid columns
     start = time.perf_counter()
     for spec in specs:
         lab = label(spec)
         streamed = np.concatenate(list(iter_edge_blocks(spec)))
         assert np.array_equal(np.column_stack((lab.graph.edge_array, lab.labels)), streamed), spec
         forms, transposed = _forms(spec)
-        sums = np.stack(list(forms.columns()), axis=1)
+        sums = _column_sums(forms, 97)
         total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
         assert np.array_equal(total, sums.T if transposed else sums), spec
     assert time.perf_counter() - start < 10.0
@@ -349,11 +358,12 @@ def test_streamed_column_sums_match_vertex_sums(spec):
     # verdicts alone would miss a block kernel that permutes labels inside a block
     total = vertex_sums(label(spec)).total
     forms, transposed = _forms(spec)
-    streamed = {}
-    for j, column in enumerate(forms.columns(), start=1):
-        for i, value in enumerate(column.tolist(), start=1):
-            streamed[(j, i) if transposed else (i, j)] = value
-    assert streamed == total
+    for span in (1, 2, 3, forms.rows):  # a span may end inside a factor edge's reach
+        streamed = {}
+        for j, r0, column in forms.columns(span):
+            for i, value in enumerate(column.tolist(), start=r0):
+                streamed[(j, i) if transposed else (i, j)] = value
+        assert streamed == total, span
 
 
 
@@ -391,6 +401,39 @@ def test_stream_verify_live_state_stays_bounded():
     stats_t = StreamStats()
     assert stream_verify(FamilySpec(LATTICE, 1500, 8), chunk_target=chunk, stats=stats_t).antimagic
     assert stats_t.peak_live_values == stats.peak_live_values
+
+
+# a prism column is the whole ring; the sweep splits it into row spans, so it meets the bound too
+@pytest.mark.parametrize(
+    "spec, chunk",
+    [(FamilySpec(PRISM, 200_000, 2), DEFAULT_CHUNK_TARGET), (FamilySpec(PRISM, 3000, 2), 256)],
+)
+def test_stream_verify_live_state_stays_bounded_on_long_rings(spec, chunk):
+    stats = StreamStats()
+    assert stream_verify(spec, chunk_target=chunk, stats=stats).antimagic
+    assert stats.peak_live_values <= 12 * chunk + 64 * (min(spec.m, spec.n) + 2)
+
+
+def _verdict_fields(verdict):
+    return verdict.antimagic, verdict.bijection_ok, verdict.missing_or_repeated_labels, verdict.duplicate
+
+
+# chunk 4 sweeps these rings in spans of 8 (n + 2) rows; each swap makes two sums equal across a span cut
+@pytest.mark.parametrize(
+    "spec, swap, span", [(FamilySpec(PRISM, 57, 3), (1, 118), 40), (FamilySpec(PRISM, 57, 1), (1, 118), 24)]
+)
+def test_stream_verify_agrees_across_row_spans(spec, swap, span, fresh_forms, monkeypatch):
+    assert _verdict_fields(stream_verify(spec, chunk_target=4)) == _verdict_fields(check_antimagic(label(spec)))
+    forms, _ = _forms(spec)
+    for remap in (_bump(spec.edge_count()), _swap(*swap)):
+        monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), _faulty(type(forms), remap))
+        stream._forms_cached.cache_clear()
+        lab = Labeling(build_graph(spec), {((r1, c1), (r2, c2)): v for r1, c1, r2, c2, v in iter_labeled_edges(spec)})
+        expected = check_antimagic(lab)
+        assert not expected.antimagic
+        assert _verdict_fields(stream_verify(spec, chunk_target=4)) == _verdict_fields(expected)
+    (r1, _), (r2, _) = expected.duplicate
+    assert (r1 - 1) // span != (r2 - 1) // span
 
 
 # the counts the sweep and both stores report; a path's two degree-1 rows count, a ring has none
@@ -518,9 +561,9 @@ def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
     forms, _ = _forms(spec)
 
     class Miscounting(type(forms)):
-        def columns(self, keep=None):
-            for sums in super().columns(keep):
-                yield np.concatenate((sums, sums))
+        def columns(self, span, keep=None):
+            for j, r0, sums in super().columns(span, keep):
+                yield j, r0, np.concatenate((sums, sums))
 
     monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), Miscounting)
     stream._forms_cached.cache_clear()
@@ -554,7 +597,7 @@ def test_stream_verify_rejects_chunk_target_below_one(chunk_target):
 def test_column_label_arrays_match_scalar_forms(spec):
     forms, _ = _forms(spec)
     seen, blocks = [], []
-    for j, _ in enumerate(forms.columns(blocks.append), start=1):
+    for j, _, _ in forms.columns(forms.rows, blocks.append):
         first, *second = blocks
         blocks.clear()
         assert first.tolist() == [forms.first(k, j) for k in range(1, first.size + 1)]
