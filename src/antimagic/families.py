@@ -119,12 +119,12 @@ def _factor_edge_index(kind, size, a, b):
 def _factor_edges_at(kind, size, v):
     """Listing indices of the factor edges meeting vertex ``v``, ascending.
 
-    A listing index lies within two of its edge's endpoints or is one of the
-    last two, so six candidates cover every edge at ``v``.
+    Every edge ``k`` has both endpoints in ``k-1..k+2`` (a cycle's edge 1
+    joins 1 and 2, its last edge the last two vertices), so the edges at
+    ``v`` are among ``v-2..v+1``.
     """
     count = _factor_edge_count(kind, size)
-    candidates = sorted({v - 2, v - 1, v, v + 1, size - 1, size})
-    return [k for k in candidates if 1 <= k <= count and v in _factor_edge_endpoints(kind, size, k)]
+    return [k for k in range(v - 2, v + 2) if 1 <= k <= count and v in _factor_edge_endpoints(kind, size, k)]
 
 
 def _check_ints(**values):

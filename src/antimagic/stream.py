@@ -82,11 +82,10 @@ def _merge(m, n, p):
 def _incidence(kind, size, r0, r1):
     """The factor edges meeting vertices ``r0..r1`` and their incidence, as 0-based offsets.
 
-    Every factor edge ``k`` has both endpoints in ``k-1..k+2`` (a cycle's
-    edge 1 joins 1 and 2, its last edge the last two vertices), so the
-    candidates are edges ``r0-2..r1+1``.  Returns ``(edges, a, b, single)``:
-    vertex ``r0 + v`` meets edges ``edges[a[v]]`` and ``edges[b[v]]``, which
-    coincide for the degree-1 vertices listed in ``single``.
+    By the window of ``_factor_edges_at`` the candidates are edges
+    ``r0-2..r1+1``.  Returns ``(edges, a, b, single)``: vertex ``r0 + v``
+    meets edges ``edges[a[v]]`` and ``edges[b[v]]``, which coincide for the
+    degree-1 vertices listed in ``single``.
     """
     edges = np.arange(max(1, r0 - 2), min(_factor_edge_count(kind, size), r1 + 1) + 1, dtype=np.int64)
     ends = np.concatenate(_factor_edge_endpoints(kind, size, edges)) - r0
