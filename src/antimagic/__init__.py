@@ -17,10 +17,8 @@ from .families import (
     PRISM,
     FamilySpec,
     build_graph,
-    canonical_edge,
     graph_from_edges,
     k2_graph,
-    make_arrangement,
 )
 from .formats import (
     labeling_to_dot,
@@ -30,7 +28,7 @@ from .formats import (
     parse_labeling,
     parse_tsv,
 )
-from .labelings import Labeling, label, merge_sequence, ur_coloring
+from .labelings import Labeling, label
 from .oracle import exhaustive_search, random_search
 from .stream import (
     EdgeKey,
@@ -59,7 +57,6 @@ __all__ = [
     "SizeRefusalError",
     "StreamStats",
     "build_graph",
-    "canonical_edge",
     "check_antimagic",
     "check_paper_properties",
     "closed_form_label",
@@ -73,14 +70,11 @@ __all__ = [
     "labeling_to_dot",
     "labeling_to_json",
     "labeling_tsv_lines",
-    "make_arrangement",
-    "merge_sequence",
     "parse_json",
     "parse_labeling",
     "parse_tsv",
     "random_search",
     "stream",
     "stream_verify",
-    "ur_coloring",
     "vertex_sums",
 ]

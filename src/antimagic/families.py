@@ -36,61 +36,6 @@ SKIP_CYCLE = "skip-cycle"
 MAX_MATERIALIZED_EDGES = 10**8
 
 
-def canonical_edge(a, b):
-    """Order edge endpoints lexicographically by (row, col)."""
-    if a == b:
-        raise InvalidParameterError(f"self-loop at {a}")
-    return (a, b) if a < b else (b, a)
-
-
-def _skip_traversal(size):
-    # walk odd indices up, then even indices back down
-    evens_start = size if size % 2 == 0 else size - 1
-    return tuple(range(1, size + 1, 2)) + tuple(range(evens_start, 0, -2))
-
-
-@dataclass(frozen=True)
-class Arrangement:
-    """A path or cycle whose vertex names follow one of the fixed listing schemes.
-
-    ``edges`` holds index pairs in listing order; the labelers index into it
-    with 1-based positions.  ``traversal`` walks the underlying path or cycle
-    exactly once, starting at vertex 1 (a cycle closes back to vertex 1 via
-    the edge ``(1, 2)``).
-    """
-
-    kind: str
-    size: int
-    edges: tuple
-    traversal: tuple
-
-    def edge_listing_index(self):
-        """Map canonical endpoint pair -> 1-based listing position."""
-        return {pair: k for k, pair in enumerate(self.edges, start=1)}
-
-
-def make_arrangement(kind, size):
-    """Build the named arrangement on ``size`` vertices.
-
-    * ``consecutive-path``: edges (i, i+1), natural traversal.
-    * ``skip-path``: edges (i, i+2) for i = 1..size-2 plus the turnaround
-      edge (size-1, size); traversal 1, 3, 5, ... then back down the evens.
-    * ``skip-cycle``: edge (1, 2), then (i, i+2) for i = 1..size-2, then
-      (size-1, size); same traversal, closed by (1, 2).
-    """
-    if not isinstance(size, int) or isinstance(size, bool):
-        raise InvalidParameterError(f"arrangement size must be an int, got {size!r}")
-    if kind not in (CONSECUTIVE_PATH, SKIP_PATH, SKIP_CYCLE):
-        raise InvalidParameterError(f"unknown arrangement kind {kind!r}")
-    least = 3 if kind == SKIP_CYCLE else 2
-    if size < least:
-        raise InvalidParameterError(f"{kind} needs size >= {least}, got {size}")
-    count = _factor_edge_count(kind, size)
-    edges = tuple(_factor_edge_endpoints(kind, size, k) for k in range(1, count + 1))
-    traversal = tuple(range(1, size + 1)) if kind == CONSECUTIVE_PATH else _skip_traversal(size)
-    return Arrangement(kind, size, edges, traversal)
-
-
 def _factor_edge_count(kind, size):
     return size if kind == SKIP_CYCLE else size - 1
 

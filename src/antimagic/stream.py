@@ -1,14 +1,15 @@
 """Closed-form edge labels, block emission and bounded-memory verification for huge grids and prisms.
 
-Everything the materialized labelers compute by dealing out lists has a
-closed form under the skip namings.  A construction here is one class with
-two label formulas and their inverse: ``first(k, j)``, the label of
-first-factor edge ``k`` in column ``j``, ``second(i, k)``, the label of
-second-factor edge ``k`` in row ``i``, and ``invert``.  All three are
-branch-free arithmetic, so one expression takes ints (one edge) or int64
-arrays (a block of edges).  There are four: the general grid, the 1 x 1
-grid, the general prism, and the ladder, which covers both the two-row grid
-and the two-layer prism.
+Every construction's labels have a closed form under the skip namings, and
+these forms are their one source: ``label()`` broadcasts them into the
+materialized view, and the functions here read them edge by edge or block
+by block.  A construction is one class with two label formulas and their
+inverse: ``first(k, j)``, the label of first-factor edge ``k`` in column
+``j``, ``second(i, k)``, the label of second-factor edge ``k`` in row
+``i``, and ``invert``.  All three are branch-free arithmetic, so one
+expression takes ints (one edge) or int64 arrays (a block of edges).
+There are four: the general grid, the 1 x 1 grid, the general prism, and
+the ladder, which covers both the two-row grid and the two-layer prism.
 
 A copy ``(first, k, pos)`` is labeled by ``_copy_label``, and its endpoints
 and canonical position come from the closed forms in
@@ -358,7 +359,7 @@ def edge_key(spec, edge):
 
 
 def closed_form_label(key):
-    """Label of the edge named by ``key``, in O(1), matching the labelers."""
+    """Label of the edge named by ``key``, in O(1), matching ``label()``."""
     return _copy_label(*key._resolve(), key.orientation == ROW, key.k, key.pos)
 
 

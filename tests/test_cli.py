@@ -68,8 +68,9 @@ def test_generate_stream_matches_materialized(capsys):
     ids=lambda spec: f"{spec.family}-{spec.m}x{spec.n}",
 )
 def test_stream_tsv_is_byte_identical_to_materialized(capsys, monkeypatch, spec):
-    # the materialized dealers are the independent reference; tiny blocks split
-    # rows and label ranges at every offset
+    # the materialized view reads the same closed forms, so this pins the block ranges, the
+    # inverse forms and the writers; the reference dealers check the labels in the
+    # labeling tests.  Tiny blocks split rows and label ranges at every offset
     lab = label(spec)
     argv = ["generate", spec.family, str(spec.m), str(spec.n), "--format", "tsv", "--stream"]
     for by_label in (False, True):

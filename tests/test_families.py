@@ -12,10 +12,8 @@ from antimagic import (
     InvalidParameterError,
     SizeRefusalError,
     build_graph,
-    canonical_edge,
     graph_from_edges,
     k2_graph,
-    make_arrangement,
 )
 from antimagic.families import (
     CONSECUTIVE_PATH,
@@ -26,6 +24,7 @@ from antimagic.families import (
     _factor_edges_at,
     factor_kinds,
 )
+from reference_dealers import canonical_edge, make_arrangement
 
 
 def adjacency(graph):

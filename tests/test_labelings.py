@@ -11,16 +11,14 @@ from antimagic import (
     FamilySpec,
     InvalidParameterError,
     build_graph,
-    canonical_edge,
     check_antimagic,
     label,
-    merge_sequence,
-    ur_coloring,
     vertex_sums,
 )
 from antimagic import labelings
-from antimagic.families import SKIP_PATH, _graph_and_copies, make_arrangement
-from antimagic.labelings import R, Labeling, U
+from antimagic.families import SKIP_PATH, _graph_and_copies
+from antimagic.labelings import Labeling
+from reference_dealers import R, U, canonical_edge, make_arrangement, merge_sequence, reference_labels, ur_coloring
 
 
 def sums_by_row(spec):
@@ -291,6 +289,17 @@ def test_labels_form_bijection_and_antimagic(spec):
     assert set(lab.assignment) == set(graph.edges)
     assert sorted(lab.assignment.values()) == list(range(1, spec.edge_count() + 1))
     assert check_antimagic(lab).antimagic
+
+
+@pytest.mark.parametrize(
+    "family,m", [(LATTICE, m) for m in range(1, 51)] + [(PRISM, m) for m in range(3, 51)]
+)
+def test_label_matches_reference_dealers(family, m):
+    # label() reads the closed forms; the dealers derive the labels block by block from the
+    # U/R coloring and the merge sequence, sharing no label formula with them
+    for n in range(1, 51):
+        spec = FamilySpec(family, m, n)
+        assert np.array_equal(label(spec).labels, reference_labels(spec)), spec
 
 
 def test_label_rejects_invalid_spec():
