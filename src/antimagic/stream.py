@@ -23,7 +23,9 @@ incidence, to the blocks of the edges meeting it.  It checks bijectivity and
 sum distinctness exactly: labels and sums are buffered, and each full buffer
 is scattered into value-range buckets on disk, so live state stays at one
 span of a column (a quarter chunk, or eight short sides) plus the two
-buffers and one bucket.
+buffers and one bucket.  A store of at most ``RUN_BUCKETS`` buckets keeps a
+file per bucket; a larger one appends each sorted buffer to one file as a
+run and reads a bucket back as its slice of every run.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ DEFAULT_CHUNK_TARGET = 1 << 16
 MAX_STREAM_DIMENSION = 1 << 30
 MAX_STREAM_EDGES = 1 << 60  # keeps every vertex sum below 2**62
 BLOCK_EDGES = 1 << 11  # the most edges in one block of iter_edge_blocks
+RUN_BUCKETS = 32  # a store needing more buckets spills sorted runs to one file, not a file per bucket
 
 ROW = "row"
 COL = "col"
@@ -399,7 +402,13 @@ def iter_labeled_edges(spec, by_label=False):
 
 @dataclass
 class StreamStats:
-    """Work and live-state accounting for one ``stream_verify`` run."""
+    """Work and live-state accounting for one ``stream_verify`` run.
+
+    ``spill_files`` counts the files the two stores opened: one per
+    non-empty bucket in a store of at most ``RUN_BUCKETS`` buckets, one run
+    file in a larger store.  ``spill_bytes`` counts every byte written to
+    them, widening rewrites included.
+    """
 
     edges_labeled: int = 0
     sums_checked: int = 0
@@ -413,14 +422,21 @@ class _BucketStore:
     """Routes integer values into ascending value-range buckets, in batches.
 
     ``add`` appends to a buffer.  Once the buffer holds ``chunk_target``
-    values it is sorted once and scattered with one write per non-empty
-    bucket, each bucket to its own temp file; a store whose buffer never
-    fills opens no file.  Values are ``uint32`` while ``upper`` and every
-    value fit; the first value outside 0..2**32-1 widens the store to int64,
-    rewriting its open files one at a time.  Iterating yields every bucket,
-    unsorted, while only one is live.  ``peak`` counts the most values held
-    at once, ``written`` the bytes written to files.  On exit, as a context
-    manager, it closes every file still open.
+    values it is sorted once and spilled; a store whose buffer never fills
+    opens no file.  A store of at most ``RUN_BUCKETS`` buckets writes each
+    non-empty bucket's slice to that bucket's own temp file.  A larger store
+    appends the whole sorted buffer to its one run file in one write, and
+    ``runs``, the run index, gains a row of ``nbuckets + 1`` int64 offsets:
+    where each bucket starts in that run, and where the run ends.  Offsets
+    count values, not bytes, so the index survives widening.  Values are
+    ``uint32`` while ``upper`` and every value fit; the first value outside
+    0..2**32-1 widens the store to int64, rewriting each open file once.
+    Iterating yields every bucket, unsorted, while only one is live; a run
+    store reads a bucket with one ``os.preadv`` per run holding part of it,
+    into one array.  ``peak`` counts the most values held at once (the run
+    index is metadata, like the buffer of an open file, and is not counted),
+    ``written`` the bytes written to files.  On exit, as a context manager,
+    it closes every file still open.
     """
 
     def __init__(self, expected, upper, chunk_target, tmpdir, tag):
@@ -428,7 +444,8 @@ class _BucketStore:
         self.width = max(1, -(-upper // self.nbuckets))
         self.dtype = np.dtype(np.uint32 if upper <= 1 << 32 else np.int64)
         self.chunk_target = chunk_target
-        self.files = [None] * self.nbuckets
+        self.runs = bytearray() if self.nbuckets > RUN_BUCKETS else None  # the run index, int64 rows
+        self.files = [None] * (1 if self.runs is not None else self.nbuckets)
         self.prefix = os.path.join(tmpdir, tag)
         self.buffer = []
         self.buffered = self.count = self.spills = self.written = self.peak = 0
@@ -439,7 +456,7 @@ class _BucketStore:
     def __exit__(self, *exc):
         for handle in filter(None, self.files):
             handle.close()
-        self.files = [None] * self.nbuckets
+        self.files = [None] * len(self.files)
 
     def add(self, arr):
         self.buffer.append(arr)
@@ -468,11 +485,19 @@ class _BucketStore:
 
     def _scatter(self):
         values, cuts = self._take_buffer()
+        if self.runs is not None:  # one run: the bucket starts, in values, and one write
+            self._open(0, "runs")
+            self.runs += np.add(cuts, self.files[0].tell() // self.dtype.itemsize).tobytes()
+            self.written += self.files[0].write(values)
+            return
         for b in np.flatnonzero(np.diff(cuts)).tolist():
-            if self.files[b] is None:
-                self.files[b] = open(f"{self.prefix}-{b:04d}.bin", "w+b")
-                self.spills += 1
+            self._open(b, f"{b:04d}")
             self.written += self.files[b].write(values[cuts[b] : cuts[b + 1]])  # no copy
+
+    def _open(self, slot, name):
+        if self.files[slot] is None:
+            self.files[slot] = open(f"{self.prefix}-{name}.bin", "w+b")
+            self.spills += 1
 
     def iter_buckets(self):
         """Yield ``(lo, hi, values)`` for every bucket, ascending; the values are unsorted.
@@ -483,9 +508,23 @@ class _BucketStore:
         if self.spills and self.buffer:
             self._scatter()
         values, cuts = self._take_buffer()
-        for b, handle in enumerate(self.files):
+        if self.runs:
+            index = np.frombuffer(self.runs, dtype=np.int64).reshape(-1, self.nbuckets + 1)
+            size, fd = self.dtype.itemsize, self.files[0].fileno()
+            self.files[0].flush()
+        for b in range(self.nbuckets):
             part = values[cuts[b] : cuts[b + 1]]
-            if handle is not None:
+            if self.runs:  # bucket b's slice of every run, read in place
+                starts, stops = index[:, b], index[:, b + 1]
+                part = np.empty(int((stops - starts).sum()), dtype=self.dtype)
+                view, at = memoryview(part), 0
+                for start, stop in zip(starts.tolist(), stops.tolist()):
+                    if stop > start:
+                        os.preadv(fd, [view[at : at + stop - start]], start * size)
+                        at += stop - start
+                self.peak = max(self.peak, part.size)
+            elif self.runs is None and self.files[b] is not None:
+                handle = self.files[b]
                 handle.seek(0)
                 part = np.fromfile(handle, dtype=self.dtype)
                 handle.close()

@@ -2,6 +2,8 @@
 
 import itertools
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -46,6 +48,7 @@ from antimagic.stream import (
     MAX_STREAM_DIMENSION,
     MAX_STREAM_EDGES,
     ROW,
+    RUN_BUCKETS,
     _BucketStore,
     _check_permutation,
     _collect_duplicates,
@@ -488,7 +491,8 @@ def _swap(a, b):
     return lambda lab: lab + (lab == a) * (b - a) + (lab == b) * (a - b)
 
 
-# each swap makes two vertex sums equal
+# each swap makes two vertex sums equal; at chunk 4 the last two need more than
+# RUN_BUCKETS buckets per store, so they spill sorted runs and the swapped sums meet mid-range
 @pytest.mark.parametrize(
     "spec, swap",
     [
@@ -498,6 +502,8 @@ def _swap(a, b):
         (FamilySpec(LATTICE, 1, 1), (1, 2)),
         (FamilySpec(PRISM, 5, 4), (1, 3)),
         (FamilySpec(PRISM, 5, 1), (1, 2)),
+        (FamilySpec(LATTICE, 12, 12), (156, 159)),
+        (FamilySpec(PRISM, 13, 9), (123, 124)),
     ],
 )
 @pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
@@ -521,10 +527,23 @@ def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_f
         )
 
 
-# labels at -1 and 2**32 widen both stores to int64, after some buckets spilled
-@pytest.mark.parametrize("spec", [FamilySpec(LATTICE, 4, 6), FamilySpec(LATTICE, 1, 6), FamilySpec(PRISM, 5, 4)])
+# labels at -1 and 2**32 widen both stores to int64, after some buckets spilled; at chunk 4
+# lattice 12x12 (78 label and 43 sum buckets) and prism 13x9 spill runs, and the sum store
+# widens after its first runs, so the run file is rewritten as int64 under its index
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec(LATTICE, 4, 6),
+        FamilySpec(LATTICE, 1, 6),
+        FamilySpec(PRISM, 5, 4),
+        FamilySpec(LATTICE, 12, 12),
+        FamilySpec(PRISM, 13, 9),
+    ],
+)
 @pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
 def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_forms, monkeypatch):
+    stores = []
+    monkeypatch.setattr(stream, "_BucketStore", lambda *args: stores.append(_BucketStore(*args)) or stores[-1])
     forms, _ = _forms(spec)
     low, high = 2, spec.edge_count() - 1
     moved = _faulty(type(forms), lambda lab: lab - (lab == low) * (low + 1) + (lab == high) * ((1 << 32) - high))
@@ -541,6 +560,13 @@ def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_f
         expected.missing_or_repeated_labels,
         expected.duplicate,
     )
+    label_store, sum_store = stores
+    assert label_store.dtype == sum_store.dtype == np.int64
+    if chunk_target == 4 and spec.m >= 12:
+        assert min(label_store.nbuckets, sum_store.nbuckets) > RUN_BUCKETS
+        assert label_store.runs and sum_store.runs
+        # more than 8 bytes a value: uint32 runs were written, then rewritten as int64
+        assert sum_store.written > 8 * sum_store.count
 
 
 def _open_spill_files():
@@ -555,8 +581,7 @@ def _open_spill_files():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
-    spec = FamilySpec(LATTICE, 5, 7)
-    forms, _ = _forms(spec)
+    forms, _ = _forms(FamilySpec(LATTICE, 5, 7))
 
     class Miscounting(type(forms)):
         def columns(self, span, keep=None):
@@ -565,10 +590,33 @@ def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
 
     monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), Miscounting)
     stream._forms_cached.cache_clear()
-    with pytest.raises(AssertionError, match="miscounted") as excinfo:
-        stream_verify(spec, chunk_target=4)
-    # the traceback keeps the stores alive, so only closing them releases the files
-    assert excinfo.traceback and _open_spill_files() == []
+    # at chunk 4, lattice 5x7 spills a file per bucket and lattice 12x12 one run file per store
+    for spec in (FamilySpec(LATTICE, 5, 7), FamilySpec(LATTICE, 12, 12)):
+        with pytest.raises(AssertionError, match="miscounted") as excinfo:
+            stream_verify(spec, chunk_target=4)
+        # the traceback keeps the stores alive, so only closing them releases the files
+        assert excinfo.traceback and _open_spill_files() == []
+
+
+# past RUN_BUCKETS buckets a store keeps one run file, so bench runs under a descriptor limit
+# of 64; one file per bucket would take 866 here.  The limit is lowered in the child only.
+def test_bench_spills_two_files_under_a_low_open_file_limit():
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    limit = 64 if hard == resource.RLIM_INFINITY else min(64, hard)
+    package_root = os.path.dirname(os.path.dirname(stream.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "antimagic.cli", "bench", "lattice", "300", "300", "--chunk-target", "256"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard)),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "antimagic: yes" and "spill files: 2" in lines
 
 
 def test_stream_verify_leaves_no_sweep_arrays_behind(fresh_forms):
@@ -666,21 +714,35 @@ VALUES_OUTSIDE = [0, -1, 1 << 32, -(1 << 40)]
 
 
 @st.composite
-def multisets(draw):
-    """``(n, values)``: part of a permutation of 1..n plus repeats and strays, shuffled."""
-    n = draw(st.integers(min_value=1, max_value=30))
-    values = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(min_value=0, max_value=n))]
+def multisets(draw, max_n=30):
+    """``(n, values)``: part of a permutation of 1..n plus repeats and strays, shuffled.
+
+    At most 30 of 1..n are left out, so no bucket has more missing values
+    than the 32 a check names.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    values = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(min_value=max(0, n - 30), max_value=n))]
     extra = st.one_of(st.integers(min_value=-2, max_value=n + 2), st.sampled_from([n + 1, *VALUES_OUTSIDE]))
     values += draw(st.lists(extra, max_size=8))
     assume(values)
     return n, draw(st.permutations(values))
 
 
-def filled_store(values, upper, chunk_target, tmpdir, tag):
-    store = _BucketStore(len(values), upper, chunk_target, tmpdir, tag)
+def filled_store(values, upper, chunk_target, tmpdir, tag, expected=None):
+    store = _BucketStore(expected or len(values), upper, chunk_target, tmpdir, tag)
     for start in range(0, len(values), 3):
         store.add(np.array(values[start : start + 3], dtype=np.int64))
     return store
+
+
+# sized for 400 values at chunk 4, a run store; its buffer never fills, so it opens no file
+def test_run_store_whose_buffer_never_fills_reads_the_buffer(tmp_path):
+    with filled_store([300, 7, 300], 401, 4, tmp_path, "d", expected=400) as store:
+        assert _collect_duplicates(store) == [300]
+    with filled_store([300, 7, 300], 401, 4, tmp_path, "t", expected=400) as store:
+        # each 5-wide bucket names all its missing values, and 300 is repeated
+        assert _check_permutation(store, 400) == (False, [v for v in range(1, 401) if v != 7])
+        assert store.runs is not None and store.spills == 0
 
 
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
@@ -688,7 +750,18 @@ def filled_store(values, upper, chunk_target, tmpdir, tag):
 @settings(max_examples=150, deadline=None)
 def test_bucket_checks_match_unique_reference(chunk_target, case):
     n, values = case
-    chunk_target = resolve_chunk_target(chunk_target, len(values))
+    check_against_unique_reference(n, values, resolve_chunk_target(chunk_target, len(values)))
+
+
+# up to 300 values at chunk targets 1-4: most stores need more than RUN_BUCKETS buckets and spill runs
+@given(multisets(max_n=300), st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_run_store_checks_match_unique_reference(case, chunk_target):
+    n, values = case
+    check_against_unique_reference(n, values, chunk_target)
+
+
+def check_against_unique_reference(n, values, chunk_target):
     unique, counts = np.unique(values, return_counts=True)
     present = set(unique.tolist())
     repeated = unique[counts > 1].tolist()
