@@ -23,9 +23,9 @@ incidence, to the blocks of the edges meeting it.  It checks bijectivity and
 sum distinctness exactly: labels and sums are buffered, and each full buffer
 is scattered into value-range buckets on disk, so live state stays at one
 span of a column (a quarter chunk, or eight short sides) plus the two
-buffers and one bucket.  A store of at most ``RUN_BUCKETS`` buckets keeps a
-file per bucket; a larger one appends each sorted buffer to one file as a
-run and reads a bucket back as its slice of every run.
+buffers and one bucket.  Each full buffer is spilled as a sorted run, to a
+file per bucket or, past ``RUN_BUCKETS`` buckets, to one file, and a bucket
+is read back as its slice of every run.
 """
 
 from __future__ import annotations
@@ -404,10 +404,9 @@ def iter_labeled_edges(spec, by_label=False):
 class StreamStats:
     """Work and live-state accounting for one ``stream_verify`` run.
 
-    ``spill_files`` counts the files the two stores opened: one per
-    non-empty bucket in a store of at most ``RUN_BUCKETS`` buckets, one run
-    file in a larger store.  ``spill_bytes`` counts every byte written to
-    them, widening rewrites included.
+    ``spill_files`` counts the files the two stores opened, one per bucket
+    that spilled a value, or one per store past ``RUN_BUCKETS`` buckets;
+    ``spill_bytes`` every byte written to them, widening rewrites included.
     """
 
     edges_labeled: int = 0
@@ -421,22 +420,20 @@ class StreamStats:
 class _BucketStore:
     """Routes integer values into ascending value-range buckets, in batches.
 
-    ``add`` appends to a buffer.  Once the buffer holds ``chunk_target``
-    values it is sorted once and spilled; a store whose buffer never fills
-    opens no file.  A store of at most ``RUN_BUCKETS`` buckets writes each
-    non-empty bucket's slice to that bucket's own temp file.  A larger store
-    appends the whole sorted buffer to its one run file in one write, and
-    ``runs``, the run index, gains a row of ``nbuckets + 1`` int64 offsets:
-    where each bucket starts in that run, and where the run ends.  Offsets
-    count values, not bytes, so the index survives widening.  Values are
-    ``uint32`` while ``upper`` and every value fit; the first value outside
-    0..2**32-1 widens the store to int64, rewriting each open file once.
-    Iterating yields every bucket, unsorted, while only one is live; a run
-    store reads a bucket with one ``os.preadv`` per run holding part of it,
-    into one array.  ``peak`` counts the most values held at once (the run
-    index is metadata, like the buffer of an open file, and is not counted),
-    ``written`` the bytes written to files.  On exit, as a context manager,
-    it closes every file still open.
+    ``add`` appends to a buffer.  Once it holds ``chunk_target`` values, the
+    buffer is sorted once and spilled as a run: each file takes its buckets'
+    slice in one write, and the store notes the run's bucket cuts and, per
+    file, the shift from cut to file position.  A file holds one bucket in a
+    store of at most ``RUN_BUCKETS`` buckets, and all of them in a larger one;
+    a store whose buffer never fills opens none.  Cuts and shifts count values,
+    not bytes, so they survive widening.  Values are ``uint32`` while ``upper``
+    and every value fit; the first value outside 0..2**32-1 widens the store to
+    int64, rewriting each open file in place, a chunk at a time.  Iterating
+    yields every bucket, unsorted, while only one is live, read with one
+    ``os.preadv`` per run holding part of it.  ``peak`` counts the most values
+    held at once (cuts and shifts are metadata, like a file's buffer, and are
+    not counted), ``written`` the bytes written to files.  As a context manager
+    it closes every file on exit.
     """
 
     def __init__(self, expected, upper, chunk_target, tmpdir, tag):
@@ -444,8 +441,9 @@ class _BucketStore:
         self.width = max(1, -(-upper // self.nbuckets))
         self.dtype = np.dtype(np.uint32 if upper <= 1 << 32 else np.int64)
         self.chunk_target = chunk_target
-        self.runs = bytearray() if self.nbuckets > RUN_BUCKETS else None  # the run index, int64 rows
-        self.files = [None] * (1 if self.runs is not None else self.nbuckets)
+        self.per_file = self.nbuckets if self.nbuckets > RUN_BUCKETS else 1  # buckets per spill file
+        self.files = [None] * -(-self.nbuckets // self.per_file)
+        self.cuts, self.shifts = bytearray(), bytearray()  # int64: every run's cuts, and its shift per file
         self.prefix = os.path.join(tmpdir, tag)
         self.buffer = []
         self.buffered = self.count = self.spills = self.written = self.peak = 0
@@ -472,12 +470,13 @@ class _BucketStore:
         self.buffer, self.buffered = [], 0
         if self.dtype == np.uint32 and values.size and (values.min() < 0 or values.max() >= 1 << 32):
             self.dtype = np.dtype(np.int64)
-            for handle in filter(None, self.files):  # the wider copy overwrites all of the file
-                handle.seek(0)
-                part = np.fromfile(handle, dtype=np.uint32).astype(np.int64)
-                handle.seek(0)
-                self.written += handle.write(part)
-                self.peak = max(self.peak, values.size + part.size)
+            for handle in filter(None, self.files):  # from the end back: int64 at 8i covers no unread uint32
+                for i in reversed(range(0, handle.seek(0, os.SEEK_END) // 4, self.chunk_target)):
+                    handle.seek(4 * i)
+                    part = np.frombuffer(handle.read(4 * self.chunk_target), np.uint32).astype(np.int64)
+                    handle.seek(8 * i)
+                    self.written += handle.write(part)
+                    self.peak = max(self.peak, values.size + part.size)
         values = values.astype(self.dtype, copy=False)
         values.sort()
         inner = np.searchsorted(values, np.arange(1, self.nbuckets) * self.width)
@@ -485,19 +484,17 @@ class _BucketStore:
 
     def _scatter(self):
         values, cuts = self._take_buffer()
-        if self.runs is not None:  # one run: the bucket starts, in values, and one write
-            self._open(0, "runs")
-            self.runs += np.add(cuts, self.files[0].tell() // self.dtype.itemsize).tobytes()
-            self.written += self.files[0].write(values)
-            return
-        for b in np.flatnonzero(np.diff(cuts)).tolist():
-            self._open(b, f"{b:04d}")
-            self.written += self.files[b].write(values[cuts[b] : cuts[b + 1]])  # no copy
-
-    def _open(self, slot, name):
-        if self.files[slot] is None:
-            self.files[slot] = open(f"{self.prefix}-{name}.bin", "w+b")
-            self.spills += 1
+        shifts = np.zeros(len(self.files), dtype=np.int64)  # where a slice lands, less its first cut
+        for f, handle in enumerate(self.files):
+            start, stop = cuts[f * self.per_file], cuts[min((f + 1) * self.per_file, self.nbuckets)]
+            if stop > start:
+                if handle is None:
+                    handle = self.files[f] = open(f"{self.prefix}-{f:04d}.bin", "w+b")
+                    self.spills += 1
+                shifts[f] = handle.seek(0, os.SEEK_END) // self.dtype.itemsize - start  # wherever widening left off
+                self.written += handle.write(values[start:stop])  # no copy
+        self.cuts += np.array(cuts, dtype=np.int64).tobytes()
+        self.shifts += shifts.tobytes()
 
     def iter_buckets(self):
         """Yield ``(lo, hi, values)`` for every bucket, ascending; the values are unsorted.
@@ -508,27 +505,21 @@ class _BucketStore:
         if self.spills and self.buffer:
             self._scatter()
         values, cuts = self._take_buffer()
-        if self.runs:
-            index = np.frombuffer(self.runs, dtype=np.int64).reshape(-1, self.nbuckets + 1)
-            size, fd = self.dtype.itemsize, self.files[0].fileno()
-            self.files[0].flush()
+        index = np.frombuffer(self.cuts, dtype=np.int64).reshape(-1, self.nbuckets + 1)
+        shifts = np.frombuffer(self.shifts, dtype=np.int64).reshape(-1, len(self.files))
+        for handle in filter(None, self.files):
+            handle.flush()
         for b in range(self.nbuckets):
-            part = values[cuts[b] : cuts[b + 1]]
-            if self.runs:  # bucket b's slice of every run, read in place
-                starts, stops = index[:, b], index[:, b + 1]
-                part = np.empty(int((stops - starts).sum()), dtype=self.dtype)
-                view, at = memoryview(part), 0
-                for start, stop in zip(starts.tolist(), stops.tolist()):
-                    if stop > start:
-                        os.preadv(fd, [view[at : at + stop - start]], start * size)
-                        at += stop - start
-                self.peak = max(self.peak, part.size)
-            elif self.runs is None and self.files[b] is not None:
-                handle = self.files[b]
-                handle.seek(0)
-                part = np.fromfile(handle, dtype=self.dtype)
-                handle.close()
-                self.files[b] = None
+            part, f = values[cuts[b] : cuts[b + 1]], b // self.per_file
+            if self.files[f] is not None:  # bucket b's slice of every run holding part of it, read in place
+                lengths = index[:, b + 1] - index[:, b]
+                hit = lengths > 0
+                offsets = (index[hit, b] + shifts[hit, f]) * self.dtype.itemsize
+                part = np.empty(int(lengths.sum()), dtype=self.dtype)
+                view, fd, at = memoryview(part), self.files[f].fileno(), 0
+                for offset, length in zip(offsets.tolist(), lengths[hit].tolist()):
+                    os.preadv(fd, [view[at : at + length]], offset)
+                    at += length
                 self.peak = max(self.peak, part.size)
             yield b * self.width, (b + 1) * self.width, part
 

@@ -564,9 +564,26 @@ def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_f
     assert label_store.dtype == sum_store.dtype == np.int64
     if chunk_target == 4 and spec.m >= 12:
         assert min(label_store.nbuckets, sum_store.nbuckets) > RUN_BUCKETS
-        assert label_store.runs and sum_store.runs
+        assert label_store.per_file > 1 and sum_store.per_file > 1
         # more than 8 bytes a value: uint32 runs were written, then rewritten as int64
         assert sum_store.written > 8 * sum_store.count
+
+
+# only label E-1 moves to 2**32, so the label store widens late, after it spilled most of its
+# runs; the rewrite holds one chunk of a file at a time, not the whole file
+def test_late_widening_keeps_live_state_bounded(fresh_forms, monkeypatch):
+    spec, chunk = FamilySpec(LATTICE, 40, 40), 16
+    forms, _ = _forms(spec)
+    high = spec.edge_count() - 1
+    moved = _faulty(type(forms), lambda lab: lab + (lab == high) * ((1 << 32) - high))
+    monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), moved)
+    stream._forms_cached.cache_clear()
+    lab = Labeling(build_graph(spec), {((r1, c1), (r2, c2)): v for r1, c1, r2, c2, v in iter_labeled_edges(spec)})
+    expected = check_antimagic(lab)
+    stats = StreamStats()
+    assert _verdict_fields(stream_verify(spec, chunk_target=chunk, stats=stats)) == _verdict_fields(expected)
+    assert not expected.bijection_ok
+    assert stats.peak_live_values <= 12 * chunk + 64 * (min(spec.m, spec.n) + 2)
 
 
 def _open_spill_files():
@@ -678,11 +695,11 @@ def resolve_chunk_target(chunk_target, count):
 
 def run_permutation_check(values, n, chunk_target, tmpdir):
     chunk_target = resolve_chunk_target(chunk_target, len(values))
-    store = _BucketStore(len(values), n + 1, chunk_target, tmpdir, "t")
-    for start in range(0, len(values), 2):
-        store.add(np.array(values[start : start + 2], dtype=np.int64))
-    assert (store.spills == 0) == (len(values) < chunk_target)  # the buffer never filled
-    return _check_permutation(store, n)
+    with _BucketStore(len(values), n + 1, chunk_target, tmpdir, "t") as store:
+        for start in range(0, len(values), 2):
+            store.add(np.array(values[start : start + 2], dtype=np.int64))
+        assert (store.spills == 0) == (len(values) < chunk_target)  # the buffer never filled
+        return _check_permutation(store, n)
 
 
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
@@ -702,12 +719,12 @@ def test_permutation_check_detects_issues(chunk_target, tmp_path):
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
 def test_duplicate_collection(chunk_target, tmp_path):
     chunk_target = resolve_chunk_target(chunk_target, 8)
-    store = _BucketStore(8, 101, chunk_target, tmp_path, "d")
-    store.add(np.array([7, 40, 100, 13], dtype=np.int64))
-    store.add(np.array([40, 2, 100, 100], dtype=np.int64))
-    assert (store.spills == 0) == (8 < chunk_target)
-    assert _collect_duplicates(store) == [40, 100]
-    assert store.peak > 0
+    with _BucketStore(8, 101, chunk_target, tmp_path, "d") as store:
+        store.add(np.array([7, 40, 100, 13], dtype=np.int64))
+        store.add(np.array([40, 2, 100, 100], dtype=np.int64))
+        assert (store.spills == 0) == (8 < chunk_target)
+        assert _collect_duplicates(store) == [40, 100]
+        assert store.peak > 0
 
 
 VALUES_OUTSIDE = [0, -1, 1 << 32, -(1 << 40)]
@@ -742,7 +759,24 @@ def test_run_store_whose_buffer_never_fills_reads_the_buffer(tmp_path):
     with filled_store([300, 7, 300], 401, 4, tmp_path, "t", expected=400) as store:
         # each 5-wide bucket names all its missing values, and 300 is repeated
         assert _check_permutation(store, 400) == (False, [v for v in range(1, 401) if v != 7])
-        assert store.runs is not None and store.spills == 0
+        assert store.per_file > 1 and store.spills == 0
+
+
+# the same values in a store of RUN_BUCKETS buckets, a file each, and in one of a bucket more,
+# one file for all: every bucket spills, and the checks read back the same buckets
+def test_stores_either_side_of_the_file_threshold_agree(tmp_path):
+    values = [150 if v == 7 else v for v in range(1, 160)] + [200]  # 7 missing, 150 repeated, 200 outside
+    values = np.random.default_rng(0).permutation(values).tolist()
+    results = []
+    for nbuckets in (RUN_BUCKETS, RUN_BUCKETS + 1):
+        with filled_store(values, 160, 4, tmp_path, f"t{nbuckets}", expected=4 * nbuckets) as store:
+            permutation = _check_permutation(store, 159)
+            files = (len(store.files), store.spills)
+        with filled_store(values, 160, 4, tmp_path, f"d{nbuckets}", expected=4 * nbuckets) as store:
+            results.append((files, permutation, _collect_duplicates(store)))
+    (files_per_bucket, *per_bucket), (files_one, *one) = results
+    assert (files_per_bucket, files_one) == ((RUN_BUCKETS, RUN_BUCKETS), (1, 1))
+    assert per_bucket == one == [(False, [7, 150, 200]), [150]]
 
 
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
