@@ -27,7 +27,7 @@ from .formats import (
     tsv_text,
 )
 from .labelings import label
-from .oracle import exhaustive_search, random_search
+from .oracle import check_exhaustive_size, exhaustive_search, random_search
 from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, stream_verify
 from .verification import check_antimagic, check_paper_properties
 
@@ -124,14 +124,14 @@ def _cmd_properties(args):
 
 def _cmd_search(args):
     spec = _spec_from(args.family, args.m, args.n)
-    graph = build_graph(spec)
     if args.random is not None:
         if args.prune:
             raise InvalidParameterError("--prune applies to exhaustive search only")
-        result = random_search(graph, args.random, args.seed)
+        result = random_search(build_graph(spec), args.random, args.seed)
         mode = "random"
     else:
-        result = exhaustive_search(graph, reference=label(spec), prune=args.prune)
+        check_exhaustive_size(spec.edge_count())  # before building: the cap admits tiny graphs only
+        result = exhaustive_search(build_graph(spec), reference=label(spec), prune=args.prune)
         mode = "exhaustive-pruned" if args.prune else "exhaustive"
     first = None
     if result.first_antimagic is not None:

@@ -34,6 +34,7 @@ SKIP_CYCLE = "skip-cycle"
 
 #: materialized graphs above this edge count are refused (use the stream module instead)
 MAX_MATERIALIZED_EDGES = 10**8
+RANGE_EDGES = 1 << 16  # canonical positions a materialized graph maps to copies at once
 
 
 def _factor_edge_count(kind, size):
@@ -209,26 +210,39 @@ def _copy_endpoints(row_kind, col_kind, rows, cols, first, k, pos):
     return _select(first, a, pos), _select(first, pos, c), _select(first, b, pos), _select(first, pos, d)
 
 
-def _graph_and_copies(spec):
-    """``spec``'s graph and the copy ``(first, k, pos)`` at every edge position."""
+def _materialize(spec, label_of=None):
+    """``spec``'s graph, and the labels ``label_of(first, k, pos)`` gives its copies, or None.
+
+    Filled ``RANGE_EDGES`` canonical positions at a time, so no temporary spans every edge.
+    """
     spec.validate()
-    if spec.edge_count() > MAX_MATERIALIZED_EDGES:
+    count = spec.edge_count()
+    if count > MAX_MATERIALIZED_EDGES:
         raise SizeRefusalError(
-            f"{spec.edge_count()} edges exceeds the materialization cap of "
+            f"{count} edges exceeds the materialization cap of "
             f"{MAX_MATERIALIZED_EDGES}; use the stream module for this size"
         )
     factors = factor_kinds(spec)
-    copies = _copy_at(*factors, np.arange(spec.edge_count()))
-    edges = np.column_stack(_copy_endpoints(*factors, *copies))
     cols = spec.col_count()
     vertices = np.stack(np.divmod(np.arange(spec.vertex_count()), cols), axis=1) + 1
-    ends = (edges[:, 0::2] - 1) * cols + edges[:, 1::2] - 1
-    return Graph(spec, edges, vertices, ends), copies
+    edges = np.empty((count, 4), dtype=np.int64)
+    labels = None if label_of is None else np.empty(count, dtype=np.int64)
+    for low in range(0, count, RANGE_EDGES):
+        at = slice(low, min(count, low + RANGE_EDGES))
+        copies = _copy_at(*factors, np.arange(at.start, at.stop))
+        for column, values in enumerate(_copy_endpoints(*factors, *copies)):
+            edges[at, column] = values
+        if label_of is not None:
+            labels[at] = label_of(*copies)
+    ends = edges[:, 0::2] * cols  # vertex (r, c) is row (r - 1) * cols + c - 1; built in place
+    ends += edges[:, 1::2]
+    ends -= cols + 1
+    return Graph(spec, edges, vertices, ends), labels
 
 
 def build_graph(spec):
     """Materialize the graph for ``spec`` with canonically sorted edges."""
-    return _graph_and_copies(spec)[0]
+    return _materialize(spec)[0]
 
 
 def _adhoc_graph(edge_array):

@@ -2,10 +2,11 @@
 
 Every labeling is a bijection from the graph's edges onto ``1..|E|`` with
 pairwise distinct vertex sums.  Paths and cycles take their labels in
-listing order.  Grids and prisms read them from the closed forms of
-:mod:`antimagic.stream`, which state the paper's constructions, block by
-block, under the skip namings from :mod:`antimagic.families`; there the
-vertex sums fall into provably separated ranges.
+listing order.  Grids and prisms read them, edge copy by edge copy, from
+the closed forms of :mod:`antimagic.stream` (``_copy_label``), which state
+the paper's constructions, block by block, under the skip namings from
+:mod:`antimagic.families`; there the vertex sums fall into provably
+separated ranges.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InvalidParameterError
-from .families import CYCLE, PATH, _check_ints, _factor_edge_count, _graph_and_copies, _select
-from .stream import _forms
+from .families import CYCLE, PATH, _check_ints, _materialize
+from .stream import _copy_label, _forms
 
 
 class Labeling:
@@ -65,23 +66,12 @@ def label(spec):
 
     Paths and cycles are labeled 1..|E| in listing order: a path's sums are
     1, 2, then the even run 2i-2, and finally 2m-1, strictly increasing along
-    the vertex indices.  Grids and prisms read their construction's closed
-    forms into two matrices, the first-factor copies (K1, cols) and the
-    second-factor copies (rows, K2).  A grid with m > n is labeled through
-    its transpose, whose two matrices, transposed and swapped, land on the
-    coordinates the caller asked for.  The graph's copy at each edge position
-    indexes the two matrices, laid end to end, in one ``take``.
+    the vertex indices.  Grids and prisms label each edge copy through
+    ``_copy_label``, which reads the closed forms in the spec's own orientation.
     """
-    graph, (is_first, k, pos) = _graph_and_copies(spec)  # validates, and refuses a size above the cap
-    if spec.family in (PATH, CYCLE):
-        return Labeling(graph, k)  # one column: edge position p holds factor edge p + 1
-    forms, transposed = _forms(spec)
-    k1 = np.arange(1, _factor_edge_count(forms.row_kind, forms.rows) + 1)
-    k2 = np.arange(1, _factor_edge_count(forms.col_kind, forms.cols) + 1)
-    first = forms.first(k1[:, None], np.arange(1, forms.cols + 1))
-    second = forms.second(np.arange(1, forms.rows + 1)[:, None], k2)
-    if transposed:  # the transpose's first-factor copy (k, j) is this grid's second-factor copy (j, k)
-        first, second = second.T, first.T
-    cols = spec.col_count()  # K2 = cols - 1 second-factor edges per row
-    flat = _select(is_first, (k - 1) * cols + pos - 1, first.size + (pos - 1) * (cols - 1) + k - 1)
-    return Labeling(graph, np.concatenate((first.ravel(), second.ravel())).take(flat))
+
+    def label_of(first, k, pos):  # called only once the spec has passed the materialization checks
+        # a path or cycle has one column: edge position p holds its factor edge k = p + 1
+        return k if spec.family in (PATH, CYCLE) else _copy_label(*_forms(spec), first, k, pos)
+
+    return Labeling(*_materialize(spec, label_of))

@@ -49,6 +49,15 @@ def _as_labeling(graph, edges, values):
     return Labeling(graph, dict(zip(edges, values)))
 
 
+def check_exhaustive_size(edges):
+    """Refuse an exhaustive search over more than ``MAX_EXHAUSTIVE_EDGES`` edges (read at call time)."""
+    if edges > MAX_EXHAUSTIVE_EDGES:
+        raise SizeRefusalError(
+            f"exhaustive search over {edges} edges means {edges}! labelings; "
+            f"the cap is {MAX_EXHAUSTIVE_EDGES} edges"
+        )
+
+
 def exhaustive_search(graph, reference=None, prune=False):
     """Count antimagic labelings by walking all |E|! bijections in lex order.
 
@@ -57,13 +66,9 @@ def exhaustive_search(graph, reference=None, prune=False):
     leaves only, so the antimagic count and the first antimagic labeling are
     identical to the unpruned walk.
     """
+    check_exhaustive_size(len(graph.edge_array))
     edges, pairs, nv = _prepared(graph)
     ne = len(edges)
-    if ne > MAX_EXHAUSTIVE_EDGES:
-        raise SizeRefusalError(
-            f"exhaustive search over {ne} edges means {ne}! labelings; "
-            f"the cap is {MAX_EXHAUSTIVE_EDGES} edges"
-        )
     ref = None
     if reference is not None:
         if set(reference.assignment) != set(edges):

@@ -1,15 +1,16 @@
 """Closed-form edge labels, block emission and bounded-memory verification for huge grids and prisms.
 
 Every construction's labels have a closed form under the skip namings, and
-these forms are their one source: ``label()`` broadcasts them into the
-materialized view, and the functions here read them edge by edge or block
-by block.  A construction is one class with two label formulas and their
-inverse: ``first(k, j)``, the label of first-factor edge ``k`` in column
-``j``, ``second(i, k)``, the label of second-factor edge ``k`` in row
-``i``, and ``invert``.  All three are branch-free arithmetic, so one
-expression takes ints (one edge) or int64 arrays (a block of edges).
-There are four: the general grid, the 1 x 1 grid, the general prism, and
-the ladder, which covers both the two-row grid and the two-layer prism.
+these forms are their one source: ``label()`` reads them through
+``_copy_label`` into the materialized view, and the functions here read
+them edge by edge or block by block.  A construction is one class with two
+label formulas and their inverse: ``first(k, j)``, the label of
+first-factor edge ``k`` in column ``j``, ``second(i, k)``, the label of
+second-factor edge ``k`` in row ``i``, and ``invert``.  All three are
+branch-free arithmetic, so one expression takes ints (one edge) or int64
+arrays (a block of edges).  There are four: the general grid, the 1 x 1
+grid, the general prism, and the ladder, which covers both the two-row
+grid and the two-layer prism.
 
 A copy ``(first, k, pos)`` is labeled by ``_copy_label``, and its endpoints
 and canonical position come from the closed forms in
@@ -288,13 +289,6 @@ def _forms(spec):
         raise
 
 
-def _spec_factors(forms, transposed):
-    """``factor_kinds`` of the spec ``forms`` label: theirs, swapped for a transposed grid."""
-    if transposed:
-        return forms.col_kind, forms.row_kind, forms.cols, forms.rows
-    return forms.row_kind, forms.col_kind, forms.rows, forms.cols
-
-
 def _copy_label(forms, transposed, first, k, pos):
     """Label of the copy ``(first, k, pos)``, named in the spec's own orientation; ints or arrays."""
     first = first != transposed  # the transpose's first factor is the spec's second
@@ -328,10 +322,8 @@ class EdgeKey(NamedTuple):
             raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
         if type(self.k) is not int or type(self.pos) is not int:
             _check_ints(k=self.k, pos=self.pos)
-        first = (self.orientation == ROW) != transposed  # whether it copies the forms' first factor
-        kind, size, cross = (
-            (forms.row_kind, forms.rows, forms.cols) if first else (forms.col_kind, forms.cols, forms.rows)
-        )
+        row_kind, col_kind, rows, cols = factor_kinds(self.spec)
+        kind, size, cross = (row_kind, rows, cols) if self.orientation == ROW else (col_kind, cols, rows)
         if not 1 <= self.k <= _factor_edge_count(kind, size):
             raise InvalidParameterError(f"{kind} of size {size} has no edge {self.k}")
         if not 1 <= self.pos <= cross:
@@ -339,14 +331,15 @@ class EdgeKey(NamedTuple):
         return forms, transposed
 
     def endpoints(self):
-        factors = _spec_factors(*self._resolve())
-        r1, c1, r2, c2 = _copy_endpoints(*factors, self.orientation == ROW, self.k, self.pos)
+        self._resolve()
+        r1, c1, r2, c2 = _copy_endpoints(*factor_kinds(self.spec), self.orientation == ROW, self.k, self.pos)
         return ((r1, c1), (r2, c2))
 
 
 def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
-    row_kind, col_kind, rows, cols = _spec_factors(*_forms(spec))
+    _forms(spec)  # checks the spec
+    row_kind, col_kind, rows, cols = factor_kinds(spec)
     (r1, c1), (r2, c2) = edge
     if {type(r1), type(c1), type(r2), type(c2)} != {int}:
         _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
@@ -376,7 +369,7 @@ def iter_edge_blocks(spec, by_label=False):
     lengths.  Validation happens up front, not at the first block.
     """
     forms, transposed = _forms(spec)
-    factors = _spec_factors(forms, transposed)
+    factors = factor_kinds(spec)
     edges = spec.edge_count()
 
     def blocks():

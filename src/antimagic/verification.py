@@ -9,7 +9,7 @@ arguments behind each scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -155,15 +155,7 @@ class PropertyReport:
             **self.spec.header(),
             "evaluated_transposed": self.transposed,
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "certificate": c.certificate,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],  # name, passed, certificate, note
         }
 
     def to_text_lines(self):

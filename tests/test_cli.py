@@ -22,6 +22,7 @@ from antimagic import (
     parse_tsv,
     stream,
 )
+from antimagic import cli
 from antimagic.cli import main
 
 
@@ -388,6 +389,17 @@ def test_search_refuses_large_exits_4(capsys):
     code, _, err = run(capsys, ["search", "lattice", "2", "2"])
     assert code == 4
     assert err.startswith("antimagic:")
+
+
+def test_search_refuses_before_building(capsys, monkeypatch):
+    def unreachable(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(cli, "build_graph", unreachable)
+    monkeypatch.setattr(cli, "label", unreachable)
+    code, out, err = run(capsys, ["search", "lattice", "1000", "1000"])
+    assert code == 4 and out == ""
+    assert err == "antimagic: exhaustive search over 2002000 edges means 2002000! labelings; the cap is 10 edges\n"
 
 
 def test_bench_reports_stats(capsys):

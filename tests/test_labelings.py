@@ -1,5 +1,7 @@
 """Construction correctness: frozen sum values, coloring and merge oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from antimagic import (
     vertex_sums,
 )
 from antimagic import labelings
-from antimagic.families import SKIP_PATH, _graph_and_copies
+from antimagic.families import SKIP_PATH, _materialize
 from antimagic.labelings import Labeling
 from reference_dealers import R, U, canonical_edge, make_arrangement, merge_sequence, reference_labels, ur_coloring
 
@@ -203,11 +205,11 @@ def test_tall_grid_labels_match_transposed_wide_grid():
 def test_tall_grid_builds_one_graph(shape, monkeypatch):
     built = []
 
-    def counting(spec):
+    def counting(spec, *rest):
         built.append(spec)
-        return _graph_and_copies(spec)
+        return _materialize(spec, *rest)
 
-    monkeypatch.setattr(labelings, "_graph_and_copies", counting)
+    monkeypatch.setattr(labelings, "_materialize", counting)
     label(FamilySpec(LATTICE, *shape))
     assert built == [FamilySpec(LATTICE, *shape)]
 
@@ -281,7 +283,8 @@ def test_two_layer_prism_first_component_tables(m):
     "spec",
     [FamilySpec(PATH, 9), FamilySpec(CYCLE, 9)]
     + [FamilySpec(LATTICE, m, n) for m in (1, 2, 3, 6) for n in (1, 2, 3, 6)]
-    + [FamilySpec(PRISM, m, n) for m in (3, 4, 7) for n in (1, 2, 3, 4)],
+    + [FamilySpec(PRISM, m, n) for m in (3, 4, 7) for n in (1, 2, 3, 4)]
+    + [FamilySpec(PATH, 70_000), FamilySpec(CYCLE, 70_000)],
 )
 def test_labels_form_bijection_and_antimagic(spec):
     lab = label(spec)
@@ -289,6 +292,21 @@ def test_labels_form_bijection_and_antimagic(spec):
     assert set(lab.assignment) == set(graph.edges)
     assert sorted(lab.assignment.values()) == list(range(1, spec.edge_count() + 1))
     assert check_antimagic(lab).antimagic
+    if spec.family in (PATH, CYCLE):  # listing order, also past the first range of 65,536 positions
+        assert np.array_equal(lab.labels, np.arange(1, spec.edge_count() + 1))
+
+
+def test_label_peaks_near_the_arrays_it_keeps():
+    # graph and labels are filled range by range, so no temporary spans every edge
+    tracemalloc.start()
+    try:
+        lab = label(FamilySpec(LATTICE, 300, 400))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    graph = lab.graph
+    kept = sum(a.nbytes for a in (graph.edge_array, graph.vertex_array, graph.ends, lab.labels))
+    assert peak <= 1.25 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize(

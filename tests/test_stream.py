@@ -344,6 +344,7 @@ def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
         lab = Labeling(build_graph(spec), reference_labels(spec))
         streamed = np.concatenate(list(iter_edge_blocks(spec)))
         assert np.array_equal(np.column_stack((lab.graph.edge_array, lab.labels)), streamed), spec
+        assert np.array_equal(label(spec).labels, lab.labels), spec  # several ranges of positions
         forms, transposed = _forms(spec)
         sums = _column_sums(forms, 97)
         total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
