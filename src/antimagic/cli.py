@@ -36,6 +36,7 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_UNPARSEABLE = 3
 EXIT_REFUSED = 4
+_EXIT_CODES = {FormatError: EXIT_UNPARSEABLE, SizeRefusalError: EXIT_REFUSED}
 
 
 def _spec_from(family, m, n):
@@ -70,6 +71,11 @@ def _read_input(path):
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc
 
 
+def _print_report(report, fmt):
+    """Print a verdict or property report as indented JSON or as its text lines."""
+    print(json.dumps(report.to_json_dict(), indent=2) if fmt == "json" else "\n".join(report.to_text_lines()))
+
+
 def _cmd_generate(args):
     spec = _spec_from(args.family, args.m, args.n)
     if args.by_label and args.format != "tsv":
@@ -92,11 +98,7 @@ def _cmd_generate(args):
 def _cmd_verify(args):
     lab = parse_labeling(_read_input(args.input))
     verdict = check_antimagic(lab)
-    if args.format == "json":
-        print(json.dumps(verdict.to_json_dict(), indent=2))
-    else:
-        for line in verdict.to_text_lines():
-            print(line)
+    _print_report(verdict, args.format)
     return EXIT_OK if verdict.antimagic else EXIT_NEGATIVE
 
 
@@ -114,11 +116,7 @@ def _cmd_properties(args):
         spec = _spec_from(args.family, args.m, args.n)
         lab = label(spec)
     report = check_paper_properties(spec, lab)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        for line in report.to_text_lines():
-            print(line)
+    _print_report(report, args.format)
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
@@ -156,8 +154,7 @@ def _cmd_bench(args):
     spec = _spec_from(args.family, args.m, args.n)
     stats = StreamStats()
     verdict = stream_verify(spec, chunk_target=args.chunk_target, stats=stats)
-    for line in verdict.to_text_lines():
-        print(line)
+    _print_report(verdict, "text")
     print(f"edges labeled: {stats.edges_labeled}")
     print(f"sums checked: {stats.sums_checked}")
     print(f"peak live values: {stats.peak_live_values}")
@@ -233,18 +230,9 @@ def main(argv=None):
         return args.handler(args)
     except BrokenPipeError:
         return EXIT_OK
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, FormatError, SizeRefusalError, OSError) as exc:
         print(f"antimagic: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FormatError as exc:
-        print(f"antimagic: {exc}", file=sys.stderr)
-        return EXIT_UNPARSEABLE
-    except SizeRefusalError as exc:
-        print(f"antimagic: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except OSError as exc:
-        print(f"antimagic: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _EXIT_CODES.get(type(exc), EXIT_INVALID)
 
 
 def entrypoint():

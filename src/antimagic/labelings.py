@@ -3,7 +3,7 @@
 Every labeling is a bijection from the graph's edges onto ``1..|E|`` with
 pairwise distinct vertex sums.  Paths and cycles take their labels in
 listing order.  Grids and prisms read them, edge copy by edge copy, from
-the closed forms of :mod:`antimagic.stream` (``_copy_label``), which state
+the closed forms of :mod:`antimagic.stream` (``copy_label``), which state
 the paper's constructions, block by block, under the skip namings from
 :mod:`antimagic.families`; there the vertex sums fall into provably
 separated ranges.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .families import CYCLE, PATH, _check_ints, _materialize
-from .stream import _copy_label, _forms
+from .stream import _forms
 
 
 class Labeling:
@@ -66,12 +66,12 @@ def label(spec):
 
     Paths and cycles are labeled 1..|E| in listing order: a path's sums are
     1, 2, then the even run 2i-2, and finally 2m-1, strictly increasing along
-    the vertex indices.  Grids and prisms label each edge copy through
-    ``_copy_label``, which reads the closed forms in the spec's own orientation.
+    the vertex indices.  Grids and prisms label each edge copy through their
+    forms' ``copy_label``, which reads the closed forms in the spec's own orientation.
     """
 
     def label_of(first, k, pos):  # called only once the spec has passed the materialization checks
         # a path or cycle has one column: edge position p holds its factor edge k = p + 1
-        return k if spec.family in (PATH, CYCLE) else _copy_label(*_forms(spec), first, k, pos)
+        return k if spec.family in (PATH, CYCLE) else _forms(spec).copy_label(first, k, pos)
 
     return Labeling(*_materialize(spec, label_of))

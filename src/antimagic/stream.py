@@ -1,32 +1,32 @@
 """Closed-form edge labels, block emission and bounded-memory verification for huge grids and prisms.
 
 Every construction's labels have a closed form under the skip namings, and
-these forms are their one source: ``label()`` reads them through
-``_copy_label`` into the materialized view, and the functions here read
-them edge by edge or block by block.  A construction is one class with two
-label formulas and their inverse: ``first(k, j)``, the label of
-first-factor edge ``k`` in column ``j``, ``second(i, k)``, the label of
-second-factor edge ``k`` in row ``i``, and ``invert``.  All three are
-branch-free arithmetic, so one expression takes ints (one edge) or int64
-arrays (a block of edges).  There are four: the general grid, the 1 x 1
-grid, the general prism, and the ladder, which covers both the two-row
-grid and the two-layer prism.
+these forms are their one source: ``label()`` reads them into the
+materialized view, and the functions here read them edge by edge or block
+by block.  A construction is one class with two label formulas and their
+inverse: ``first(k, j)``, the label of first-factor edge ``k`` in column
+``j``, ``second(i, k)``, the label of second-factor edge ``k`` in row
+``i``, and ``invert``.  All three are branch-free arithmetic, so one
+expression takes ints (one edge) or int64 arrays (a block of edges).  There
+are four: the general grid, the 1 x 1 grid, the general prism, and the
+ladder, which covers both the two-row grid and the two-layer prism.
 
-A copy ``(first, k, pos)`` is labeled by ``_copy_label``, and its endpoints
-and canonical position come from the closed forms in
-:mod:`antimagic.families`.  On top of these sit ``closed_form_label``;
-``iter_edge_blocks``, which emits every edge as int64 arrays, one range of
-``BLOCK_EDGES`` positions at a time, mapped to copies by canonical position
-or, inverting the labels, by label (``iter_labeled_edges`` is its per-edge
-view); and ``stream_verify``, which sweeps the columns in spans of rows,
-adding each column's first-factor block, gathered over the row factor's
-incidence, to the blocks of the edges meeting it.  It checks bijectivity and
-sum distinctness exactly: labels and sums are buffered, and each full buffer
-is scattered into value-range buckets on disk, so live state stays at one
-span of a column (a quarter chunk, or eight short sides) plus the two
-buffers and one bucket.  Each full buffer is spilled as a sorted run, to a
-file per bucket or, past ``RUN_BUCKETS`` buckets, to one file, and a bucket
-is read back as its slice of every run.
+``_forms(spec)``, one checked view of a spec, labels a copy ``(first, k,
+pos)`` by ``copy_label``; its endpoints and canonical position come from the
+closed forms in :mod:`antimagic.families`.  On top of these sit
+``closed_form_label``; ``iter_edge_blocks``, which emits every edge as int64
+arrays, one range of ``BLOCK_EDGES`` positions at a time, mapped to copies
+by canonical position or, inverting the labels, by label
+(``iter_labeled_edges`` is its per-edge view); and ``stream_verify``, which
+sweeps the columns in spans of rows, adding each column's first-factor
+block, gathered over the row factor's incidence, to the blocks of the edges
+meeting it.  It checks bijectivity and sum distinctness exactly: labels and
+sums are buffered, and each full buffer is scattered into value-range
+buckets on disk, so live state stays at one span of a column (a quarter
+chunk, or eight short sides) plus the two buffers and one bucket.  Each full
+buffer is spilled as a sorted run, to a file per bucket or, past
+``RUN_BUCKETS`` buckets, to one file, and a bucket is read back as its slice
+of every run.
 """
 
 from __future__ import annotations
@@ -112,12 +112,22 @@ class _Forms:
     branch-free arithmetic: each argument may be an int or an int64 array,
     ints give exact Python ints, and the caller passes valid indices only.
     Column sums derive from the label blocks here, once for every
-    construction.  The forms hold no arrays, so a cached entry stays small.
+    construction.  ``transposed`` says whether they label the caller's spec
+    through its transpose, and ``factors`` is that spec's own
+    ``factor_kinds``.  The forms hold no arrays, so a cached entry stays small.
     """
 
-    def __init__(self, spec):
-        self.m, self.n = spec.m, spec.n
-        self.row_kind, self.col_kind, self.rows, self.cols = factor_kinds(spec)
+    def __init__(self, spec, transposed):
+        self.m, self.n, self.transposed = spec.m, spec.n, transposed
+        self.row_kind, self.col_kind, self.rows, self.cols = factors = factor_kinds(spec)
+        self.factors = (self.col_kind, self.row_kind, self.cols, self.rows) if transposed else factors
+
+    def copy_label(self, first, k, pos):
+        """Label of the copy ``(first, k, pos)``, named in the spec's own orientation; ints or arrays."""
+        first = first != self.transposed  # the transpose's first factor is the spec's second
+        if type(first) is bool:  # one edge: only its own formula
+            return self.first(k, pos) if first else self.second(pos, k)
+        return _select(first, self.first(k, pos), self.second(pos, k))
 
     def columns(self, span, keep=None):
         """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
@@ -273,28 +283,19 @@ def _forms_cached(family, m, n):
     if transposed:
         spec = FamilySpec(LATTICE, n, m)
     row_kind, col_kind, _, _ = factor_kinds(spec)
-    return _CONSTRUCTIONS[row_kind, col_kind](spec), transposed
+    return _CONSTRUCTIONS[row_kind, col_kind](spec, transposed)
 
 
 def _forms(spec):
-    """``spec``'s construction forms and whether they label its transpose.
+    """``spec``'s construction forms; grids with m > n are labeled through the transposed shape.
 
-    ``spec`` is checked on a cache miss only.  Grids with m > n are labeled
-    through the transposed shape.
+    ``spec`` is checked on a cache miss only.
     """
     try:
         return _forms_cached(spec.family, spec.m, spec.n)
     except TypeError:  # an unhashable field; the check names the bad one
         _check_stream_spec(spec)
         raise
-
-
-def _copy_label(forms, transposed, first, k, pos):
-    """Label of the copy ``(first, k, pos)``, named in the spec's own orientation; ints or arrays."""
-    first = first != transposed  # the transpose's first factor is the spec's second
-    if type(first) is bool:  # one edge: only its own formula
-        return forms.first(k, pos) if first else forms.second(pos, k)
-    return _select(first, forms.first(k, pos), forms.second(pos, k))
 
 
 class EdgeKey(NamedTuple):
@@ -313,34 +314,32 @@ class EdgeKey(NamedTuple):
     pos: int
 
     def _resolve(self):
-        """Check that the key names an edge of ``spec``.
-
-        Returns the forms labeling it and whether they label the transpose.
-        """
-        forms, transposed = _forms(self.spec)
+        """The forms labeling ``spec``, once the key is checked to name one of its edges."""
+        forms = _forms(self.spec)
         if self.orientation not in (ROW, COL):
             raise InvalidParameterError(f"orientation must be {ROW!r} or {COL!r}, got {self.orientation!r}")
         if type(self.k) is not int or type(self.pos) is not int:
             _check_ints(k=self.k, pos=self.pos)
-        row_kind, col_kind, rows, cols = factor_kinds(self.spec)
+        row_kind, col_kind, rows, cols = forms.factors
         kind, size, cross = (row_kind, rows, cols) if self.orientation == ROW else (col_kind, cols, rows)
         if not 1 <= self.k <= _factor_edge_count(kind, size):
             raise InvalidParameterError(f"{kind} of size {size} has no edge {self.k}")
         if not 1 <= self.pos <= cross:
             raise InvalidParameterError(f"cross position {self.pos} out of range 1..{cross}")
-        return forms, transposed
+        return forms
 
     def endpoints(self):
-        self._resolve()
-        r1, c1, r2, c2 = _copy_endpoints(*factor_kinds(self.spec), self.orientation == ROW, self.k, self.pos)
+        r1, c1, r2, c2 = _copy_endpoints(*self._resolve().factors, self.orientation == ROW, self.k, self.pos)
         return ((r1, c1), (r2, c2))
 
 
 def edge_key(spec, edge):
     """Classify a canonical edge of ``spec``'s graph as an :class:`EdgeKey`."""
-    _forms(spec)  # checks the spec
-    row_kind, col_kind, rows, cols = factor_kinds(spec)
-    (r1, c1), (r2, c2) = edge
+    row_kind, col_kind, rows, cols = _forms(spec).factors  # checks the spec
+    try:
+        (r1, c1), (r2, c2) = edge
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"edge {edge} does not join two (row, col) pairs") from None
     if {type(r1), type(c1), type(r2), type(c2)} != {int}:
         _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
     if c1 == c2:
@@ -356,7 +355,7 @@ def edge_key(spec, edge):
 
 def closed_form_label(key):
     """Label of the edge named by ``key``, in O(1), matching ``label()``."""
-    return _copy_label(*key._resolve(), key.orientation == ROW, key.k, key.pos)
+    return key._resolve().copy_label(key.orientation == ROW, key.k, key.pos)
 
 
 def iter_edge_blocks(spec, by_label=False):
@@ -368,8 +367,7 @@ def iter_edge_blocks(spec, by_label=False):
     form or by inverting the labels, so memory does not grow with the side
     lengths.  Validation happens up front, not at the first block.
     """
-    forms, transposed = _forms(spec)
-    factors = factor_kinds(spec)
+    forms = _forms(spec)
     edges = spec.edge_count()
 
     def blocks():
@@ -378,11 +376,11 @@ def iter_edge_blocks(spec, by_label=False):
             if by_label:
                 label = index + 1
                 first, k, pos = forms.invert(label)
-                first = first != transposed
+                first = first != forms.transposed
             else:
-                first, k, pos = _copy_at(*factors, index)
-                label = _copy_label(forms, transposed, first, k, pos)
-            yield np.column_stack((*_copy_endpoints(*factors, first, k, pos), label))
+                first, k, pos = _copy_at(*forms.factors, index)
+                label = forms.copy_label(first, k, pos)
+            yield np.column_stack((*_copy_endpoints(*forms.factors, first, k, pos), label))
 
     return blocks()
 
@@ -558,13 +556,13 @@ def _collect_duplicates(store):
     return sorted(dups)
 
 
-def _locate_duplicate_pair(forms, dup_values, transposed, span):
+def _locate_duplicate_pair(forms, dup_values, span):
     targets = np.array(dup_values, dtype=np.int64)
     hits = {}
     for j, r0, column in forms.columns(span):
         for idx in np.flatnonzero(np.isin(column, targets)):
             i = r0 + int(idx)
-            vertex = (j, i) if transposed else (i, j)
+            vertex = (j, i) if forms.transposed else (i, j)
             hits.setdefault(int(column[idx]), []).append(vertex)
     pairs = [tuple(sorted(vertices)[:2]) for vertices in hits.values() if len(vertices) >= 2]
     return min(pairs) if pairs else None
@@ -582,7 +580,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     disk carry the rest, and a stream that never fills a buffer touches no disk.
     """
     start = time.perf_counter()
-    forms, transposed = _forms(spec)
+    forms = _forms(spec)
     _check_ints(chunk_target=chunk_target)
     if chunk_target < 1:
         raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
@@ -602,7 +600,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
         dup_values = _collect_duplicates(sum_store)
     duplicate = None
     if bijection_ok and dup_values:
-        duplicate = _locate_duplicate_pair(forms, dup_values, transposed, span)
+        duplicate = _locate_duplicate_pair(forms, dup_values, span)
     antimagic = bijection_ok and not dup_values
     if stats is not None:
         stats.edges_labeled = ne

@@ -75,12 +75,9 @@ class Verdict:
     missing_or_repeated_labels: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "antimagic": self.antimagic,
-            "bijection_ok": self.bijection_ok,
-            "duplicate": [list(v) for v in self.duplicate] if self.duplicate else None,
-            "missing_or_repeated_labels": list(self.missing_or_repeated_labels),
-        }
+        doc = asdict(self)  # antimagic, bijection_ok, duplicate, missing_or_repeated_labels
+        doc["duplicate"] = [list(v) for v in self.duplicate] if self.duplicate else None
+        return doc
 
     def to_text_lines(self):
         lines = [f"antimagic: {'yes' if self.antimagic else 'no'}"]

@@ -131,6 +131,9 @@ def test_edge_key_rejects_non_edges():
         edge_key(spec, ((1, 1), (2, 2)))  # diagonal
     with pytest.raises(InvalidParameterError):
         edge_key(spec, ((1, 1), (2, 1)))  # rows 1-2 not adjacent in skip listing
+    for edge in (((1, 1), (1, 2), (1, 3)), ((1,), (1, 2)), (1, 2)):  # not a pair of (row, col) pairs
+        with pytest.raises(InvalidParameterError, match=r"does not join two \(row, col\) pairs"):
+            edge_key(spec, edge)
     with pytest.raises(InvalidParameterError):
         closed_form_label(EdgeKey(spec, "row", 99, 1))
     with pytest.raises(InvalidParameterError):
@@ -173,11 +176,23 @@ def test_invalid_spec_raises_on_every_call(bad):
         with pytest.raises(refusals):
             closed_form_label(EdgeKey(bad, "row", 1, 1))
         with pytest.raises(refusals):
+            EdgeKey(bad, "row", 1, 1).endpoints()
+        with pytest.raises(refusals):
             iter_labeled_edges(bad)
         with pytest.raises(refusals):
             iter_edge_blocks(bad, by_label=True)
         with pytest.raises(refusals):
             stream_verify(bad)
+
+
+def test_forms_carry_the_spec_orientation_and_factors():
+    # the one view of a spec: its own factor kinds, and whether its transpose is labeled
+    specs = [FamilySpec(LATTICE, m, n) for m in range(1, 13) for n in range(1, 13)]
+    specs += [FamilySpec(PRISM, m, n) for m in range(3, 13) for n in range(1, 13)]
+    for spec in specs:
+        forms = _forms(spec)
+        assert forms.factors == factor_kinds(spec), spec
+        assert forms.transposed == (spec.family == LATTICE and spec.m > spec.n), spec
 
 
 def _n_limit(family, m):
@@ -204,7 +219,7 @@ def stream_specs(draw):
 def test_forms_exact_at_huge_sizes(spec, data):
     # ints are exact, so an int64 wrap in the array path shows as a mismatch
     assert spec.edge_count() <= MAX_STREAM_EDGES
-    forms, transposed = _forms(spec)
+    forms = _forms(spec)
     first_edges = _factor_edge_count(forms.row_kind, forms.rows)
     second_edges = _factor_edge_count(forms.col_kind, forms.cols)
 
@@ -230,7 +245,7 @@ def test_forms_exact_at_huge_sizes(spec, data):
         inverted = forms.invert(np.array(labels, dtype=np.int64))
         assert list(zip(*(part.tolist() for part in inverted))) == [forms.invert(v) for v in labels]
     i, k = xs[0], ys[0]  # a second-factor edge, named in spec's own orientation
-    key = EdgeKey(spec, ROW if transposed else COL, k, i)
+    key = EdgeKey(spec, ROW if forms.transposed else COL, k, i)
     assert edge_key(spec, key.endpoints()) == key
     assert closed_form_label(key) == labels[0]
 
@@ -345,10 +360,10 @@ def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
         streamed = np.concatenate(list(iter_edge_blocks(spec)))
         assert np.array_equal(np.column_stack((lab.graph.edge_array, lab.labels)), streamed), spec
         assert np.array_equal(label(spec).labels, lab.labels), spec  # several ranges of positions
-        forms, transposed = _forms(spec)
+        forms = _forms(spec)
         sums = _column_sums(forms, 97)
         total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
-        assert np.array_equal(total, sums.T if transposed else sums), spec
+        assert np.array_equal(total, sums.T if forms.transposed else sums), spec
     assert time.perf_counter() - start < 10.0
 
 
@@ -359,12 +374,12 @@ def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
 def test_streamed_column_sums_match_vertex_sums(spec):
     # verdicts alone would miss a block kernel that permutes labels inside a block
     total = vertex_sums(label(spec)).total
-    forms, transposed = _forms(spec)
+    forms = _forms(spec)
     for span in (1, 2, 3, forms.rows):  # a span may end inside a factor edge's reach
         streamed = {}
         for j, r0, column in forms.columns(span):
             for i, value in enumerate(column.tolist(), start=r0):
-                streamed[(j, i) if transposed else (i, j)] = value
+                streamed[(j, i) if forms.transposed else (i, j)] = value
         assert streamed == total, span
 
 
@@ -426,7 +441,7 @@ def _verdict_fields(verdict):
 )
 def test_stream_verify_agrees_across_row_spans(spec, swap, span, fresh_forms, monkeypatch):
     assert _verdict_fields(stream_verify(spec, chunk_target=4)) == _verdict_fields(check_antimagic(label(spec)))
-    forms, _ = _forms(spec)
+    forms = _forms(spec)
     for remap in (_bump(spec.edge_count()), _swap(*swap)):
         monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), _faulty(type(forms), remap))
         stream._forms_cached.cache_clear()
@@ -509,7 +524,7 @@ def _swap(a, b):
 )
 @pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
 def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_forms, monkeypatch):
-    forms, _ = _forms(spec)
+    forms = _forms(spec)
     kinds = forms.row_kind, forms.col_kind
     for remap, broken in ((_bump(spec.edge_count()), "bijection"), (_swap(*swap), "sums")):
         monkeypatch.setitem(stream._CONSTRUCTIONS, kinds, _faulty(type(forms), remap))
@@ -545,7 +560,7 @@ def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_f
 def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_forms, monkeypatch):
     stores = []
     monkeypatch.setattr(stream, "_BucketStore", lambda *args: stores.append(_BucketStore(*args)) or stores[-1])
-    forms, _ = _forms(spec)
+    forms = _forms(spec)
     low, high = 2, spec.edge_count() - 1
     moved = _faulty(type(forms), lambda lab: lab - (lab == low) * (low + 1) + (lab == high) * ((1 << 32) - high))
     monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), moved)
@@ -574,7 +589,7 @@ def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_f
 # runs; the rewrite holds one chunk of a file at a time, not the whole file
 def test_late_widening_keeps_live_state_bounded(fresh_forms, monkeypatch):
     spec, chunk = FamilySpec(LATTICE, 40, 40), 16
-    forms, _ = _forms(spec)
+    forms = _forms(spec)
     high = spec.edge_count() - 1
     moved = _faulty(type(forms), lambda lab: lab + (lab == high) * ((1 << 32) - high))
     monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), moved)
@@ -599,7 +614,7 @@ def _open_spill_files():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
-    forms, _ = _forms(FamilySpec(LATTICE, 5, 7))
+    forms = _forms(FamilySpec(LATTICE, 5, 7))
 
     class Miscounting(type(forms)):
         def columns(self, span, keep=None):
@@ -659,7 +674,7 @@ def test_stream_verify_rejects_chunk_target_below_one(chunk_target):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS[::7])
 def test_column_label_arrays_match_scalar_forms(spec):
-    forms, _ = _forms(spec)
+    forms = _forms(spec)
     seen, blocks = [], []
     for j, _, _ in forms.columns(forms.rows, blocks.append):
         first, *second = blocks
