@@ -6,7 +6,7 @@ orderings), ``search`` (exhaustive or random oracle over small graphs), and
 ``bench`` (streaming verification with resource accounting).
 
 Exit codes: 0 success / antimagic, 1 not antimagic or a failed property,
-2 invalid input, 3 unparseable file, 4 size refusal.
+2 invalid input, 3 unparseable file, 4 size refusal or out of memory.
 """
 
 from __future__ import annotations
@@ -18,17 +18,11 @@ import os
 import sys
 
 from .errors import FormatError, InvalidParameterError, SizeRefusalError
-from .families import FAMILIES, LATTICE, PRISM, FamilySpec, build_graph
-from .formats import (
-    labeling_to_dot,
-    labeling_to_json,
-    labeling_tsv_rows,
-    parse_labeling,
-    tsv_text,
-)
+from .families import FAMILIES, LATTICE, PRISM, FamilySpec, build_graph, check_materializable
+from .formats import labeling_blocks, labeling_tsv_rows, parse_labeling, text_blocks
 from .labelings import label
-from .oracle import check_exhaustive_size, exhaustive_search, random_search
-from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, stream_verify
+from .oracle import check_search_size, exhaustive_search, random_search
+from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, iter_sum_blocks, stream_verify
 from .verification import check_antimagic, check_paper_properties
 
 EXIT_OK = 0
@@ -36,18 +30,14 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_UNPARSEABLE = 3
 EXIT_REFUSED = 4
-_EXIT_CODES = {FormatError: EXIT_UNPARSEABLE, SizeRefusalError: EXIT_REFUSED}
+_EXIT_CODES = ((FormatError, EXIT_UNPARSEABLE), (SizeRefusalError, EXIT_REFUSED), (MemoryError, EXIT_REFUSED))
 
 
 def _spec_from(family, m, n):
-    if family in (LATTICE, PRISM):
-        if n is None:
-            raise InvalidParameterError(f"{family} takes two sizes: m and n")
-        spec = FamilySpec(family, m, n)
-    else:
-        if n is not None:
-            raise InvalidParameterError(f"{family} takes a single size m")
-        spec = FamilySpec(family, m)
+    two = family in (LATTICE, PRISM)
+    if two != (n is not None):
+        raise InvalidParameterError(f"{family} takes two sizes: m and n" if two else f"{family} takes a single size m")
+    spec = FamilySpec(family, m, n) if two else FamilySpec(family, m)
     spec.validate()
     return spec
 
@@ -82,16 +72,15 @@ def _cmd_generate(args):
         raise InvalidParameterError("--by-label applies to tsv output only")
     if args.stream and args.format != "tsv":
         raise InvalidParameterError("--stream emits tsv only")
-    # label, or validate the stream, before opening the output: a refused spec leaves the file as it was
-    if args.stream:
-        texts = map(tsv_text, iter_edge_blocks(spec, by_label=args.by_label))
-    elif args.format == "tsv":
-        texts = [tsv_text(labeling_tsv_rows(label(spec), by_label=args.by_label))]
+    # check and label the spec, or check its closed forms, first: a refused spec leaves -o as it was
+    if not args.stream:
+        check_materializable(spec)
+    if args.stream or spec.family in (LATTICE, PRISM):
+        feed = spec.header(), iter_edge_blocks(spec, by_label=args.by_label), iter_sum_blocks(spec)
     else:
-        texts = [(labeling_to_json if args.format == "json" else labeling_to_dot)(label(spec))]
+        feed = labeling_blocks(label(spec))  # a path's or cycle's labels run 1..|E| in edge order
     with _open_output(args.output) as out:
-        for text in texts:
-            out.write(text)
+        out.writelines(text_blocks(args.format, *feed))  # each block is written as it is made
     return EXIT_OK
 
 
@@ -122,18 +111,16 @@ def _cmd_properties(args):
 
 def _cmd_search(args):
     spec = _spec_from(args.family, args.m, args.n)
-    if args.random is not None:
-        if args.prune:
-            raise InvalidParameterError("--prune applies to exhaustive search only")
-        result = random_search(build_graph(spec), args.random, args.seed)
-        mode = "random"
-    else:
-        check_exhaustive_size(spec.edge_count())  # before building: the cap admits tiny graphs only
+    exhaustive = args.random is None
+    if args.prune and not exhaustive:
+        raise InvalidParameterError("--prune applies to exhaustive search only")
+    check_search_size(spec.edge_count(), exhaustive)  # before building: the caps admit small graphs only
+    if exhaustive:
         result = exhaustive_search(build_graph(spec), reference=label(spec), prune=args.prune)
         mode = "exhaustive-pruned" if args.prune else "exhaustive"
-    first = None
-    if result.first_antimagic is not None:
-        first = labeling_tsv_rows(result.first_antimagic).tolist()
+    else:
+        result, mode = random_search(build_graph(spec), args.random, args.seed), "random"
+    first = None if result.first_antimagic is None else labeling_tsv_rows(result.first_antimagic).tolist()
     doc = {
         **spec.header(),
         "vertices": spec.vertex_count(),
@@ -230,9 +217,9 @@ def main(argv=None):
         return args.handler(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (InvalidParameterError, FormatError, SizeRefusalError, OSError) as exc:
-        print(f"antimagic: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), EXIT_INVALID)
+    except (InvalidParameterError, FormatError, SizeRefusalError, OSError, MemoryError) as exc:
+        print(f"antimagic: {str(exc) or 'out of memory'}", file=sys.stderr)  # numpy's MemoryError names the array
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_INVALID)
 
 
 def entrypoint():

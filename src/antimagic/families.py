@@ -34,7 +34,7 @@ SKIP_CYCLE = "skip-cycle"
 
 #: materialized graphs above this edge count are refused (use the stream module instead)
 MAX_MATERIALIZED_EDGES = 10**8
-RANGE_EDGES = 1 << 16  # canonical positions a materialized graph maps to copies at once
+RANGE_EDGES = 1 << 14  # canonical positions a materialized graph maps to copies at once
 
 
 def _factor_edge_count(kind, size):
@@ -210,11 +210,8 @@ def _copy_endpoints(row_kind, col_kind, rows, cols, first, k, pos):
     return _select(first, a, pos), _select(first, pos, c), _select(first, b, pos), _select(first, pos, d)
 
 
-def _materialize(spec, label_of=None):
-    """``spec``'s graph, and the labels ``label_of(first, k, pos)`` gives its copies, or None.
-
-    Filled ``RANGE_EDGES`` canonical positions at a time, so no temporary spans every edge.
-    """
+def check_materializable(spec):
+    """``spec``'s edge count, once it is valid and within ``MAX_MATERIALIZED_EDGES``."""
     spec.validate()
     count = spec.edge_count()
     if count > MAX_MATERIALIZED_EDGES:
@@ -222,6 +219,15 @@ def _materialize(spec, label_of=None):
             f"{count} edges exceeds the materialization cap of "
             f"{MAX_MATERIALIZED_EDGES}; use the stream module for this size"
         )
+    return count
+
+
+def _materialize(spec, label_of=None):
+    """``spec``'s graph, and the labels ``label_of(first, k, pos)`` gives its copies, or None.
+
+    Filled ``RANGE_EDGES`` canonical positions at a time, so no temporary spans every edge.
+    """
+    count = check_materializable(spec)
     factors = factor_kinds(spec)
     cols = spec.col_count()
     vertices = np.stack(np.divmod(np.arange(spec.vertex_count()), cols), axis=1) + 1
@@ -313,10 +319,12 @@ def graph_from_edges(edges):
     lists.  The first edge that is not canonical, a self-loop or a repeat raises.
     """
     rows = []
-    for a, b in edges:
-        if len(a) != 2 or len(b) != 2:
-            raise InvalidParameterError(f"edge {(a, b)} does not join two (row, col) pairs")
-        rows.append((*a, *b))
+    for edge in edges:
+        try:
+            (r1, c1), (r2, c2) = edge
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"edge {edge} does not join two (row, col) pairs") from None
+        rows.append((r1, c1, r2, c2))
     coords = [value for row in rows for value in row]
     if set(map(type, coords)) - {int}:  # one bulk test; the slow check names the first non-int
         _check_ints(**{f"coordinate {i % 4 + 1} of edge {i // 4 + 1}": value for i, value in enumerate(coords)})

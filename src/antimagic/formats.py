@@ -1,15 +1,16 @@
 """Serialization of labelings as JSON, TSV, and pinned-layout DOT.
 
-Writers format int rows with a numpy digit kernel, which TSV shares with
-``generate --stream``; only the DOT node lines (float positions) use ``%``.
-The JSON and TSV forms round-trip.  A headerless file (all TSV, JSON without a
-family) gets an ad-hoc graph built from the edges in the file, so external
-labelings (including single-edge negative controls) can be verified.  A
-headered JSON file gets the family's graph: its header must describe exactly
-the edges in the file.
+One block writer renders every form from blocks of int rows, edges and vertex sums,
+through a numpy digit kernel; only the ring positions of DOT (cosines and sines) use
+``%``.  It yields the text block by block, so the command line writes a lattice or
+prism straight from the closed forms.  The JSON and TSV forms round-trip.  A
+headerless file (all TSV, JSON without a family) gets an ad-hoc graph built from
+the edges in the file, so external labelings (including single-edge negative
+controls) can be verified.  A headered JSON file gets the family's graph: its
+header must describe exactly the edges in the file.
 
-Parsers first read every signed decimal of the file in one numpy call and
-keep the values only if the writer renders them back as exactly the input:
+Parsers first read every signed decimal of the file in one numpy call and keep the
+values only if the writer renders them back, block by block, as exactly the input:
 that proves the file is valid, every value fits int64, and ``json.loads`` or
 the line walk would give the same rows.  Any other file takes that slower
 path: ``json.loads`` and a walk over its edge entries, or a TSV walk line by
@@ -30,25 +31,29 @@ from .families import (
     CYCLE,
     FAMILIES,
     LATTICE,
-    MAX_MATERIALIZED_EDGES,
     PATH,
     PRISM,
     FamilySpec,
     _adhoc_graph,
     _canonical_rows,
     build_graph,
+    check_materializable,
 )
 from .labelings import Labeling
 from .verification import vertex_sums
 
 _ROWS_PER_BLOCK = 1 << 11
 _TSV_FIELDS = ("r1", "c1", "r2", "c2", "label")
+_TSV_LINE = "%d\t%d\t%d\t%d\t%d\n"
 # the JSON layout: head line, edge lines, sum lines, and the markers around them
-_JSON_EDGE = '    {"u": [%d, %d], "v": [%d, %d], "label": %d},\n'
-_JSON_SUM = '    "%d,%d": %d,\n'
+_JSON_EDGE = ',\n    {"u": [%d, %d], "v": [%d, %d], "label": %d}'  # each line after the first starts with ","
+_JSON_SUM = ',\n    "%d,%d": %d'
 _JSON_EDGES, _JSON_SUMS, _JSON_END = '  "edges": [\n', '\n  ],\n  "sums": {\n', '\n  }\n}\n'
 _BLANK_ALL_BUT_DECIMALS = str.maketrans(dict.fromkeys(set(map(chr, range(128))) - set("-0123456789"), " "))
-_DOT_NODE = '  "%d,%d" [label="%d" pos="%.3f,%.3f!"];\n'  # the one template with float fields, so formatted by %
+_DOT_HEAD = "graph antimagic {\n  layout=neato;\n  node [shape=circle fontsize=10];\n  edge [fontsize=9];\n"
+_DOT_EDGE = '  "%d,%d" -- "%d,%d" [label="%d"];\n'
+_DOT_NODE = '  "%d,%d" [label="%d" pos="%d.000,%d.000!"];\n'  # grid and path positions are ints
+_DOT_RING_NODE = '  "%d,%d" [label="%d" pos="%.3f,%.3f!"];\n'  # cosines and sines, so formatted by %
 
 
 def _blocks(rows):
@@ -57,19 +62,19 @@ def _blocks(rows):
 
 def _format_rows(fmt, rows):
     """``fmt``, whose fields are all ``%d``, applied to every row of a 2-D int array."""
-    return "".join(_row_blocks(fmt, rows))
+    return "".join(_row_blocks(fmt, [rows]))
 
 
-def _row_blocks(fmt, rows):
-    """The text of :func:`_format_rows`, yielded one block of rows at a time.
+def _row_blocks(fmt, arrays):
+    """The text of :func:`_format_rows` over each 2-D int array of ``arrays``, one block of rows at a time.
 
-    A block of B rows is a (width, B) byte matrix: broadcast literals, then per field
-    a sign row if the block holds a negative value and a row per digit, cut by ``// 10``
-    in uint32, uint64 or Python ints, whichever holds the block.  A keep mask from
-    ``>= 10**p`` drops leading zeros and unused signs; the kept bytes are the text.
+    A block of B rows is a (width, B) byte matrix: broadcast literals, then per field a sign row if
+    the block holds a negative value and a row per digit, cut by ``// 10`` in uint32, uint64 or
+    Python ints, whichever holds the block.  A keep mask from ``>= 10**p`` drops leading zeros and
+    unused signs; the kept bytes are the text.
     """
     literals = [np.frombuffer(part.encode(), np.uint8) for part in fmt.split("%d")]
-    for block in _blocks(rows):
+    for block in (block for rows in arrays for block in _blocks(rows)):
         fields = np.ascontiguousarray(block.T)
         lows, highs = fields.min(axis=1).tolist(), fields.max(axis=1).tolist()
         digits = [len(str(max(high, -low))) for low, high in zip(lows, highs)]
@@ -94,25 +99,49 @@ def _row_blocks(fmt, rows):
 
 def tsv_text(rows):
     """One "r1 c1 r2 c2 label" line per row of (B, 5) int rows, tab separated."""
-    return _format_rows("%d\t%d\t%d\t%d\t%d\n", rows)
+    return _format_rows(_TSV_LINE, rows)
 
 
-def _json_text(header, edge_rows, sum_rows):
-    """The JSON file of a header dict, (E, 5) edge rows and (V, 3) vertex-sum rows."""
-    # one join of the block texts; only each list's last block is cut, to drop its final ",\n"
-    edges, sums = [*_row_blocks(_JSON_EDGE, edge_rows)] or [""], [*_row_blocks(_JSON_SUM, sum_rows)] or [""]
-    edges[-1], sums[-1] = edges[-1][:-2], sums[-1][:-2]
-    return "".join((f"{{\n  {json.dumps(header)[1:-1]},\n", _JSON_EDGES, *edges, _JSON_SUMS, *sums, _JSON_END))
+def text_blocks(fmt, header, edges, sums):
+    """A labeling's ``fmt`` text ("json", "tsv" or "dot"), block by block.
+
+    ``header`` is the ``family``/``m``/``n`` dict, ``edges`` yields (B, 5) rows ``r1, c1, r2, c2,
+    label`` and ``sums`` (B, 3) rows ``r, c, sum``; TSV reads the edges only.
+    """
+    if fmt == "tsv":
+        yield from _row_blocks(_TSV_LINE, edges)
+    elif fmt == "json":
+        yield f"{{\n  {json.dumps(header)[1:-1]},\n" + _JSON_EDGES
+        for lines, close in ((_row_blocks(_JSON_EDGE, edges), _JSON_SUMS), (_row_blocks(_JSON_SUM, sums), _JSON_END)):
+            yield next(lines, ",\n")[2:]  # every line but the first starts with ",\n"
+            yield from lines
+            yield close
+    else:
+        yield _DOT_HEAD
+        for block in (block for rows in sums for block in _blocks(rows)):
+            r, c = block[:, :2].T.astype(np.int64)  # sums past int64 make an object block
+            if header["family"] in (CYCLE, PRISM):  # ring position i at angle 2 pi (i-1)/m, layer j at radius j
+                angle = [2.0 * math.pi * (i - 1) / header["m"] for i in range(r[0], r[-1] + 1)]
+                x, y = (c * np.array([f(a) for a in angle])[r - r[0]] for f in (math.cos, math.sin))
+                yield _DOT_RING_NODE * len(block) % tuple(np.column_stack((block.astype(object), x, y)).flat)
+            else:  # grids on a grid, paths on an axis
+                x, y = (r, 0 * r) if header["family"] == PATH else (c, -r)
+                yield from _row_blocks(_DOT_NODE, [np.column_stack((block, x, y))])
+        yield from _row_blocks(_DOT_EDGE, edges)
+        yield "}\n"
+
+
+def labeling_blocks(lab):
+    """``(header, edges, sums)`` of a labeling for :func:`text_blocks`, as slices of its arrays."""
+    graph, sums = lab.graph, vertex_sums(lab).sums
+    header = graph.spec.header() if graph.spec is not None else dict.fromkeys(("family", "m", "n"))
+    edges = (np.column_stack((graph.edge_array[at], lab.labels[at])) for at in _blocks(range(len(lab.labels))))
+    return header, edges, (np.column_stack((graph.vertex_array[at], sums[at])) for at in _blocks(range(len(sums))))
 
 
 def labeling_to_json(lab):
     """Render with one edge object and one sum entry per line."""
-    graph = lab.graph
-    header = graph.spec.header() if graph.spec is not None else dict.fromkeys(("family", "m", "n"))
-    sums = vertex_sums(lab).sums
-    return _json_text(
-        header, np.column_stack((graph.edge_array, lab.labels)), np.column_stack((graph.vertex_array, sums))
-    )
+    return "".join(text_blocks("json", *labeling_blocks(lab)))
 
 
 def labeling_tsv_rows(lab, by_label=False):
@@ -126,37 +155,9 @@ def labeling_tsv_lines(lab, by_label=False):
     return iter(tsv_text(labeling_tsv_rows(lab, by_label)).splitlines())
 
 
-def _vertex_positions(graph):
-    """Plot coordinates per vertex as (V, 2) floats: grids on a grid, rings on circles."""
-    r, c = graph.vertex_array.T.astype(float)
-    family = graph.spec.family if graph.spec is not None else None
-    if family == PATH:
-        return np.stack((r, 0.0 * r), axis=1)
-    if family in (CYCLE, PRISM):  # ring position i at angle 2 pi (i-1)/m, layer j at radius j
-        m = graph.spec.m
-        angle = [2.0 * math.pi * (i - 1) / m for i in range(1, m + 1)]
-        cos, sin = np.array([math.cos(a) for a in angle]), np.array([math.sin(a) for a in angle])
-        at = graph.vertex_array[:, 0] - 1
-        return np.stack((c * cos[at], c * sin[at]), axis=1)
-    return np.stack((c, -r), axis=1)
-
-
 def labeling_to_dot(lab):
     """Graphviz (neato) source with pinned positions; node text is the vertex sum."""
-    graph = lab.graph
-    nodes = np.empty((len(graph.vertex_array), 5), dtype=object)
-    nodes[:, :2] = graph.vertex_array
-    nodes[:, 2] = vertex_sums(lab).sums
-    nodes[:, 3:] = _vertex_positions(graph)
-    return (
-        "graph antimagic {\n"
-        "  layout=neato;\n"
-        "  node [shape=circle fontsize=10];\n"
-        "  edge [fontsize=9];\n"
-        + "".join(_DOT_NODE * len(block) % tuple(block.ravel().tolist()) for block in _blocks(nodes))
-        + _format_rows('  "%d,%d" -- "%d,%d" [label="%d"];\n', np.column_stack((graph.edge_array, lab.labels)))
-        + "}\n"
-    )
+    return "".join(text_blocks("dot", *labeling_blocks(lab)))
 
 
 def _check_int64(what, value):
@@ -182,11 +183,10 @@ def _headerless(rows):
 def _decimal_rows(text, width):
     """Every signed decimal in ``text`` as (N, width) int64 rows; None if numpy stops short or N is ragged.
 
-    All other ASCII is blanked first.  numpy clamps a value outside int64 rather than
-    refusing it, so the rows are only to be trusted once they render back as ``text``.
-    That check also rejects a short read: a text the writer renders is read to its end.
-    ``warnings.catch_warnings`` swaps the process-wide filters, so this is not thread-safe
-    before Python 3.14.
+    All other ASCII is blanked first.  numpy clamps a value outside int64 rather than refusing it, so
+    the rows are only to be trusted once they render back as ``text``.  That check also rejects a
+    short read: a text the writer renders is read to its end.  ``warnings.catch_warnings`` swaps the
+    process-wide filters, so this is not thread-safe before Python 3.14.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # older numpy warns, not raises, on a partial read
@@ -197,10 +197,20 @@ def _decimal_rows(text, width):
     return values.reshape(-1, width) if len(values) % width == 0 else None
 
 
+def _renders_as(text, blocks):
+    """Whether the text ``blocks`` make up exactly ``text``, each compared in place at its offset."""
+    at = 0
+    for block in blocks:
+        if not text.startswith(block, at):
+            return False
+        at += len(block)
+    return at == len(text)
+
+
 def _writer_tsv(text):
     """The (E, 5) rows of ``text`` if ``tsv_text`` renders them as exactly ``text``, else None."""
     rows = _decimal_rows(text, 5)
-    return rows if rows is not None and tsv_text(rows) == text else None
+    return rows if rows is not None and _renders_as(text, _row_blocks(_TSV_LINE, [rows])) else None
 
 
 def _tsv_rows(text):
@@ -244,11 +254,14 @@ def _writer_json(text):
         header = json.loads("{" + text[:at][1:-2] + "}")
     except (ValueError, RecursionError):
         return None
-    rows, sums = _decimal_rows(text[at:stop], 5), _decimal_rows(text[stop:], 3)  # no marker holds a digit
-    if rows is None or sums is None:
-        return None
     header = {key: header.get(key) for key in ("family", "m", "n")}
-    return (header, rows) if _json_text(header, rows, sums) == text else None
+    values = _decimal_rows(text, 1)  # the whole text in one pass; no marker holds a digit
+    start = sum(type(value) is int for value in header.values())  # the head line's decimals
+    cut = start + 5 * text.count("\n", at, stop)  # the edge list ends a line per edge
+    if values is None or len(values) < cut or (len(values) - cut) % 3:
+        return None
+    rows, sums = values[start:cut].reshape(-1, 5), values[cut:].reshape(-1, 3)
+    return (header, rows) if _renders_as(text, text_blocks("json", header, [rows], [sums])) else None
 
 
 def _json_rows(entries):
@@ -297,21 +310,15 @@ def parse_json(text):
         spec = FamilySpec(family, m, n)
     else:
         spec = FamilySpec(family, m)
-    try:
-        spec.validate()
-        # a count mismatch needs no graph, but above the cap build_graph refuses first
-        count = spec.edge_count()
-        mismatch = len(rows) != count and count <= MAX_MATERIALIZED_EDGES
-        graph = None if mismatch else build_graph(spec)
+    try:  # a count mismatch needs no graph, but a spec above the cap is refused first
+        graph = build_graph(spec) if len(rows) == check_materializable(spec) else None
     except InvalidParameterError as exc:
         raise FormatError(str(exc)) from exc
-    if mismatch or not np.array_equal(graph.edge_array, rows[:, :4]):
+    if graph is None or not np.array_equal(graph.edge_array, rows[:, :4]):
         raise FormatError(f"edges do not match {family} m={m}" + (f" n={n}" if n else ""))
     return Labeling(graph, rows[:, 4].copy())
 
 
 def parse_labeling(text):
     """Sniff JSON (leading '{') vs TSV and parse accordingly."""
-    if text.lstrip().startswith("{"):
-        return parse_json(text)
-    return parse_tsv(text)
+    return parse_json(text) if text.lstrip().startswith("{") else parse_tsv(text)

@@ -16,6 +16,8 @@ from .labelings import Labeling
 
 #: exhaustive search walks |E|! permutations; beyond this it is refused
 MAX_EXHAUSTIVE_EDGES = 10
+#: random search turns every edge into Python tuples before its first trial; beyond this it is refused
+MAX_RANDOM_EDGES = 1 << 16
 
 
 @dataclass
@@ -49,13 +51,12 @@ def _as_labeling(graph, edges, values):
     return Labeling(graph, dict(zip(edges, values)))
 
 
-def check_exhaustive_size(edges):
-    """Refuse an exhaustive search over more than ``MAX_EXHAUSTIVE_EDGES`` edges (read at call time)."""
-    if edges > MAX_EXHAUSTIVE_EDGES:
-        raise SizeRefusalError(
-            f"exhaustive search over {edges} edges means {edges}! labelings; "
-            f"the cap is {MAX_EXHAUSTIVE_EDGES} edges"
-        )
+def check_search_size(edges, exhaustive=True):
+    """Refuse a search over more edges than ``MAX_EXHAUSTIVE_EDGES`` or ``MAX_RANDOM_EDGES`` (read at call time)."""
+    cap = MAX_EXHAUSTIVE_EDGES if exhaustive else MAX_RANDOM_EDGES
+    if edges > cap:
+        mode, scale = ("exhaustive", f" means {edges}! labelings") if exhaustive else ("random", "")
+        raise SizeRefusalError(f"{mode} search over {edges} edges{scale}; the cap is {cap} edges")
 
 
 def exhaustive_search(graph, reference=None, prune=False):
@@ -66,7 +67,7 @@ def exhaustive_search(graph, reference=None, prune=False):
     leaves only, so the antimagic count and the first antimagic labeling are
     identical to the unpruned walk.
     """
-    check_exhaustive_size(len(graph.edge_array))
+    check_search_size(len(graph.edge_array))
     edges, pairs, nv = _prepared(graph)
     ne = len(edges)
     ref = None
@@ -168,6 +169,7 @@ def random_search(graph, trials, seed):
     """
     if trials < 0:
         raise InvalidParameterError(f"trials must be >= 0, got {trials}")
+    check_search_size(len(graph.edge_array), exhaustive=False)
     edges, pairs, nv = _prepared(graph)
     ne = len(edges)
     rng = random.Random(seed)

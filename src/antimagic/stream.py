@@ -1,36 +1,28 @@
 """Closed-form edge labels, block emission and bounded-memory verification for huge grids and prisms.
 
-Every construction's labels have a closed form under the skip namings, and
-these forms are their one source: ``label()`` reads them into the
-materialized view, and the functions here read them edge by edge or block
-by block.  A construction is one class with two label formulas and their
-inverse: ``first(k, j)``, the label of first-factor edge ``k`` in column
-``j``, ``second(i, k)``, the label of second-factor edge ``k`` in row
-``i``, and ``invert``.  All three are branch-free arithmetic, so one
-expression takes ints (one edge) or int64 arrays (a block of edges).  There
-are four: the general grid, the 1 x 1 grid, the general prism, and the
+Every construction's labels have a closed form under the skip namings, and these
+forms are their one source: ``label()`` reads them into the materialized view, and
+the functions here read them edge by edge or block by block.  A construction is one
+class with two label formulas, ``first(k, j)`` for first-factor edge ``k`` in column
+``j`` and ``second(i, k)`` for second-factor edge ``k`` in row ``i``, and their
+inverse ``invert``; all three are branch-free arithmetic over ints or int64 arrays.
+There are four: the general grid, the 1 x 1 grid, the general prism, and the
 ladder, which covers both the two-row grid and the two-layer prism.
 
-``_forms(spec)``, one checked view of a spec, labels a copy ``(first, k,
-pos)`` by ``copy_label``; its endpoints and canonical position come from the
-closed forms in :mod:`antimagic.families`.  On top of these sit
-``closed_form_label``; ``iter_edge_blocks``, which emits every edge as int64
-arrays, one range of ``BLOCK_EDGES`` positions at a time, mapped to copies
-by canonical position or, inverting the labels, by label
-(``iter_labeled_edges`` is its per-edge view); and ``stream_verify``, which
-sweeps the columns in spans of rows, adding each column's first-factor
-block, gathered over the row factor's incidence, to the blocks of the edges
-meeting it.  It checks bijectivity and sum distinctness exactly: labels and
-sums are buffered, and each full buffer is scattered into value-range
-buckets on disk, so live state stays at one span of a column (a quarter
-chunk, or eight short sides) plus the two buffers and one bucket.  Each full
-buffer is spilled as a sorted run, to a file per bucket or, past
-``RUN_BUCKETS`` buckets, to one file, and a bucket is read back as its slice
-of every run.
+``_forms(spec)``, one checked view of a spec, labels a copy ``(first, k, pos)`` by
+``copy_label``.  On it sit ``closed_form_label``; ``iter_edge_blocks``, every edge as
+int64 rows, ``BLOCK_EDGES`` canonical positions or labels at a time
+(``iter_labeled_edges`` is its per-edge view); ``iter_sum_blocks``, every vertex sum
+in vertex order; and ``stream_verify``, which sweeps the columns in spans of rows
+and checks bijectivity and sum distinctness exactly: labels and sums are buffered,
+and each full buffer is spilled as a sorted run into value-range buckets on disk (a
+file per bucket, or past ``RUN_BUCKETS`` buckets one file), so live state stays at
+one span of a column plus the two buffers and one bucket.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import time
@@ -85,12 +77,10 @@ def _merge(m, n, p):
 
 
 def _incidence(kind, size, r0, r1):
-    """The factor edges meeting vertices ``r0..r1`` and their incidence, as 0-based offsets.
+    """``(edges, a, b, single)``: vertex ``r0 + v`` meets factor edges ``edges[a[v]]`` and ``edges[b[v]]``.
 
-    By the window of ``_factor_edges_at`` the candidates are edges
-    ``r0-2..r1+1``.  Returns ``(edges, a, b, single)``: vertex ``r0 + v``
-    meets edges ``edges[a[v]]`` and ``edges[b[v]]``, which coincide for the
-    degree-1 vertices listed in ``single``.
+    The two coincide for the degree-1 vertices listed in ``single``.  By the window of
+    ``_factor_edges_at`` the candidates are edges ``r0-2..r1+1``.
     """
     edges = np.arange(max(1, r0 - 2), min(_factor_edge_count(kind, size), r1 + 1) + 1, dtype=np.int64)
     ends = np.concatenate(_factor_edge_endpoints(kind, size, edges)) - r0
@@ -105,16 +95,11 @@ def _incidence(kind, size, r0, r1):
 class _Forms:
     """One construction's closed forms, in the normalized orientation.
 
-    A subclass gives ``first(k, j)``, the label of first-factor edge ``k``
-    in column ``j``, ``second(i, k)``, the label of second-factor edge ``k``
-    in row ``i``, and their inverse ``invert(label) -> (first, k, pos)``,
-    where ``first`` tells which formula gave the label.  All three are
-    branch-free arithmetic: each argument may be an int or an int64 array,
-    ints give exact Python ints, and the caller passes valid indices only.
-    Column sums derive from the label blocks here, once for every
-    construction.  ``transposed`` says whether they label the caller's spec
-    through its transpose, and ``factors`` is that spec's own
-    ``factor_kinds``.  The forms hold no arrays, so a cached entry stays small.
+    A subclass gives ``first(k, j)``, ``second(i, k)`` and their inverse ``invert(label)
+    -> (first, k, pos)``, where ``first`` tells which formula gave the label; ints give
+    exact Python ints, and the caller passes valid indices only.  ``transposed`` says
+    whether the forms label the caller's spec through its transpose, and ``factors`` is
+    that spec's own ``factor_kinds``.  The forms hold no arrays, so a cached entry stays small.
     """
 
     def __init__(self, spec, transposed):
@@ -132,16 +117,13 @@ class _Forms:
     def columns(self, span, keep=None):
         """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
 
-        The rows are swept in spans of at most ``span``, each span column by
-        column.  A column's first-factor block is gathered over the incidence
-        of the row factor's edges meeting the span, and the blocks of the
-        second-factor edges meeting the column add in row by row, reusing the
-        one the previous column ended with (edge j-1 on a grid; skip-path
-        blocks are made in both columns).  ``keep``, if given, is handed the
-        blocks whose labels the span's column ``j`` owns while they are live:
-        its first-factor edges whose listing index is a row of the span, then
-        second-factor edge ``j``.  The sweep's index arrays are locals, so they
-        live only while it runs.
+        The rows are swept in spans of at most ``span``, each span column by column.  A column's
+        first-factor block is gathered over the incidence of the row factor's edges meeting the
+        span, and the blocks of the second-factor edges meeting the column add in row by row,
+        reusing the one the previous column ended with (edge j-1 on a grid; skip-path blocks are
+        made in both columns).  ``keep``, if given, is handed the blocks whose labels the span's
+        column ``j`` owns while they are live: its first-factor edges whose listing index is a row
+        of the span, then second-factor edge ``j``.  Its index arrays live only while it runs.
         """
         count = _factor_edge_count(self.row_kind, self.rows)
         for r0 in range(1, self.rows + 1, span):
@@ -301,11 +283,10 @@ def _forms(spec):
 class EdgeKey(NamedTuple):
     """One edge of a lattice or prism, named without materializing the graph.
 
-    ``orientation`` is "row" for first-factor copies (endpoints share a
-    column) and "col" for second-factor copies; ``k`` is the factor edge's
-    listing index and ``pos`` the cross coordinate (the column for row edges,
-    the row for column edges).  Coordinates are in ``spec``'s own
-    orientation, including for grid shapes labeled through their transpose.
+    ``orientation`` is "row" for first-factor copies (endpoints share a column) and "col"
+    for second-factor copies; ``k`` is the factor edge's listing index and ``pos`` the
+    cross coordinate (the column for row edges, the row for column edges), in ``spec``'s
+    own orientation, also for grid shapes labeled through their transpose.
     """
 
     spec: FamilySpec
@@ -361,11 +342,10 @@ def closed_form_label(key):
 def iter_edge_blocks(spec, by_label=False):
     """Yield every edge as rows ``r1, c1, r2, c2, label`` of ``(B, 5)`` int64 arrays.
 
-    Default order is canonical (sorted endpoint pairs); ``by_label`` walks
-    labels 1..|E| instead.  Each block is a range of at most ``BLOCK_EDGES``
-    positions in that order, mapped to its copies by the canonical closed
-    form or by inverting the labels, so memory does not grow with the side
-    lengths.  Validation happens up front, not at the first block.
+    Default order is canonical (sorted endpoint pairs); ``by_label`` walks labels 1..|E| instead.
+    Each block is a range of at most ``BLOCK_EDGES`` positions in that order, mapped to its copies
+    by the canonical closed form or by inverting the labels, so memory does not grow with the side
+    lengths.  Validation happens up front.
     """
     forms = _forms(spec)
     edges = spec.edge_count()
@@ -385,6 +365,28 @@ def iter_edge_blocks(spec, by_label=False):
     return blocks()
 
 
+def iter_sum_blocks(spec):
+    """Yield every vertex sum as rows ``r, c, sum`` of ``(B, 3)`` int64 arrays, in vertex order.
+
+    A block is whole rows, or part of one, of at most ``BLOCK_EDGES`` vertices; each vertex
+    adds the labels of the factor-edge copies meeting it.  The spec is checked at the first block.
+    """
+    forms = _forms(spec)
+    row_kind, col_kind, rows, cols = forms.factors
+
+    def meeting(kind, size, lo, hi, first, axis, pos):  # labels of the copies at vertices lo..hi of a factor
+        edges, a, b, _ = _incidence(kind, size, lo, hi)
+        a, b, twice = (np.expand_dims(v, axis) for v in (edges[a], edges[b], a != b))
+        return forms.copy_label(first, a, pos) + forms.copy_label(first, b, pos) * twice
+
+    height, width = max(1, BLOCK_EDGES // cols), min(cols, BLOCK_EDGES)
+    for r0, c0 in itertools.product(range(1, rows + 1, height), range(1, cols + 1, width)):
+        r1, c1 = min(rows, r0 + height - 1), min(cols, c0 + width - 1)
+        r, c = np.arange(r0, r1 + 1)[:, None], np.arange(c0, c1 + 1)
+        sums = meeting(row_kind, rows, r0, r1, True, 1, c) + meeting(col_kind, cols, c0, c1, False, 0, r)
+        yield np.column_stack((np.repeat(r, c.size), np.tile(c, r.size), sums.ravel()))
+
+
 def iter_labeled_edges(spec, by_label=False):
     """Yield ``(r1, c1, r2, c2, label)`` for every edge: a per-edge view of :func:`iter_edge_blocks`."""
     blocks = iter_edge_blocks(spec, by_label)
@@ -395,9 +397,9 @@ def iter_labeled_edges(spec, by_label=False):
 class StreamStats:
     """Work and live-state accounting for one ``stream_verify`` run.
 
-    ``spill_files`` counts the files the two stores opened, one per bucket
-    that spilled a value, or one per store past ``RUN_BUCKETS`` buckets;
-    ``spill_bytes`` every byte written to them, widening rewrites included.
+    ``spill_files`` counts the files the two stores opened, one per bucket that spilled a value, or
+    one per store past ``RUN_BUCKETS`` buckets; ``spill_bytes`` every byte written to them, widening
+    rewrites included.
     """
 
     edges_labeled: int = 0
@@ -411,20 +413,17 @@ class StreamStats:
 class _BucketStore:
     """Routes integer values into ascending value-range buckets, in batches.
 
-    ``add`` appends to a buffer.  Once it holds ``chunk_target`` values, the
-    buffer is sorted once and spilled as a run: each file takes its buckets'
-    slice in one write, and the store notes the run's bucket cuts and, per
-    file, the shift from cut to file position.  A file holds one bucket in a
-    store of at most ``RUN_BUCKETS`` buckets, and all of them in a larger one;
-    a store whose buffer never fills opens none.  Cuts and shifts count values,
-    not bytes, so they survive widening.  Values are ``uint32`` while ``upper``
-    and every value fit; the first value outside 0..2**32-1 widens the store to
-    int64, rewriting each open file in place, a chunk at a time.  Iterating
-    yields every bucket, unsorted, while only one is live, read with one
-    ``os.preadv`` per run holding part of it.  ``peak`` counts the most values
-    held at once (cuts and shifts are metadata, like a file's buffer, and are
-    not counted), ``written`` the bytes written to files.  As a context manager
-    it closes every file on exit.
+    ``add`` appends to a buffer.  Once it holds ``chunk_target`` values, the buffer is sorted once
+    and spilled as a run: each file takes its buckets' slice in one write, and the store notes the
+    run's bucket cuts and, per file, the shift from cut to file position.  A file holds one bucket
+    in a store of at most ``RUN_BUCKETS`` buckets, and all of them in a larger one; a store whose
+    buffer never fills opens none.  Cuts and shifts count values, not bytes, so they survive
+    widening.  Values are ``uint32`` while ``upper`` and every value fit; the first value outside
+    0..2**32-1 widens the store to int64, rewriting each open file in place, a chunk at a time.
+    Iterating yields every bucket, unsorted, while only one is live, read with one ``os.preadv`` per
+    run holding part of it.  ``peak`` counts the most values held at once (cuts and shifts are
+    metadata, like a file's buffer, and are not counted), ``written`` the bytes written to files.
+    As a context manager it closes every file on exit.
     """
 
     def __init__(self, expected, upper, chunk_target, tmpdir, tag):
@@ -556,28 +555,24 @@ def _collect_duplicates(store):
     return sorted(dups)
 
 
-def _locate_duplicate_pair(forms, dup_values, span):
-    targets = np.array(dup_values, dtype=np.int64)
-    hits = {}
-    for j, r0, column in forms.columns(span):
-        for idx in np.flatnonzero(np.isin(column, targets)):
-            i = r0 + int(idx)
-            vertex = (j, i) if forms.transposed else (i, j)
-            hits.setdefault(int(column[idx]), []).append(vertex)
-    pairs = [tuple(sorted(vertices)[:2]) for vertices in hits.values() if len(vertices) >= 2]
+def _locate_duplicate_pair(spec, dup_values):
+    hits = {}  # vertices of each repeated sum, in vertex order
+    for block in iter_sum_blocks(spec):
+        for r, c, total in block[np.isin(block[:, 2], dup_values)].tolist():
+            hits.setdefault(total, []).append((r, c))
+    pairs = [tuple(vertices[:2]) for vertices in hits.values() if len(vertices) >= 2]
     return min(pairs) if pairs else None
 
 
 def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     """Antimagic check without materializing the graph or the labeling.
 
-    Sweeps columns, computing each column's vertex sums in closed form, and
-    checks exactly (no sampling, no hashing tricks) that the labels are a
-    bijection onto 1..|E| and the sums are pairwise distinct.  Live state is
-    one span of a column of the normalized orientation, at most
-    ``max(chunk_target // 4, 8 * (min(m, n) + 2))`` rows, plus a label and a
-    sum buffer of about ``chunk_target`` values each; value-range buckets on
-    disk carry the rest, and a stream that never fills a buffer touches no disk.
+    Sweeps columns, computing each column's vertex sums in closed form, and checks exactly (no
+    sampling, no hashing tricks) that the labels are a bijection onto 1..|E| and the sums are
+    pairwise distinct.  Live state is one span of a column of the normalized orientation, at most
+    ``max(chunk_target // 4, 8 * (min(m, n) + 2))`` rows, plus a label and a sum buffer of about
+    ``chunk_target`` values each; value-range buckets on disk carry the rest, and a stream that
+    never fills a buffer touches no disk.
     """
     start = time.perf_counter()
     forms = _forms(spec)
@@ -600,7 +595,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
         dup_values = _collect_duplicates(sum_store)
     duplicate = None
     if bijection_ok and dup_values:
-        duplicate = _locate_duplicate_pair(forms, dup_values, span)
+        duplicate = _locate_duplicate_pair(spec, dup_values)
     antimagic = bijection_ok and not dup_values
     if stats is not None:
         stats.edges_labeled = ne

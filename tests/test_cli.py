@@ -3,7 +3,13 @@
 import contextlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,6 +21,7 @@ from antimagic import (
     PRISM,
     FamilySpec,
     label,
+    labeling_to_dot,
     labeling_to_json,
     labeling_tsv_lines,
     parse_json,
@@ -24,6 +31,9 @@ from antimagic import (
 )
 from antimagic import cli
 from antimagic.cli import main
+from antimagic.formats import labeling_tsv_rows, tsv_text
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, argv):
@@ -93,6 +103,32 @@ def test_stream_block_across_powers_of_ten_matches_str_reference(capsys):
         ordered = sorted(rows, key=lambda row: row[4]) if by_label else rows
         want = "".join("\t".join(map(str, row)) + "\n" for row in ordered)
         assert run(capsys, argv + ["--by-label"] * by_label) == (0, want, ""), by_label
+
+
+@pytest.mark.parametrize("spec", [FamilySpec(LATTICE, 5, 7), FamilySpec(LATTICE, 7, 5), FamilySpec(PRISM, 6, 3)], ids=str)
+def test_generate_writes_lattices_and_prisms_from_the_closed_forms(capsys, monkeypatch, spec):
+    lab = label(spec)
+    want = {"json": labeling_to_json(lab), "dot": labeling_to_dot(lab), "tsv": tsv_text(labeling_tsv_rows(lab))}
+
+    def unreachable(spec):
+        raise AssertionError(f"labeled {spec}")
+
+    monkeypatch.setattr(cli, "label", unreachable)
+    for fmt, text in want.items():
+        assert run(capsys, ["generate", spec.family, str(spec.m), str(spec.n), "--format", fmt]) == (0, text, ""), fmt
+
+
+def test_generate_json_holds_one_block_at_a_time(tmp_path):
+    # the 561,100-edge text is about 30 MB; the blocks are formatted and written in turn
+    main(["generate", "lattice", "3", "3", "-o", str(tmp_path / "warm.json")])  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(["generate", "lattice", "400", "700", "-o", str(tmp_path / "big.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.json").stat().st_size > 20 << 20
+    assert peak < 4 << 20
 
 
 def test_generate_stream_by_label(capsys):
@@ -400,6 +436,49 @@ def test_search_refuses_before_building(capsys, monkeypatch):
     code, out, err = run(capsys, ["search", "lattice", "1000", "1000"])
     assert code == 4 and out == ""
     assert err == "antimagic: exhaustive search over 2002000 edges means 2002000! labelings; the cap is 10 edges\n"
+
+
+def test_search_random_refuses_before_building(capsys, monkeypatch):
+    def unreachable(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(cli, "build_graph", unreachable)
+    code, out, err = run(capsys, ["search", "lattice", "500", "500", "--random", "0"])
+    assert code == 4 and out == ""
+    assert err == f"antimagic: random search over 501000 edges; the cap is {oracle.MAX_RANDOM_EDGES} edges\n"
+
+
+@pytest.mark.parametrize(
+    "error,line",
+    [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB")],
+)
+def test_memory_error_exits_4_with_one_line(capsys, monkeypatch, error, line):
+    def exhausted(spec):
+        raise error
+
+    monkeypatch.setattr(cli, "label", exhausted)
+    assert run(capsys, ["properties", "lattice", "3", "3"]) == (4, "", f"antimagic: {line}\n")
+
+
+def _run_under_one_gib(argv):
+    """The console entry point in a child whose address space is capped at 1 GiB; this process keeps its limits."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = "import sys; from antimagic.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, preexec_fn=cap
+    )
+
+
+def test_out_of_memory_in_numpy_exits_4_without_a_traceback():
+    # 18,006,000 edges pass the materialization cap, but their arrays do not fit in 1 GiB
+    done = _run_under_one_gib(["properties", "lattice", "3000", "3000"])
+    err = done.stderr.decode()
+    assert done.returncode == 4, err
+    assert err.startswith("antimagic: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bench_reports_stats(capsys):

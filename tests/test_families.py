@@ -270,6 +270,12 @@ def test_graph_from_edges_checks_a_one_shot_iterable(edges, fragment):
         [((1,), (2, 1, 5))],
         [((1, 1), (1, 2)), ((1, 1), (2.5,))],
         [((1, 1), (1, 2)), ((), (1.5, 1, 1, 1))],
+        # edges that do not unpack into two endpoints: three endpoints, two ints, one int, an int, None
+        [((1, 1), (1, 2)), ((1, 1), (1, 2), (1, 3))],
+        [((1, 1), (1, 2)), (1, 2)],
+        [((1, 1), (1, 2)), (1,)],
+        [((1, 1), (1, 2)), 7],
+        [((1, 1), (1, 2)), None],
     ],
 )
 def test_graph_from_edges_refuses_endpoints_that_are_not_pairs(edges):

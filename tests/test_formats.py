@@ -361,6 +361,22 @@ def test_json_sums_beyond_int64_are_exact():
     assert json.loads(labeling_to_json(big))["sums"] == want
 
 
+@pytest.mark.parametrize("spec", [FamilySpec(PRISM, 4, 1), FamilySpec(CYCLE, 5), FamilySpec(LATTICE, 2, 3)], ids=str)
+def test_dot_sums_beyond_int64_are_exact(spec):
+    # an object block of sums past int64 still places rings by their integer ring positions
+    lab = label(spec)
+    big = Labeling(lab.graph, {edge: (1 << 62) + value for edge, value in lab.assignment.items()})
+    sums = vertex_sums(big).total
+    assert max(sums.values()) >= 1 << 63
+    text = labeling_to_dot(big)
+    small = labeling_to_dot(lab)
+    for (r, c), total in sums.items():
+        assert f'"{r},{c}" [label="{total}" ' in text
+    assert [line.split(" pos=")[1] for line in text.splitlines() if " pos=" in line] == [
+        line.split(" pos=")[1] for line in small.splitlines() if " pos=" in line
+    ]
+
+
 ROW_VALUES = st.one_of(
     st.integers(INT64_MIN, INT64_MAX),
     st.integers(-(10**4), 10**4),
@@ -537,6 +553,20 @@ def test_parse_peak_memory_at_lattice_161x162(fmt):
     assert np.array_equal(back.labels, lab.labels)
     # json.loads and the line walk peaked at 32.4 and 29.2 MB here; the fast read at 12.8 and 8.9 MB
     assert peak < 16 << 20
+
+
+def test_json_fast_read_holds_no_second_text():
+    # the re-render is compared block by block at its offset in the input; the parent's whole
+    # second text and per-section slices took the peak to 2.8 times the text
+    lab = label(FamilySpec(LATTICE, 161, 162))
+    text = labeling_to_json(lab)
+    tracemalloc.start()
+    try:
+        assert formats._writer_json(text) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text)
 
 
 def test_canonical_ascending_rows_skip_both_sorts():

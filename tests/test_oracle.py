@@ -21,6 +21,7 @@ from antimagic import (
     label,
     random_search,
 )
+from antimagic import oracle
 
 # (family spec or None for K2) -> (labelings, antimagic labelings), both frozen
 FROZEN_COUNTS = [
@@ -97,6 +98,15 @@ def test_reference_must_cover_graph():
 def test_exhaustive_refuses_large_graph():
     with pytest.raises(SizeRefusalError):
         exhaustive_search(build_graph(FamilySpec(LATTICE, 2, 2)))
+
+
+def test_random_search_refuses_above_its_cap(monkeypatch):
+    graph = build_graph(FamilySpec(CYCLE, 5))
+    monkeypatch.setattr(oracle, "MAX_RANDOM_EDGES", 4)
+    with pytest.raises(SizeRefusalError, match="random search over 5 edges; the cap is 4 edges"):
+        random_search(graph, 1, seed=0)
+    monkeypatch.setattr(oracle, "MAX_RANDOM_EDGES", 5)
+    assert random_search(graph, 1, seed=0).total_labelings_checked == 1
 
 
 def test_random_search_reproducible():

@@ -55,6 +55,7 @@ from antimagic.stream import (
     _forms,
     _merge,
     _usual,
+    iter_sum_blocks,
 )
 from reference_dealers import U, make_arrangement, merge_sequence, reference_labels, ur_coloring
 
@@ -365,6 +366,39 @@ def test_dealers_agree_with_stream_far_beyond_desk_scale(specs):
         total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
         assert np.array_equal(total, sums.T if forms.transposed else sums), spec
     assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, BLOCK_EDGES])
+def test_sum_blocks_are_the_vertex_sums_in_vertex_order(block, monkeypatch):
+    # tiny blocks cut rows into column ranges at every offset; whole rows fit otherwise
+    monkeypatch.setattr(stream, "BLOCK_EDGES", block)
+    for spec in SMALL_SPECS:
+        lab = label(spec)
+        blocks = list(iter_sum_blocks(spec))
+        assert all(0 < len(rows) <= block for rows in blocks), spec
+        want = np.column_stack((lab.graph.vertex_array, vertex_sums(lab).sums))
+        assert np.array_equal(np.concatenate(blocks), want), spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(LATTICE, 3, 5000), FamilySpec(LATTICE, 5000, 3), FamilySpec(PRISM, 4000, 3), FamilySpec(PRISM, 3, 4000)],
+    ids=str,
+)
+def test_sum_blocks_split_long_rows(spec):
+    # 5001 and 4001 columns: each row is cut into column ranges of BLOCK_EDGES vertices
+    lab = label(spec)
+    blocks = list(iter_sum_blocks(spec))
+    assert max(map(len, blocks)) <= BLOCK_EDGES
+    want = np.column_stack((lab.graph.vertex_array, vertex_sums(lab).sums))
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_sum_blocks_refuse_what_the_stream_refuses():
+    with pytest.raises(InvalidParameterError, match="lattice and prism specs only"):
+        next(iter_sum_blocks(FamilySpec(PATH, 5)))
+    with pytest.raises(SizeRefusalError):
+        next(iter_sum_blocks(FamilySpec(LATTICE, 3, MAX_STREAM_DIMENSION + 1)))
 
 
 # --- streaming verification ----------------------------------------------
