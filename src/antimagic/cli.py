@@ -116,7 +116,8 @@ def _cmd_search(args):
         raise InvalidParameterError("--prune applies to exhaustive search only")
     check_search_size(spec.edge_count(), exhaustive)  # before building: the caps admit small graphs only
     if exhaustive:
-        result = exhaustive_search(build_graph(spec), reference=label(spec), prune=args.prune)
+        lab = label(spec)
+        result = exhaustive_search(lab.graph, reference=lab, prune=args.prune)
         mode = "exhaustive-pruned" if args.prune else "exhaustive"
     else:
         result, mode = random_search(build_graph(spec), args.random, args.seed), "random"

@@ -15,8 +15,8 @@ int64 rows, ``BLOCK_EDGES`` canonical positions or labels at a time
 (``iter_labeled_edges`` is its per-edge view); ``iter_sum_blocks``, every vertex sum
 in vertex order; and ``stream_verify``, which sweeps the columns in spans of rows
 and checks bijectivity and sum distinctness exactly: labels and sums are buffered,
-and each full buffer is spilled as a sorted run into value-range buckets on disk (a
-file per bucket, or past ``RUN_BUCKETS`` buckets one file), so live state stays at
+and each full buffer is spilled as a sorted run into value-range buckets in anonymous
+files (a file per bucket, or past ``RUN_BUCKETS`` buckets one), so live state stays at
 one span of a column plus the two buffers and one bucket.
 """
 
@@ -114,16 +114,16 @@ class _Forms:
             return self.first(k, pos) if first else self.second(pos, k)
         return _select(first, self.first(k, pos), self.second(pos, k))
 
-    def columns(self, span, keep=None):
+    def columns(self, span, keep):
         """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
 
         The rows are swept in spans of at most ``span``, each span column by column.  A column's
         first-factor block is gathered over the incidence of the row factor's edges meeting the
         span, and the blocks of the second-factor edges meeting the column add in row by row,
         reusing the one the previous column ended with (edge j-1 on a grid; skip-path blocks are
-        made in both columns).  ``keep``, if given, is handed the blocks whose labels the span's
-        column ``j`` owns while they are live: its first-factor edges whose listing index is a row
-        of the span, then second-factor edge ``j``.  Its index arrays live only while it runs.
+        made in both columns).  ``keep`` is handed the blocks whose labels the span's column ``j``
+        owns while they are live: its first-factor edges whose listing index is a row of the span,
+        then second-factor edge ``j``.  Its index arrays live only while it runs.
         """
         count = _factor_edge_count(self.row_kind, self.rows)
         for r0 in range(1, self.rows + 1, span):
@@ -138,12 +138,11 @@ class _Forms:
                 block = self.first(edges, j)
                 sums = block[a] + block[b]
                 sums[single] -= block[a[single]]
-                if keep is not None:
-                    keep(block[owned])
+                keep(block[owned])
                 for k in meeting:
                     block = carried if k == last else self.second(rows, k)
                     sums += block
-                    if keep is not None and k == j:
+                    if k == j:
                         keep(block)
                 last, carried = k, block
                 yield j, r0, sums
@@ -417,16 +416,18 @@ class _BucketStore:
     and spilled as a run: each file takes its buckets' slice in one write, and the store notes the
     run's bucket cuts and, per file, the shift from cut to file position.  A file holds one bucket
     in a store of at most ``RUN_BUCKETS`` buckets, and all of them in a larger one; a store whose
-    buffer never fills opens none.  Cuts and shifts count values, not bytes, so they survive
-    widening.  Values are ``uint32`` while ``upper`` and every value fit; the first value outside
-    0..2**32-1 widens the store to int64, rewriting each open file in place, a chunk at a time.
+    buffer never fills opens none.  Files are anonymous (``tempfile.TemporaryFile``): the kernel
+    frees one when it is closed or the process dies, so no spill outlives the process.  Cuts and
+    shifts count values, not bytes, so they survive widening.  Values are ``uint32`` while
+    ``upper`` and every value fit; the first value outside 0..2**32-1 widens the store to int64,
+    rewriting each open file in place, a chunk at a time.
     Iterating yields every bucket, unsorted, while only one is live, read with one ``os.preadv`` per
     run holding part of it.  ``peak`` counts the most values held at once (cuts and shifts are
     metadata, like a file's buffer, and are not counted), ``written`` the bytes written to files.
     As a context manager it closes every file on exit.
     """
 
-    def __init__(self, expected, upper, chunk_target, tmpdir, tag):
+    def __init__(self, expected, upper, chunk_target):
         self.nbuckets = min(512, -(-expected // chunk_target))
         self.width = max(1, -(-upper // self.nbuckets))
         self.dtype = np.dtype(np.uint32 if upper <= 1 << 32 else np.int64)
@@ -434,7 +435,6 @@ class _BucketStore:
         self.per_file = self.nbuckets if self.nbuckets > RUN_BUCKETS else 1  # buckets per spill file
         self.files = [None] * -(-self.nbuckets // self.per_file)
         self.cuts, self.shifts = bytearray(), bytearray()  # int64: every run's cuts, and its shift per file
-        self.prefix = os.path.join(tmpdir, tag)
         self.buffer = []
         self.buffered = self.count = self.spills = self.written = self.peak = 0
 
@@ -479,7 +479,7 @@ class _BucketStore:
             start, stop = cuts[f * self.per_file], cuts[min((f + 1) * self.per_file, self.nbuckets)]
             if stop > start:
                 if handle is None:
-                    handle = self.files[f] = open(f"{self.prefix}-{f:04d}.bin", "w+b")
+                    handle = self.files[f] = tempfile.TemporaryFile()
                     self.spills += 1
                 shifts[f] = handle.seek(0, os.SEEK_END) // self.dtype.itemsize - start  # wherever widening left off
                 self.written += handle.write(values[start:stop])  # no copy
@@ -582,11 +582,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     nv, ne = spec.vertex_count(), spec.edge_count()
     # rows per sweep span; a grid column, at most the short side plus one rows, always fits in one
     span = min(forms.rows, max(chunk_target // 4, 8 * (min(spec.m, spec.n) + 2)))
-    with (
-        tempfile.TemporaryDirectory(prefix="antimagic-stream-") as tmpdir,
-        _BucketStore(ne, ne + 1, chunk_target, tmpdir, "labels") as label_store,
-        _BucketStore(nv, 4 * ne + 1, chunk_target, tmpdir, "sums") as sum_store,
-    ):
+    with _BucketStore(ne, ne + 1, chunk_target) as label_store, _BucketStore(nv, 4 * ne + 1, chunk_target) as sum_store:
         for _, _, sums in forms.columns(span, label_store.add):
             sum_store.add(sums)
         if label_store.count != ne or sum_store.count != nv:

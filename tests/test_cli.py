@@ -29,7 +29,7 @@ from antimagic import (
     parse_tsv,
     stream,
 )
-from antimagic import cli
+from antimagic import cli, families, labelings
 from antimagic.cli import main
 from antimagic.formats import labeling_tsv_rows, tsv_text
 
@@ -438,6 +438,20 @@ def test_search_refuses_before_building(capsys, monkeypatch):
     assert err == "antimagic: exhaustive search over 2002000 edges means 2002000! labelings; the cap is 10 edges\n"
 
 
+def test_search_materializes_the_graph_once(capsys, monkeypatch):
+    built, materialize = [], families._materialize
+
+    def counting(spec, *rest):
+        built.append(spec)
+        return materialize(spec, *rest)
+
+    monkeypatch.setattr(families, "_materialize", counting)  # build_graph
+    monkeypatch.setattr(labelings, "_materialize", counting)  # label
+    code, out, _ = run(capsys, ["search", "lattice", "1", "2"])
+    assert code == 0 and json.loads(out)["contains_constructed"] is True
+    assert built == [FamilySpec(LATTICE, 1, 2)]
+
+
 def test_search_random_refuses_before_building(capsys, monkeypatch):
     def unreachable(spec):
         raise AssertionError(f"built {spec}")
@@ -467,7 +481,11 @@ def _run_under_one_gib(argv):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     code = "import sys; from antimagic.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",  # numpy's import reserves address space per OpenBLAS thread
+    }
     return subprocess.run(
         [sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, preexec_fn=cap
     )

@@ -68,7 +68,7 @@ SMALL_SPECS = (
 def _column_sums(forms, span):
     """The (rows, cols) vertex sums of a sweep in spans of ``span`` rows, normalized orientation."""
     total = np.zeros((forms.rows, forms.cols), dtype=np.int64)
-    for j, r0, sums in forms.columns(span):
+    for j, r0, sums in forms.columns(span, lambda block: None):
         total[r0 - 1 : r0 - 1 + sums.size, j - 1] = sums
     return total
 
@@ -411,7 +411,7 @@ def test_streamed_column_sums_match_vertex_sums(spec):
     forms = _forms(spec)
     for span in (1, 2, 3, forms.rows):  # a span may end inside a factor edge's reach
         streamed = {}
-        for j, r0, column in forms.columns(span):
+        for j, r0, column in forms.columns(span, lambda block: None):
             for i, value in enumerate(column.tolist(), start=r0):
                 streamed[(j, i) if forms.transposed else (i, j)] = value
         assert streamed == total, span
@@ -636,14 +636,20 @@ def test_late_widening_keeps_live_state_bounded(fresh_forms, monkeypatch):
     assert stats.peak_live_values <= 12 * chunk + 64 * (min(spec.m, spec.n) + 2)
 
 
-def _open_spill_files():
-    links = []
-    for fd in os.listdir("/proc/self/fd"):
+def _descriptors_under(directory, pid="self"):
+    """``{fd: target}`` for the process's open descriptors whose target lies under ``directory``.
+
+    An anonymous spill file shows as ``<directory>/#<inode> (deleted)``, like pytest's own capture
+    files, so a check compares these before and after a call rather than matching a name.
+    """
+    targets = {}
+    for fd in os.listdir(f"/proc/{pid}/fd"):
         try:
-            links.append(os.readlink(f"/proc/self/fd/{fd}"))
-        except OSError:  # the descriptor listdir itself used
+            targets[fd] = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # the descriptor listdir itself used, or one closed meanwhile
             pass
-    return [link for link in links if "antimagic-stream-" in link]
+    prefix = os.path.join(os.path.realpath(directory), "")
+    return {fd: target for fd, target in targets.items() if target.startswith(prefix)}
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -651,7 +657,7 @@ def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
     forms = _forms(FamilySpec(LATTICE, 5, 7))
 
     class Miscounting(type(forms)):
-        def columns(self, span, keep=None):
+        def columns(self, span, keep):
             for j, r0, sums in super().columns(span, keep):
                 yield j, r0, np.concatenate((sums, sums))
 
@@ -659,10 +665,52 @@ def test_stream_verify_closes_spill_files_on_error(fresh_forms, monkeypatch):
     stream._forms_cached.cache_clear()
     # at chunk 4, lattice 5x7 spills a file per bucket and lattice 12x12 one run file per store
     for spec in (FamilySpec(LATTICE, 5, 7), FamilySpec(LATTICE, 12, 12)):
+        before = _descriptors_under(tempfile.gettempdir())
         with pytest.raises(AssertionError, match="miscounted") as excinfo:
             stream_verify(spec, chunk_target=4)
         # the traceback keeps the stores alive, so only closing them releases the files
-        assert excinfo.traceback and _open_spill_files() == []
+        assert excinfo.traceback and _descriptors_under(tempfile.gettempdir()) == before
+
+
+# a stream whose buffers never fill opens no file and makes no directory; one that spills opens
+# exactly the files it counts
+def test_stream_verify_touches_no_disk_until_a_buffer_fills(monkeypatch):
+    real, opened, stats = tempfile.TemporaryFile, [], StreamStats()
+
+    def no_disk(*args, **kwargs):
+        raise AssertionError("touched the disk")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", no_disk)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_disk)
+    assert stream_verify(FamilySpec(LATTICE, 20, 20)).antimagic
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda: opened.append(None) or real())
+    assert stream_verify(FamilySpec(LATTICE, 5, 7), chunk_target=4, stats=stats).antimagic
+    assert len(opened) == stats.spill_files == 31
+
+
+# spill files are anonymous, so a run killed mid-spill leaves no file or directory behind.  The
+# child settles its temporary directory before it runs bench and says so: Python's first look at
+# TMPDIR writes and removes a probe file of its own there, which a kill could catch.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd")
+def test_killed_bench_leaves_nothing_in_the_temporary_directory(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(stream.__file__))
+    env = dict(
+        os.environ,
+        TMPDIR=str(tmp_path),
+        PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    )
+    code = "import sys, tempfile; tempfile.gettempdir(); print(flush=True); from antimagic.cli import main; main()"
+    argv = [sys.executable, "-c", code, "bench", "lattice", "3000", "3000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        try:
+            proc.stdout.readline()
+            deadline = time.monotonic() + 120
+            while not _descriptors_under(tmp_path, proc.pid):  # until the child holds a spill file
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.kill()  # the child alone; leaving the block waits for it
+    assert os.listdir(tmp_path) == []
 
 
 # past RUN_BUCKETS buckets a store keeps one run file, so bench runs under a descriptor limit
@@ -743,9 +791,9 @@ def resolve_chunk_target(chunk_target, count):
     return {"exact": count, "over": count + 1}.get(chunk_target, chunk_target)
 
 
-def run_permutation_check(values, n, chunk_target, tmpdir):
+def run_permutation_check(values, n, chunk_target):
     chunk_target = resolve_chunk_target(chunk_target, len(values))
-    with _BucketStore(len(values), n + 1, chunk_target, tmpdir, "t") as store:
+    with _BucketStore(len(values), n + 1, chunk_target) as store:
         for start in range(0, len(values), 2):
             store.add(np.array(values[start : start + 2], dtype=np.int64))
         assert (store.spills == 0) == (len(values) < chunk_target)  # the buffer never filled
@@ -753,23 +801,23 @@ def run_permutation_check(values, n, chunk_target, tmpdir):
 
 
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
-def test_permutation_check_detects_issues(chunk_target, tmp_path):
-    ok, issues = run_permutation_check([3, 1, 2, 5, 4], 5, chunk_target, tmp_path)
+def test_permutation_check_detects_issues(chunk_target):
+    ok, issues = run_permutation_check([3, 1, 2, 5, 4], 5, chunk_target)
     assert ok and issues == []
-    ok, issues = run_permutation_check([3, 1, 3, 5, 4], 5, chunk_target, tmp_path)
+    ok, issues = run_permutation_check([3, 1, 3, 5, 4], 5, chunk_target)
     assert not ok
     assert 3 in issues and 2 in issues  # 3 repeated, 2 missing
-    ok, issues = run_permutation_check([3, 1, 2, 9, 4], 5, chunk_target, tmp_path)
+    ok, issues = run_permutation_check([3, 1, 2, 9, 4], 5, chunk_target)
     assert not ok
     assert 9 in issues and 5 in issues  # 9 out of range, 5 missing
-    ok, _ = run_permutation_check([1, 2, 3], 5, chunk_target, tmp_path)
+    ok, _ = run_permutation_check([1, 2, 3], 5, chunk_target)
     assert not ok
 
 
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
-def test_duplicate_collection(chunk_target, tmp_path):
+def test_duplicate_collection(chunk_target):
     chunk_target = resolve_chunk_target(chunk_target, 8)
-    with _BucketStore(8, 101, chunk_target, tmp_path, "d") as store:
+    with _BucketStore(8, 101, chunk_target) as store:
         store.add(np.array([7, 40, 100, 13], dtype=np.int64))
         store.add(np.array([40, 2, 100, 100], dtype=np.int64))
         assert (store.spills == 0) == (8 < chunk_target)
@@ -795,18 +843,18 @@ def multisets(draw, max_n=30):
     return n, draw(st.permutations(values))
 
 
-def filled_store(values, upper, chunk_target, tmpdir, tag, expected=None):
-    store = _BucketStore(expected or len(values), upper, chunk_target, tmpdir, tag)
+def filled_store(values, upper, chunk_target, expected=None):
+    store = _BucketStore(expected or len(values), upper, chunk_target)
     for start in range(0, len(values), 3):
         store.add(np.array(values[start : start + 3], dtype=np.int64))
     return store
 
 
 # sized for 400 values at chunk 4, a run store; its buffer never fills, so it opens no file
-def test_run_store_whose_buffer_never_fills_reads_the_buffer(tmp_path):
-    with filled_store([300, 7, 300], 401, 4, tmp_path, "d", expected=400) as store:
+def test_run_store_whose_buffer_never_fills_reads_the_buffer():
+    with filled_store([300, 7, 300], 401, 4, expected=400) as store:
         assert _collect_duplicates(store) == [300]
-    with filled_store([300, 7, 300], 401, 4, tmp_path, "t", expected=400) as store:
+    with filled_store([300, 7, 300], 401, 4, expected=400) as store:
         # each 5-wide bucket names all its missing values, and 300 is repeated
         assert _check_permutation(store, 400) == (False, [v for v in range(1, 401) if v != 7])
         assert store.per_file > 1 and store.spills == 0
@@ -814,15 +862,15 @@ def test_run_store_whose_buffer_never_fills_reads_the_buffer(tmp_path):
 
 # the same values in a store of RUN_BUCKETS buckets, a file each, and in one of a bucket more,
 # one file for all: every bucket spills, and the checks read back the same buckets
-def test_stores_either_side_of_the_file_threshold_agree(tmp_path):
+def test_stores_either_side_of_the_file_threshold_agree():
     values = [150 if v == 7 else v for v in range(1, 160)] + [200]  # 7 missing, 150 repeated, 200 outside
     values = np.random.default_rng(0).permutation(values).tolist()
     results = []
     for nbuckets in (RUN_BUCKETS, RUN_BUCKETS + 1):
-        with filled_store(values, 160, 4, tmp_path, f"t{nbuckets}", expected=4 * nbuckets) as store:
+        with filled_store(values, 160, 4, expected=4 * nbuckets) as store:
             permutation = _check_permutation(store, 159)
             files = (len(store.files), store.spills)
-        with filled_store(values, 160, 4, tmp_path, f"d{nbuckets}", expected=4 * nbuckets) as store:
+        with filled_store(values, 160, 4, expected=4 * nbuckets) as store:
             results.append((files, permutation, _collect_duplicates(store)))
     (files_per_bucket, *per_bucket), (files_one, *one) = results
     assert (files_per_bucket, files_one) == ((RUN_BUCKETS, RUN_BUCKETS), (1, 1))
@@ -851,11 +899,10 @@ def check_against_unique_reference(n, values, chunk_target):
     repeated = unique[counts > 1].tolist()
     outside = [v for v in present if not 1 <= v <= n]
     wide = any(not 0 <= v < 1 << 32 for v in values)
-    with tempfile.TemporaryDirectory() as tmpdir:
-        with filled_store(values, n + 1, chunk_target, tmpdir, "t") as store:
-            ok, issues = _check_permutation(store, n)
-            assert store.dtype == (np.int64 if wide else np.uint32)
-        assert ok == (len(values) == n and present == set(range(1, n + 1)))
-        assert issues == sorted({*repeated, *outside, *(set(range(1, n + 1)) - present)})
-        with filled_store(values, n + 1, chunk_target, tmpdir, "d") as store:
-            assert _collect_duplicates(store) == repeated
+    with filled_store(values, n + 1, chunk_target) as store:
+        ok, issues = _check_permutation(store, n)
+        assert store.dtype == (np.int64 if wide else np.uint32)
+    assert ok == (len(values) == n and present == set(range(1, n + 1)))
+    assert issues == sorted({*repeated, *outside, *(set(range(1, n + 1)) - present)})
+    with filled_store(values, n + 1, chunk_target) as store:
+        assert _collect_duplicates(store) == repeated
