@@ -19,7 +19,7 @@ import sys
 
 from .errors import FormatError, InvalidParameterError, SizeRefusalError
 from .families import FAMILIES, LATTICE, PRISM, FamilySpec, build_graph, check_materializable
-from .formats import labeling_blocks, labeling_tsv_rows, parse_labeling, text_blocks
+from .formats import labeling_blocks, labeling_tsv_rows, read_labeling, text_blocks
 from .labelings import label
 from .oracle import check_search_size, exhaustive_search, random_search
 from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, iter_sum_blocks, stream_verify
@@ -52,13 +52,9 @@ def _open_output(path):
 
 
 def _read_input(path):
-    try:
-        if path is None or path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"input is not UTF-8 text: {exc}") from exc
+    """The labeling in the file at ``path``, or on stdin for ``-``, read block by block when seekable."""
+    with contextlib.nullcontext(sys.stdin) if path is None or path == "-" else open(path, encoding="utf-8") as handle:
+        return read_labeling(handle)
 
 
 def _print_report(report, fmt):
@@ -85,7 +81,7 @@ def _cmd_generate(args):
 
 
 def _cmd_verify(args):
-    lab = parse_labeling(_read_input(args.input))
+    lab = _read_input(args.input)
     verdict = check_antimagic(lab)
     _print_report(verdict, args.format)
     return EXIT_OK if verdict.antimagic else EXIT_NEGATIVE
@@ -95,7 +91,7 @@ def _cmd_properties(args):
     if args.input is not None:
         if args.family is not None:
             raise InvalidParameterError("give either a family spec or --input, not both")
-        lab = parse_labeling(_read_input(args.input))
+        lab = _read_input(args.input)
         spec = lab.graph.spec
         if spec is None:
             raise InvalidParameterError("input has no family header; properties need one")

@@ -222,28 +222,54 @@ def check_materializable(spec):
     return count
 
 
-def _materialize(spec, label_of=None):
-    """``spec``'s graph, and the labels ``label_of(first, k, pos)`` gives its copies, or None.
+def _ranges(spec, count):
+    """``(at, copies, endpoints)`` for each ``RANGE_EDGES`` canonical positions of ``spec``'s ``count`` edges.
 
-    Filled ``RANGE_EDGES`` canonical positions at a time, so no temporary spans every edge.
+    ``at`` is their slice, ``copies`` the ``(first, k, pos)`` arrays of :func:`_copy_at` and
+    ``endpoints`` the four columns of :func:`_copy_endpoints`, so no temporary spans every edge.
     """
-    count = check_materializable(spec)
     factors = factor_kinds(spec)
-    cols = spec.col_count()
-    vertices = np.stack(np.divmod(np.arange(spec.vertex_count()), cols), axis=1) + 1
-    edges = np.empty((count, 4), dtype=np.int64)
-    labels = None if label_of is None else np.empty(count, dtype=np.int64)
     for low in range(0, count, RANGE_EDGES):
         at = slice(low, min(count, low + RANGE_EDGES))
         copies = _copy_at(*factors, np.arange(at.start, at.stop))
-        for column, values in enumerate(_copy_endpoints(*factors, *copies)):
-            edges[at, column] = values
-        if label_of is not None:
-            labels[at] = label_of(*copies)
+        yield at, copies, _copy_endpoints(*factors, *copies)
+
+
+def _spec_graph(spec, edges):
+    """``spec``'s graph on its canonical (E, 4) ``edges``."""
+    cols = spec.col_count()
+    vertices = np.stack(np.divmod(np.arange(spec.vertex_count()), cols), axis=1) + 1
     ends = edges[:, 0::2] * cols  # vertex (r, c) is row (r - 1) * cols + c - 1; built in place
     ends += edges[:, 1::2]
     ends -= cols + 1
-    return Graph(spec, edges, vertices, ends), labels
+    return Graph(spec, edges, vertices, ends)
+
+
+def _materialize(spec, label_of=None):
+    """``spec``'s graph, and the labels ``label_of(first, k, pos)`` gives its copies, or None."""
+    count = check_materializable(spec)
+    edges = np.empty((count, 4), dtype=np.int64)
+    labels = None if label_of is None else np.empty(count, dtype=np.int64)
+    for at, copies, endpoints in _ranges(spec, count):
+        for column, values in enumerate(endpoints):
+            edges[at, column] = values
+        if label_of is not None:
+            labels[at] = label_of(*copies)
+    return _spec_graph(spec, edges), labels
+
+
+def _parsed_graph(spec, edges):
+    """``spec``'s graph on the (E, 4) int ``edges`` if they are its canonical edges, else None.
+
+    The spec is checked, and the edge count compared, before any edge; the edges are then compared
+    range by range with :func:`_ranges`, so they are not made a second time.
+    """
+    if len(edges) != check_materializable(spec):
+        return None
+    for at, _, endpoints in _ranges(spec, len(edges)):
+        if not all(np.array_equal(edges[at, column], values) for column, values in enumerate(endpoints)):
+            return None
+    return _spec_graph(spec, edges)
 
 
 def build_graph(spec):
@@ -252,15 +278,47 @@ def build_graph(spec):
 
 
 def _adhoc_graph(edge_array):
-    """The graph of distinct canonical edges given as sorted (E, 4) rows."""
-    points = edge_array.reshape(-1, 2)
-    order = _lex_order(points)
-    ordered = points[order]
-    new = np.ones(len(points), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ends = np.empty(len(points), dtype=np.int64)
-    ends[order] = np.cumsum(new) - 1
-    return Graph(None, edge_array, ordered[new], ends.reshape(-1, 2))
+    """The graph of distinct canonical edges given as sorted (E, 4) rows.
+
+    Each endpoint gets one int key that sorts as its ``(row, col)``: per axis, the offset from the
+    least value when the values span less than 2**31, else the rank among the distinct values.
+    When the keys span no more values than there are endpoints, as on a grid or a prism, a table
+    over that span marks the keys in use, and its running count numbers the vertices.  Otherwise the
+    rows are sorted, so the first endpoints' keys are one sorted run, and a stable sort of all keys
+    merges the second endpoints' into it; each endpoint then finds its vertex by binary search.
+    """
+    keys = np.zeros((2, len(edge_array)), dtype=np.int64)  # the first endpoints' keys, then the second's
+    decode = []
+    for axis in (0, 1):  # keys = row code * column span + column code, built in place
+        values = edge_array[:, axis::2].T
+        low, high = int(values.min(initial=0)), int(values.max(initial=0))
+        if high - low < 1 << 31:
+            codes, span = values, high - low + 1
+            decode.append(lambda code, low=low: code + low)
+        else:
+            levels, codes = np.unique(values, return_inverse=True)
+            low, span = 0, len(levels)
+            decode.append(levels.__getitem__)
+        keys *= span
+        keys += codes.reshape(values.shape)
+        keys -= low  # int64 wraps, so the sum is exact once it is below 2**62
+    table = int(keys.max(initial=-1)) + 1
+    if table <= keys.size:
+        used = np.zeros(table, dtype=bool)
+        used[keys] = True
+        distinct = np.flatnonzero(used)
+        number = np.cumsum(used, dtype=np.int64)
+        number -= 1
+        ends = number[keys]
+    else:
+        ordered = np.sort(keys.ravel(), kind="stable")
+        new = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct = ordered[new]
+        del ordered, new
+        ends = np.searchsorted(distinct, keys)
+    vertices = np.stack([of(code) for of, code in zip(decode, np.divmod(distinct, span))], axis=1)
+    return Graph(None, edge_array, vertices, ends.T)
 
 
 def _lex_order(rows):

@@ -9,17 +9,21 @@ the edges in the file, so external labelings (including single-edge negative
 controls) can be verified.  A headered JSON file gets the family's graph: its
 header must describe exactly the edges in the file.
 
-Parsers first read every signed decimal of the file in one numpy call and keep the
-values only if the writer renders them back, block by block, as exactly the input:
-that proves the file is valid, every value fits int64, and ``json.loads`` or
-the line walk would give the same rows.  Any other file takes that slower
-path: ``json.loads`` and a walk over its edge entries, or a TSV walk line by
-line; either names the first bad field.  Both paths end in the edge-list
-check that ``graph_from_edges`` also runs.
+Parsers read the text in pieces of ``_READ_CHARS`` characters and carry the
+unfinished line into the next.  The whole lines of a piece are read as signed
+decimals in one numpy call, and kept only if the writer renders them back as
+exactly those lines: that proves the file is valid, every value fits int64, and
+``json.loads`` or the line walk would give the same rows, while no copy of the
+text is held.  Any other file takes that slower path, over its whole text:
+``json.loads`` and a walk over its edge entries, or a TSV walk line by line;
+either names the first bad field.  Both paths end in the edge-list check that
+``graph_from_edges`` also runs.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -36,13 +40,14 @@ from .families import (
     FamilySpec,
     _adhoc_graph,
     _canonical_rows,
-    build_graph,
-    check_materializable,
+    _parsed_graph,
 )
 from .labelings import Labeling
 from .verification import vertex_sums
 
 _ROWS_PER_BLOCK = 1 << 11
+_READ_CHARS = 1 << 17  # input text read, decoded and compared with the writer's at once
+_LINE_CHARS = 1 << 10  # more than any line the writers make; an unfinished line this long is not theirs
 _TSV_FIELDS = ("r1", "c1", "r2", "c2", "label")
 _TSV_LINE = "%d\t%d\t%d\t%d\t%d\n"
 # the JSON layout: head line, edge lines, sum lines, and the markers around them
@@ -65,36 +70,53 @@ def _format_rows(fmt, rows):
     return "".join(_row_blocks(fmt, [rows]))
 
 
+@functools.lru_cache(maxsize=None)
+def _literals(fmt):
+    """The byte arrays between the ``%d`` fields of ``fmt``, and their total length."""
+    literals = tuple(np.frombuffer(part.encode(), np.uint8) for part in fmt.split("%d"))
+    return literals, sum(map(len, literals))
+
+
+# 10**(count - 1) .. 10 for a field of count < 20 digits, in the dtype that holds its values
+_POWERS = [
+    np.array([10**p for p in range(count - 1, 0, -1)], np.uint32 if count < 10 else np.uint64) for count in range(20)
+]
+
+
 def _row_blocks(fmt, arrays):
-    """The text of :func:`_format_rows` over each 2-D int array of ``arrays``, one block of rows at a time.
+    """The text of :func:`_format_rows` over each 2-D int array of ``arrays``, one block of rows at a time."""
+    return (_block_text(fmt, block) for rows in arrays for block in _blocks(rows))
+
+
+def _block_text(fmt, block):
+    """``fmt``, whose fields are all ``%d``, applied to every row of the 2-D int array ``block``.
 
     A block of B rows is a (width, B) byte matrix: broadcast literals, then per field a sign row if
     the block holds a negative value and a row per digit, cut by ``// 10`` in uint32, uint64 or
     Python ints, whichever holds the block.  A keep mask from ``>= 10**p`` drops leading zeros and
     unused signs; the kept bytes are the text.
     """
-    literals = [np.frombuffer(part.encode(), np.uint8) for part in fmt.split("%d")]
-    for block in (block for rows in arrays for block in _blocks(rows)):
-        fields = np.ascontiguousarray(block.T)
-        lows, highs = fields.min(axis=1).tolist(), fields.max(axis=1).tolist()
-        digits = [len(str(max(high, -low))) for low, high in zip(lows, highs)]
-        mat = np.empty((sum(map(len, literals)) + sum(digits) + sum(low < 0 for low in lows), len(block)), np.uint8)
-        keep = np.ones(mat.shape, bool)
-        end = len(literals[0])
-        mat[:end] = literals[0][:, None]
-        for values, low, count, literal in zip(fields, lows, digits, literals[1:]):
-            if low < 0:
-                mat[end], keep[end] = ord("-"), values < 0
-                end += 1
-            rest = np.abs(values).astype(np.uint32 if count < 10 else np.uint64 if count < 20 else object)
-            powers = np.array([10**p for p in range(count - 1, 0, -1)], rest.dtype)
-            keep[end : end + count - 1] = rest >= powers[:, None]
-            for row in range(end + count - 1, end - 1, -1):
-                quotient = rest // 10
-                mat[row], rest = rest - quotient * 10 + ord("0"), quotient
-            mat[end + count : end + count + len(literal)] = literal[:, None]
-            end += count + len(literal)
-        yield mat.T[keep.T].tobytes().decode("ascii")
+    literals, literal_bytes = _literals(fmt)
+    fields = np.ascontiguousarray(block.T)
+    lows, highs = fields.min(axis=1, initial=0).tolist(), fields.max(axis=1, initial=0).tolist()
+    digits = [len(str(max(high, -low))) for low, high in zip(lows, highs)]
+    mat = np.empty((literal_bytes + sum(digits) + sum(low < 0 for low in lows), len(block)), np.uint8)
+    keep = np.ones(mat.shape, bool)
+    end = len(literals[0])
+    mat[:end] = literals[0][:, None]
+    for values, low, count, literal in zip(fields, lows, digits, literals[1:]):
+        if low < 0:
+            mat[end], keep[end] = ord("-"), values < 0
+            end += 1
+        powers = _POWERS[count] if count < 20 else np.array([10**p for p in range(count - 1, 0, -1)], object)
+        rest = np.abs(values).astype(powers.dtype)
+        keep[end : end + count - 1] = rest >= powers[:, None]
+        for row in range(end + count - 1, end - 1, -1):
+            quotient = rest // 10
+            mat[row], rest = rest - quotient * 10 + ord("0"), quotient
+        mat[end + count : end + count + len(literal)] = literal[:, None]
+        end += count + len(literal)
+    return mat.T[keep.T].tobytes().decode("ascii")
 
 
 def tsv_text(rows):
@@ -177,7 +199,7 @@ def _checked_rows(rows):
 
 def _headerless(rows):
     rows = _checked_rows(rows)
-    return Labeling(_adhoc_graph(rows[:, :4]), rows[:, 4].copy())
+    return Labeling(_adhoc_graph(rows[:, :4]), rows[:, 4])
 
 
 def _decimal_rows(text, width):
@@ -197,27 +219,104 @@ def _decimal_rows(text, width):
     return values.reshape(-1, width) if len(values) % width == 0 else None
 
 
-def _renders_as(text, blocks):
-    """Whether the text ``blocks`` make up exactly ``text``, each compared in place at its offset."""
-    at = 0
-    for block in blocks:
-        if not text.startswith(block, at):
-            return False
-        at += len(block)
-    return at == len(text)
+class _NotWriter(Exception):
+    """The text is not as the writer renders it, so the slow path reads it."""
 
 
-def _writer_tsv(text):
-    """The (E, 5) rows of ``text`` if ``tsv_text`` renders them as exactly ``text``, else None."""
-    rows = _decimal_rows(text, 5)
-    return rows if rows is not None and _renders_as(text, _row_blocks(_TSV_LINE, [rows])) else None
+def _pieces(blocks):
+    """The text of the str ``blocks``, in pieces of at most ``_READ_CHARS`` characters."""
+    try:
+        for block in blocks:
+            for at in range(0, len(block), _READ_CHARS):
+                yield block[at : at + _READ_CHARS]
+    except UnicodeDecodeError as exc:  # a block that does not decode is not the writer's
+        raise _NotWriter from exc
+
+
+def _records(text, fmt, kept):
+    """Check that ``text`` is exactly ``fmt`` over its decimals, rendered as one block; keep their rows in ``kept``."""
+    rows = _decimal_rows(text, fmt.count("%d"))
+    if rows is None or _block_text(fmt, rows) != text:
+        raise _NotWriter
+    if kept is not None:
+        kept.append(rows)
+
+
+def _section(pieces, text, fmt, end, kept):
+    """Check the records of ``fmt`` in ``text`` and then ``pieces``, up to the first ``end`` (None: the end).
+
+    Whole records are cut off and checked as they arrive, by :func:`_records`; the unfinished one is
+    carried into the next piece, and one longer than any the writer makes is refused.  Returns the
+    text after ``end``.
+    """
+    literals = fmt.split("%d")
+    joint = literals[-1] + literals[0]  # between two records
+    while end is None or (stop := text.find(end)) < 0:
+        at = text.rfind(joint)
+        cut = at + len(literals[-1]) if at >= 0 else 0
+        _records(text[:cut], fmt, kept)
+        text = text[cut:]
+        if len(text) > _LINE_CHARS:
+            raise _NotWriter
+        piece = next(pieces, None)
+        if piece is None:
+            if end is not None:
+                raise _NotWriter
+            _records(text, fmt, kept)
+            return ""
+        text += piece
+    _records(text[:stop], fmt, kept)
+    return text[stop + len(end) :]
+
+
+class _Rows:
+    """Rows of int64 fields appended block by block and held field by field, in place.
+
+    One (width, capacity) array holds them.  It doubles by ``ndarray.resize``, whose realloc moves
+    a large array without a second copy beside it, and then each field past the first is copied up
+    to its new place.  :meth:`done` trims it to the rows held and returns them as (N, width) rows in
+    column order, so each field, the labels among them, is a contiguous view.
+    """
+
+    def __init__(self, width):
+        self._fields, self._count = np.empty((width, 0), np.int64), 0
+
+    def append(self, rows):
+        count = self._count + len(rows)
+        if count > self._fields.shape[1]:
+            self._move(max(count, 2 * self._fields.shape[1]))
+        self._fields[:, self._count : count] = rows.T
+        self._count = count
+
+    def _move(self, capacity):
+        """Make room for ``capacity`` rows, keeping those held; no other view of the array may exist."""
+        width, old = self._fields.shape
+        if capacity > old:
+            self._fields.resize((width, capacity), refcheck=False)
+        flat = self._fields.reshape(-1)
+        for field in range(width - 1, 0, -1) if capacity > old else range(1, width):  # never onto an unmoved field
+            flat[field * capacity : field * capacity + self._count] = flat[field * old : field * old + self._count]
+        del flat
+        if capacity < old:
+            self._fields.resize((width, capacity), refcheck=False)
+
+    def done(self):
+        self._move(self._count)
+        return self._fields.T
+
+
+def _writer_tsv(blocks):
+    """The (E, 5) rows of the text ``blocks`` if ``tsv_text`` renders them as exactly that text, else None."""
+    rows = _Rows(5)
+    try:
+        _section(_pieces(blocks), "", _TSV_LINE, None, rows)
+    except _NotWriter:
+        return None
+    return rows.done()
 
 
 def _tsv_rows(text):
     """The (E, 5) rows of a TSV file; the first bad line raises, naming its field."""
-    rows = _writer_tsv(text)
-    if rows is not None:
-        return rows
     rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -236,32 +335,43 @@ def _tsv_rows(text):
     return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
+def _tsv_labeling(blocks, whole):
+    rows = _writer_tsv(blocks)
+    return _headerless(rows if rows is not None else _tsv_rows(whole()))
+
+
 def parse_tsv(text):
-    return _headerless(_tsv_rows(text))
+    return _tsv_labeling([text], lambda: text)
 
 
-def _writer_json(text):
-    """``(header, rows)`` if ``labeling_to_json`` renders them as exactly ``text``, else None.
+def _writer_json(blocks):
+    """``(header, rows)`` if ``labeling_to_json`` renders them as exactly the text ``blocks``, else None.
 
-    The header is the ``family``/``m``/``n`` dict.  The sum lines render back from their
-    own values, since no parser reads the sums.
+    The header is the ``family``/``m``/``n`` dict.  The sum lines are checked to render back from
+    their own values and then dropped, since no parser reads the sums.
     """
-    at = text.find(_JSON_EDGES)
-    stop = text.find(_JSON_SUMS, at + 1)
-    if at < 0 or stop < 0:
+    pieces, text, rows = _pieces(blocks), "", _Rows(5)
+    try:
+        while (at := text.find(_JSON_EDGES)) < 0:
+            piece = next(pieces, None)
+            if piece is None or len(text) > _LINE_CHARS:
+                return None
+            text += piece
+        try:  # the head line "{\n  HEADER,\n" as an object of its own
+            header = json.loads("{" + text[:at][1:-2] + "}")
+        except (ValueError, RecursionError):
+            return None
+        header = {key: header.get(key) for key in ("family", "m", "n")}
+        head = next(text_blocks("json", header, [], []))  # the head line and the edges marker
+        if not text.startswith(head):
+            return None
+        # every record but a section's first starts with ",\n"
+        text = _section(pieces, ",\n" + text[len(head) :], _JSON_EDGE, _JSON_SUMS, rows)
+        if _section(pieces, ",\n" + text, _JSON_SUM, _JSON_END, None) or next(pieces, None) is not None:
+            return None
+    except _NotWriter:
         return None
-    try:  # the head line "{\n  HEADER,\n" as an object of its own
-        header = json.loads("{" + text[:at][1:-2] + "}")
-    except (ValueError, RecursionError):
-        return None
-    header = {key: header.get(key) for key in ("family", "m", "n")}
-    values = _decimal_rows(text, 1)  # the whole text in one pass; no marker holds a digit
-    start = sum(type(value) is int for value in header.values())  # the head line's decimals
-    cut = start + 5 * text.count("\n", at, stop)  # the edge list ends a line per edge
-    if values is None or len(values) < cut or (len(values) - cut) % 3:
-        return None
-    rows, sums = values[start:cut].reshape(-1, 5), values[cut:].reshape(-1, 3)
-    return (header, rows) if _renders_as(text, text_blocks("json", header, [rows], [sums])) else None
+    return header, rows.done()
 
 
 def _json_rows(entries):
@@ -284,11 +394,11 @@ def _json_rows(entries):
     return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
-def parse_json(text):
-    parsed = _writer_json(text)
+def _json_labeling(blocks, whole):
+    parsed = _writer_json(blocks)
     if parsed is None:
         try:
-            doc = json.loads(text)
+            doc = json.loads(whole())
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise FormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
@@ -310,15 +420,56 @@ def parse_json(text):
         spec = FamilySpec(family, m, n)
     else:
         spec = FamilySpec(family, m)
-    try:  # a count mismatch needs no graph, but a spec above the cap is refused first
-        graph = build_graph(spec) if len(rows) == check_materializable(spec) else None
+    try:  # a spec above the cap is refused before the count is compared
+        graph = _parsed_graph(spec, rows[:, :4])
     except InvalidParameterError as exc:
         raise FormatError(str(exc)) from exc
-    if graph is None or not np.array_equal(graph.edge_array, rows[:, :4]):
+    if graph is None:
         raise FormatError(f"edges do not match {family} m={m}" + (f" n={n}" if n else ""))
-    return Labeling(graph, rows[:, 4].copy())
+    return Labeling(graph, rows[:, 4])
+
+
+def parse_json(text):
+    return _json_labeling([text], lambda: text)
+
+
+def _labeling(blocks, whole):
+    """:func:`parse_labeling` of the text the str ``blocks`` make up; ``whole()`` gives it at once.
+
+    The fast read takes the blocks in turn, and ``whole`` is called only if it gives up.
+    """
+    pieces = _pieces(blocks)
+    try:
+        first = next(pieces, "")
+    except _NotWriter:
+        first = None
+    if first is None or first[:1].isspace():  # not the writer's: sniff the whole text
+        text = whole()
+        return (parse_json if text.lstrip().startswith("{") else parse_tsv)(text)
+    return (_json_labeling if first.startswith("{") else _tsv_labeling)(itertools.chain([first], pieces), whole)
 
 
 def parse_labeling(text):
     """Sniff JSON (leading '{') vs TSV and parse accordingly."""
-    return parse_json(text) if text.lstrip().startswith("{") else parse_tsv(text)
+    return _labeling([text], lambda: text)
+
+
+def read_labeling(handle):
+    """:func:`parse_labeling` of what the open text stream ``handle`` reads.
+
+    A seekable stream is read ``_READ_CHARS`` characters at a time and again from where it started
+    if the slow path needs its whole text, so the fast read holds no copy of it; any other stream is
+    read whole first.
+    """
+    try:
+        if not handle.seekable():
+            return parse_labeling(handle.read())
+        start = handle.tell()
+
+        def whole():
+            handle.seek(start)
+            return handle.read()
+
+        return _labeling(iter(functools.partial(handle.read, _READ_CHARS), ""), whole)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8 text: {exc}") from exc

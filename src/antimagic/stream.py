@@ -320,7 +320,7 @@ def edge_key(spec, edge):
         (r1, c1), (r2, c2) = edge
     except (TypeError, ValueError):
         raise InvalidParameterError(f"edge {edge} does not join two (row, col) pairs") from None
-    if {type(r1), type(c1), type(r2), type(c2)} != {int}:
+    if not (type(r1) is int and type(c1) is int and type(r2) is int and type(c2) is int):
         _check_ints(r1=r1, c1=c1, r2=r2, c2=c2)
     if c1 == c2:
         if not 1 <= c1 <= cols:

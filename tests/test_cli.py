@@ -20,6 +20,7 @@ from antimagic import (
     LATTICE,
     PRISM,
     FamilySpec,
+    check_antimagic,
     label,
     labeling_to_dot,
     labeling_to_json,
@@ -129,6 +130,29 @@ def test_generate_json_holds_one_block_at_a_time(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "big.json").stat().st_size > 20 << 20
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_reading_a_file_costs_little_beyond_its_labeling(capsys, tmp_path, fmt):
+    # the file is read block by block and no copy of its text is held, so verify and properties
+    # --input trace about what label() and check_antimagic do on the same spec
+    spec = FamilySpec(LATTICE, 161, 162)
+    path = tmp_path / f"lattice.{fmt}"
+    main(["generate", "lattice", "161", "162", "--format", fmt, "-o", str(path)])
+
+    def traced(work):
+        work()  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bar = traced(lambda: check_antimagic(label(spec)))
+    for argv in (["verify", str(path)], ["properties", "--input", str(path)]):
+        assert traced(lambda: main(argv)) < bar + (1 << 20), argv
+    capsys.readouterr()
 
 
 def test_generate_stream_by_label(capsys):
@@ -474,21 +498,45 @@ def test_memory_error_exits_4_with_one_line(capsys, monkeypatch, error, line):
     assert run(capsys, ["properties", "lattice", "3", "3"]) == (4, "", f"antimagic: {line}\n")
 
 
-def _run_under_one_gib(argv):
-    """The console entry point in a child whose address space is capped at 1 GiB; this process keeps its limits."""
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+def _run_child(argv, **kwargs):
+    """The console entry point run in a child process, with ``subprocess.run``'s ``kwargs``."""
     code = "import sys; from antimagic.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
         "OPENBLAS_NUM_THREADS": "1",  # numpy's import reserves address space per OpenBLAS thread
     }
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, preexec_fn=cap
-    )
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, **kwargs)
+
+
+def _run_under_one_gib(argv):
+    """The console entry point in a child whose address space is capped at 1 GiB; this process keeps its limits."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return _run_child(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=cap)
+
+
+def test_verify_reads_a_pipe_as_it_reads_the_file(tmp_path):
+    # a pipe cannot be read again, so it is read whole first; a file is read block by block.
+    # 7,441 lines (121 kB) are more than a pipe's buffer holds, so the child reads while the parent writes
+    text = tsv_text(labeling_tsv_rows(label(FamilySpec(LATTICE, 60, 61))))
+    lines = text.splitlines(keepends=True)
+    second_with_first_label = lines[1][: lines[1].rfind("\t")] + lines[0][lines[0].rfind("\t") :]
+    variants = {
+        "writer": text,
+        "sort -r": "".join(sorted(lines, reverse=True)),  # the writer's lines, in another order
+        "tr": text.replace("\t", " "),  # not the writer's: the slow path reads it
+        "repeated label": "".join([lines[0], second_with_first_label, *lines[2:]]),
+    }
+    for name, data in variants.items():
+        path = tmp_path / "input.tsv"
+        path.write_text(data)
+        by_path = _run_child(["verify", str(path)], capture_output=True)
+        piped = _run_child(["verify"], input=data.encode(), capture_output=True)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (by_path.returncode, by_path.stdout, by_path.stderr)
+        assert by_path.returncode == (name == "repeated label"), name
 
 
 def test_out_of_memory_in_numpy_exits_4_without_a_traceback():

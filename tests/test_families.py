@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import (
     CYCLE,
@@ -21,6 +23,7 @@ from antimagic.families import (
     SKIP_PATH,
     _factor_edge_endpoints,
     _factor_edge_index,
+    _adhoc_graph,
     _factor_edges_at,
     factor_kinds,
 )
@@ -232,6 +235,25 @@ def test_graph_from_edges_validation():
     assert graph.spec is None
     assert graph.vertices == [(1, 1), (2, 1), (3, 1)]
     assert graph_from_edges([((-(1 << 63), 1), ((1 << 63) - 1, 1))]).edges == [((-(1 << 63), 1), ((1 << 63) - 1, 1))]
+
+
+# coordinates near each other, which key by their offset into a table, and anywhere in int64, which
+# key by rank and are sorted
+_NEAR = st.integers(-3, 3)
+_FAR = st.one_of(st.integers(-(1 << 63), (1 << 63) - 1), st.sampled_from([-(1 << 63), (1 << 63) - 1, 1 << 31]))
+
+
+@given(st.one_of(*[st.lists(st.tuples(*[coordinate] * 4), max_size=30) for coordinate in (_NEAR, _NEAR | _FAR)]))
+@settings(max_examples=300, deadline=None)
+def test_adhoc_graph_matches_a_set_of_vertices(rows):
+    edges = sorted({(min(u, v), max(u, v)) for u, v in (((r1, c1), (r2, c2)) for r1, c1, r2, c2 in rows) if u != v})
+    array = np.array([(*u, *v) for u, v in edges], dtype=np.int64).reshape(-1, 4)
+    graph = _adhoc_graph(array)
+    vertices = sorted({point for edge in edges for point in edge})
+    index = {vertex: at for at, vertex in enumerate(vertices)}
+    assert graph.edge_array is array
+    assert graph.vertex_array.tolist() == [list(vertex) for vertex in vertices]
+    assert graph.ends.tolist() == [[index[u], index[v]] for u, v in edges]
 
 
 @pytest.mark.parametrize(
