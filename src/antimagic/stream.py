@@ -114,6 +114,14 @@ class _Forms:
             return self.first(k, pos) if first else self.second(pos, k)
         return _select(first, self.first(k, pos), self.second(pos, k))
 
+    def sum_bounds(self):
+        """The least and greatest vertex sum: at vertex (1, 1), and in the last row's last two columns."""
+        def total(r, c):  # the labels of the copies meeting vertex (r, c)
+            first = sum(self.first(k, c) for k in _factor_edges_at(self.row_kind, self.rows, r))
+            return first + sum(self.second(r, k) for k in _factor_edges_at(self.col_kind, self.cols, c))
+
+        return total(1, 1), max(total(self.rows, c) for c in {self.cols, max(1, self.cols - 1)})
+
     def columns(self, span, keep):
         """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
 
@@ -397,8 +405,8 @@ class StreamStats:
     """Work and live-state accounting for one ``stream_verify`` run.
 
     ``spill_files`` counts the files the two stores opened, one per bucket that spilled a value, or
-    one per store past ``RUN_BUCKETS`` buckets; ``spill_bytes`` every byte written to them, widening
-    rewrites included.
+    one per store past ``RUN_BUCKETS`` buckets, and one per re-scattered bucket; ``spill_bytes``
+    every byte written to them, widening rewrites and re-scatters included.
     """
 
     edges_labeled: int = 0
@@ -410,33 +418,41 @@ class StreamStats:
 
 
 class _BucketStore:
-    """Routes integer values into ascending value-range buckets, in batches.
+    """Routes integer values into ascending value-range buckets over ``lower..upper-1``, in batches.
 
-    ``add`` appends to a buffer.  Once it holds ``chunk_target`` values, the buffer is sorted once
-    and spilled as a run: each file takes its buckets' slice in one write, and the store notes the
-    run's bucket cuts and, per file, the shift from cut to file position.  A file holds one bucket
-    in a store of at most ``RUN_BUCKETS`` buckets, and all of them in a larger one; a store whose
-    buffer never fills opens none.  Files are anonymous (``tempfile.TemporaryFile``): the kernel
-    frees one when it is closed or the process dies, so no spill outlives the process.  Cuts and
-    shifts count values, not bytes, so they survive widening.  Values are ``uint32`` while
-    ``upper`` and every value fit; the first value outside 0..2**32-1 widens the store to int64,
-    rewriting each open file in place, a chunk at a time.
-    Iterating yields every bucket, unsorted, while only one is live, read with one ``os.preadv`` per
-    run holding part of it.  ``peak`` counts the most values held at once (cuts and shifts are
-    metadata, like a file's buffer, and are not counted), ``written`` the bytes written to files.
-    As a context manager it closes every file on exit.
+    ``add`` copies into one preallocated buffer of the store's dtype, room for ``chunk_target``
+    values (or ``expected``, if fewer) plus ``most``, the most one call hands over.  Once it holds
+    ``chunk_target`` values, the buffer is sorted in place and spilled as a run: each file takes
+    its buckets' slice in one write, and the store notes the run's bucket cuts, offsets within the
+    run, in an index sized up front for ``expected`` values.  A file holds one bucket in a store of
+    at most ``RUN_BUCKETS`` buckets, and all of them in a larger one or a ``one_file`` store; a store
+    whose buffer never fills opens none.  Files are anonymous (``tempfile.TemporaryFile``): the
+    kernel frees one when it is closed or the process dies, so no spill outlives the process.
+    Values are ``uint32`` while the range fits and every value does; the first value outside
+    0..2**32-1 widens the store to int64, rewriting each open file in place, a chunk at a time, and
+    the cuts, which count values, stay valid.  Iterating yields every bucket, unsorted, while only
+    one is live, read with one ``os.preadv`` per run holding part of it; a spilled bucket of more
+    than two buffers is instead re-scattered, one run slice at a time, into a child ``one_file`` store
+    over its own range (an end bucket's reaches the least or greatest value spilled), whose buckets
+    are yielded in its place.  ``peak`` counts the most values held at once (the index is metadata,
+    like a file's buffer, and is not counted), ``written`` the bytes written to files, a child's
+    too.  As a context manager it closes every file on exit.
     """
 
-    def __init__(self, expected, upper, chunk_target):
+    def __init__(self, expected, upper, chunk_target, lower=0, most=1, one_file=False):
         self.nbuckets = min(512, -(-expected // chunk_target))
-        self.width = max(1, -(-upper // self.nbuckets))
-        self.dtype = np.dtype(np.uint32 if upper <= 1 << 32 else np.int64)
+        self.lower, self.width = lower, max(1, -(-(upper - lower) // self.nbuckets))
+        self.ends = lower, upper  # widened to the least and greatest value spilled
+        bounds = lower + self.width * np.arange(1, self.nbuckets, dtype=np.int64)
+        self.dtype = np.dtype(np.uint32 if 0 <= lower and bounds.max(initial=upper) < 1 << 32 else np.int64)
+        self.bounds = bounds.astype(self.dtype)  # searchsorted on like dtypes copies nothing
         self.chunk_target = chunk_target
-        self.per_file = self.nbuckets if self.nbuckets > RUN_BUCKETS else 1  # buckets per spill file
+        self.per_file = self.nbuckets if self.nbuckets > RUN_BUCKETS or one_file else 1  # buckets per spill file
         self.files = [None] * -(-self.nbuckets // self.per_file)
-        self.cuts, self.shifts = bytearray(), bytearray()  # int64: every run's cuts, and its shift per file
-        self.buffer = []
-        self.buffered = self.count = self.spills = self.written = self.peak = 0
+        self.buffer = np.empty(min(chunk_target, expected) + most, self.dtype)
+        self.limit = 2 * self.buffer.size  # a spilled bucket of more values is re-scattered
+        self.index = np.empty((expected // chunk_target + 1, self.nbuckets + 1), np.min_scalar_type(self.buffer.size))
+        self.buffered = self.count = self.runs = self.spills = self.written = self.peak = 0
 
     def __enter__(self):
         return self
@@ -446,45 +462,48 @@ class _BucketStore:
             handle.close()
         self.files = [None] * len(self.files)
 
-    def add(self, arr):
-        self.buffer.append(arr)
-        self.buffered += arr.size
-        self.count += arr.size
-        self.peak = max(self.peak, self.buffered)
-        if self.buffered >= self.chunk_target:
+    def add(self, values):
+        if self.dtype == np.uint32 and np.bitwise_or.reduce(values) >> 32:  # one below 0 or past 2**32-1
+            self._widen()
+        end, room = self.buffered + values.size, self.buffer.size - self.buffered
+        if end > self.buffer.size:  # only past ``expected``: fill the buffer, which spills, then add the rest
+            return self.add(values[:room]), self.add(values[room:])
+        self.buffer[self.buffered : end] = values
+        self.buffered, self.count, self.peak = end, self.count + values.size, max(self.peak, end)
+        if end >= self.chunk_target or end == self.buffer.size:  # full only past ``expected``
             self._scatter()
 
+    def _widen(self):
+        self.dtype = np.dtype(np.int64)
+        for handle in filter(None, self.files):  # from the end back: int64 at 8i covers no unread uint32
+            for i in reversed(range(0, handle.seek(0, os.SEEK_END) // 4, self.chunk_target)):
+                handle.seek(4 * i)
+                part = np.frombuffer(handle.read(4 * self.chunk_target), np.uint32).astype(np.int64)
+                handle.seek(8 * i)
+                self.written += handle.write(part)
+                self.peak = max(self.peak, self.buffered + part.size)
+            handle.seek(0, os.SEEK_END)
+        self.buffer, self.bounds = self.buffer.astype(np.int64), self.bounds.astype(np.int64)
+
     def _take_buffer(self):
-        """The buffered values sorted, with the bucket bounds cut into them; empties the buffer."""
-        values = np.concatenate([np.empty(0, dtype=np.int64), *self.buffer])
-        self.buffer, self.buffered = [], 0
-        if self.dtype == np.uint32 and values.size and (values.min() < 0 or values.max() >= 1 << 32):
-            self.dtype = np.dtype(np.int64)
-            for handle in filter(None, self.files):  # from the end back: int64 at 8i covers no unread uint32
-                for i in reversed(range(0, handle.seek(0, os.SEEK_END) // 4, self.chunk_target)):
-                    handle.seek(4 * i)
-                    part = np.frombuffer(handle.read(4 * self.chunk_target), np.uint32).astype(np.int64)
-                    handle.seek(8 * i)
-                    self.written += handle.write(part)
-                    self.peak = max(self.peak, values.size + part.size)
-        values = values.astype(self.dtype, copy=False)
+        """The buffered values sorted in place, with the bucket bounds cut into them; empties the buffer."""
+        values, self.buffered = self.buffer[: self.buffered], 0
         values.sort()
-        inner = np.searchsorted(values, np.arange(1, self.nbuckets) * self.width)
-        return values, [0, *inner.tolist(), values.size]
+        return values, [0, *np.searchsorted(values, self.bounds).tolist(), values.size]
 
     def _scatter(self):
         values, cuts = self._take_buffer()
-        shifts = np.zeros(len(self.files), dtype=np.int64)  # where a slice lands, less its first cut
+        if self.runs == len(self.index):  # more values than expected
+            self.index = np.concatenate((self.index, self.index))
+        self.index[self.runs], self.runs = cuts, self.runs + 1
+        self.ends = min(self.ends[0], int(values[0])), max(self.ends[1], int(values[-1]) + 1)
         for f, handle in enumerate(self.files):
             start, stop = cuts[f * self.per_file], cuts[min((f + 1) * self.per_file, self.nbuckets)]
             if stop > start:
                 if handle is None:
                     handle = self.files[f] = tempfile.TemporaryFile()
                     self.spills += 1
-                shifts[f] = handle.seek(0, os.SEEK_END) // self.dtype.itemsize - start  # wherever widening left off
                 self.written += handle.write(values[start:stop])  # no copy
-        self.cuts += np.array(cuts, dtype=np.int64).tobytes()
-        self.shifts += shifts.tobytes()
 
     def iter_buckets(self):
         """Yield ``(lo, hi, values)`` for every bucket, ascending; the values are unsorted.
@@ -492,35 +511,54 @@ class _BucketStore:
         A bucket holds the values in ``lo..hi-1``; the first also takes those
         below its range and the last those above.
         """
-        if self.spills and self.buffer:
+        if not self.spills:  # every value is in the buffer
+            values, cuts = self._take_buffer()
+            for b in range(self.nbuckets):
+                yield *self._range(b), values[cuts[b] : cuts[b + 1]]
+            return
+        if self.buffered:
             self._scatter()
-        values, cuts = self._take_buffer()
-        index = np.frombuffer(self.cuts, dtype=np.int64).reshape(-1, self.nbuckets + 1)
-        shifts = np.frombuffer(self.shifts, dtype=np.int64).reshape(-1, len(self.files))
+        self.buffer = None  # the files hold every value
         for handle in filter(None, self.files):
             handle.flush()
         for b in range(self.nbuckets):
-            part, f = values[cuts[b] : cuts[b + 1]], b // self.per_file
-            if self.files[f] is not None:  # bucket b's slice of every run holding part of it, read in place
-                lengths = index[:, b + 1] - index[:, b]
-                hit = lengths > 0
-                offsets = (index[hit, b] + shifts[hit, f]) * self.dtype.itemsize
-                part = np.empty(int(lengths.sum()), dtype=self.dtype)
-                view, fd, at = memoryview(part), self.files[f].fileno(), 0
-                for offset, length in zip(offsets.tolist(), lengths[hit].tolist()):
-                    os.preadv(fd, [view[at : at + length]], offset)
+            f = b // self.per_file
+            f0, f1 = f * self.per_file, min((f + 1) * self.per_file, self.nbuckets)
+            cuts = self.index[: self.runs, [f0, b, b + 1, f1]].astype(np.int64)
+            sizes, lengths = cuts[:, 3] - cuts[:, 0], cuts[:, 2] - cuts[:, 1]
+            hit = lengths > 0  # runs holding part of the bucket, at their slice's place in file f
+            offsets = ((np.cumsum(sizes) - sizes + cuts[:, 1] - cuts[:, 0])[hit] * self.dtype.itemsize).tolist()
+            lengths, total = lengths[hit].tolist(), int(lengths.sum())
+            lo, hi = self._range(b)
+            if total <= self.limit or hi - lo <= 1:
+                part, at = np.empty(total, dtype=self.dtype), 0
+                for offset, length in zip(offsets, lengths):
+                    os.preadv(self.files[f].fileno(), [memoryview(part)[at : at + length]], offset)
                     at += length
-                self.peak = max(self.peak, part.size)
-            yield b * self.width, (b + 1) * self.width, part
+                self.peak = max(self.peak, total)
+                yield lo, hi, part
+                del part  # the caller drops its own, so the next bucket is read with none held
+                continue
+            with type(self)(total, hi, self.chunk_target, lo, one_file=True) as child:
+                part = np.empty(max(lengths), dtype=self.dtype)  # one run slice at a time
+                for offset, length in zip(offsets, lengths):
+                    os.preadv(self.files[f].fileno(), [memoryview(part)[:length]], offset)
+                    child.add(part[:length])
+                del part  # not held while the child's buckets are checked
+                yield from child.iter_buckets()
+            self.peak = max(self.peak, max(lengths) + child.peak)
+            self.spills, self.written = self.spills + child.spills, self.written + child.written
+
+    def _range(self, b):
+        """Bucket ``b``'s values ``lo..hi-1``: the end buckets reach the least and greatest value spilled."""
+        lo, hi = (min(self.lower + c * self.width, self.ends[1]) for c in (b, b + 1))
+        return self.ends[0] if b == 0 else lo, self.ends[1] if b == self.nbuckets - 1 else hi
 
 
-def _distinct(chunk, lo, hi):
-    """Whether ``chunk``'s values are pairwise distinct and all in ``lo..hi-1``; a bitmap, no sort."""
-    if chunk.size and (chunk.min() < lo or chunk.max() >= hi):
-        return False
-    seen = np.zeros(hi - lo, dtype=bool)
-    seen[np.subtract(chunk, lo, dtype=np.intp)] = True  # intp: no cast in the indexing
-    return np.count_nonzero(seen) == chunk.size
+def _distinct(chunk):
+    """Whether ``chunk``'s values are pairwise distinct; sorts it in place, so neighbours tell."""
+    chunk.sort()
+    return not (chunk[1:] == chunk[:-1]).any()
 
 
 def _check_permutation(store, n):
@@ -529,29 +567,25 @@ def _check_permutation(store, n):
     ok = store.count == n
     for lo, hi, chunk in store.iter_buckets():
         first, stop = max(lo, 1), max(lo, 1, min(hi, n + 1))  # the bucket's share of 1..n
-        if chunk.size == stop - first and _distinct(chunk, first, stop):
-            continue  # its whole share once each; only a failing bucket is sorted
-        ok = False
-        chunk.sort()
-        expected = np.arange(first, stop, dtype=np.int64)
-        repeated = chunk[1:][chunk[1:] == chunk[:-1]]
-        outside = chunk[(chunk < 1) | (chunk > n)]
-        missing = np.setdiff1d(expected, chunk, assume_unique=False)
-        for part in (repeated, outside, missing):
-            for v in part[:32]:
-                issues.add(int(v))
+        distinct = _distinct(chunk)  # sorted now: distinct and as long as its share, it is the share if its ends are
+        ends = (chunk[0], chunk[-1]) if chunk.size else (first, stop - 1)
+        if not (distinct and chunk.size == stop - first and ends == (first, stop - 1)):
+            ok = False
+            repeated = chunk[1:][chunk[1:] == chunk[:-1]]
+            outside = chunk[(chunk < 1) | (chunk > n)]
+            missing = np.setdiff1d(np.arange(first, stop, dtype=np.int64), chunk, assume_unique=False)
+            for part in (repeated, outside, missing):
+                issues.update(part[:32].tolist())
+        del chunk  # freed before the next bucket is read
     return ok, sorted(issues)
 
 
 def _collect_duplicates(store):
     dups = set()
-    for lo, hi, chunk in store.iter_buckets():
-        if _distinct(chunk, lo, hi):
-            continue  # only a bucket with a repeat, or a stray value, is sorted
-        chunk.sort()
-        repeated = chunk[1:][chunk[1:] == chunk[:-1]]
-        for v in np.unique(repeated):
-            dups.add(int(v))
+    for _, _, chunk in store.iter_buckets():
+        if not _distinct(chunk):  # sorted now, so repeats are neighbours
+            dups.update(np.unique(chunk[1:][chunk[1:] == chunk[:-1]]).tolist())
+        del chunk  # freed before the next bucket is read
     return sorted(dups)
 
 
@@ -570,9 +604,9 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     Sweeps columns, computing each column's vertex sums in closed form, and checks exactly (no
     sampling, no hashing tricks) that the labels are a bijection onto 1..|E| and the sums are
     pairwise distinct.  Live state is one span of a column of the normalized orientation, at most
-    ``max(chunk_target // 4, 8 * (min(m, n) + 2))`` rows, plus a label and a sum buffer of about
-    ``chunk_target`` values each; value-range buckets on disk carry the rest, and a stream that
-    never fills a buffer touches no disk.
+    ``max(min(chunk_target // 4, 2048), 8 * (min(m, n) + 2))`` rows, plus a label and a sum buffer
+    of a chunk and a span each; value-range buckets on disk carry the rest, read back one bucket of
+    at most about two buffers at a time, and a stream that never fills a buffer touches no disk.
     """
     start = time.perf_counter()
     forms = _forms(spec)
@@ -581,8 +615,12 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
         raise InvalidParameterError(f"chunk target must be at least 1, got {chunk_target}")
     nv, ne = spec.vertex_count(), spec.edge_count()
     # rows per sweep span; a grid column, at most the short side plus one rows, always fits in one
-    span = min(forms.rows, max(chunk_target // 4, 8 * (min(spec.m, spec.n) + 2)))
-    with _BucketStore(ne, ne + 1, chunk_target) as label_store, _BucketStore(nv, 4 * ne + 1, chunk_target) as sum_store:
+    span = min(forms.rows, max(min(chunk_target // 4, 2048), 8 * (min(spec.m, spec.n) + 2)))
+    # a run store's sum buckets are cut over the real sums; a stray sum lands in an end bucket
+    least, greatest = forms.sum_bounds() if nv > RUN_BUCKETS * chunk_target else (0, 4 * ne)
+    with _BucketStore(ne, ne + 1, chunk_target, 0, span) as label_store, _BucketStore(
+        nv, greatest + 1, chunk_target, least, span
+    ) as sum_store:
         for _, _, sums in forms.columns(span, label_store.add):
             sum_store.add(sums)
         if label_store.count != ne or sum_store.count != nv:
