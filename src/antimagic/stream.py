@@ -421,11 +421,12 @@ class _BucketStore:
     """Routes integer values into ascending value-range buckets over ``lower..upper-1``, in batches.
 
     ``add`` copies into one preallocated buffer of the store's dtype, room for ``chunk_target``
-    values (or ``expected``, if fewer) plus ``most``, the most one call hands over.  Once it holds
-    ``chunk_target`` values, the buffer is sorted in place and spilled as a run: each file takes
-    its buckets' slice in one write, and the store notes the run's bucket cuts, offsets within the
-    run, in an index sized up front for ``expected`` values.  A file holds one bucket in a store of
-    at most ``RUN_BUCKETS`` buckets, and all of them in a larger one or a ``one_file`` store; a store
+    values (or ``expected``, if fewer) plus ``most``, the most one call hands over; a longer batch
+    fills it piece by piece.  Once it holds ``chunk_target`` values, the buffer is sorted in place
+    and spilled as a run: each file takes its buckets' slice in one write, and the store notes the
+    run's bucket cuts, offsets within the run, in an index sized up front for ``expected`` values
+    in batches of ``most`` and doubled if outgrown.  A file holds one bucket in a store of at most
+    ``RUN_BUCKETS`` buckets, and all of them in a larger one or a ``one_file`` store; a store
     whose buffer never fills opens none.  Files are anonymous (``tempfile.TemporaryFile``): the
     kernel frees one when it is closed or the process dies, so no spill outlives the process.
     Values are ``uint32`` while the range fits and every value does; the first value outside
@@ -446,12 +447,13 @@ class _BucketStore:
         bounds = lower + self.width * np.arange(1, self.nbuckets, dtype=np.int64)
         self.dtype = np.dtype(np.uint32 if 0 <= lower and bounds.max(initial=upper) < 1 << 32 else np.int64)
         self.bounds = bounds.astype(self.dtype)  # searchsorted on like dtypes copies nothing
-        self.chunk_target = chunk_target
+        self.chunk_target, self.most = chunk_target, most
         self.per_file = self.nbuckets if self.nbuckets > RUN_BUCKETS or one_file else 1  # buckets per spill file
         self.files = [None] * -(-self.nbuckets // self.per_file)
         self.buffer = np.empty(min(chunk_target, expected) + most, self.dtype)
         self.limit = 2 * self.buffer.size  # a spilled bucket of more values is re-scattered
-        self.index = np.empty((expected // chunk_target + 1, self.nbuckets + 1), np.min_scalar_type(self.buffer.size))
+        runs = expected // max(chunk_target, most) + 1  # a spill takes a chunk, or a batch that passes one
+        self.index = np.empty((runs, self.nbuckets + 1), np.min_scalar_type(self.buffer.size))
         self.buffered = self.count = self.runs = self.spills = self.written = self.peak = 0
 
     def __enter__(self):
@@ -465,13 +467,12 @@ class _BucketStore:
     def add(self, values):
         if self.dtype == np.uint32 and np.bitwise_or.reduce(values) >> 32:  # one below 0 or past 2**32-1
             self._widen()
-        end, room = self.buffered + values.size, self.buffer.size - self.buffered
-        if end > self.buffer.size:  # only past ``expected``: fill the buffer, which spills, then add the rest
-            return self.add(values[:room]), self.add(values[room:])
-        self.buffer[self.buffered : end] = values
-        self.buffered, self.count, self.peak = end, self.count + values.size, max(self.peak, end)
-        if end >= self.chunk_target or end == self.buffer.size:  # full only past ``expected``
-            self._scatter()
+        while values.size:  # a batch past the buffer's room fills it, which spills, and goes on
+            end = min(self.buffer.size, self.buffered + values.size)
+            self.buffer[self.buffered : end], values = values[: end - self.buffered], values[end - self.buffered :]
+            self.buffered, self.count, self.peak = end, self.count + end - self.buffered, max(self.peak, end)
+            if end >= self.chunk_target or end == self.buffer.size:  # full: past ``expected``, or mid-batch
+                self._scatter()
 
     def _widen(self):
         self.dtype = np.dtype(np.int64)
@@ -493,7 +494,7 @@ class _BucketStore:
 
     def _scatter(self):
         values, cuts = self._take_buffer()
-        if self.runs == len(self.index):  # more values than expected
+        if self.runs == len(self.index):  # more values than expected, or smaller batches
             self.index = np.concatenate((self.index, self.index))
         self.index[self.runs], self.runs = cuts, self.runs + 1
         self.ends = min(self.ends[0], int(values[0])), max(self.ends[1], int(values[-1]) + 1)
@@ -521,6 +522,7 @@ class _BucketStore:
         self.buffer = None  # the files hold every value
         for handle in filter(None, self.files):
             handle.flush()
+        fds = [handle and handle.fileno() for handle in self.files]
         for b in range(self.nbuckets):
             f = b // self.per_file
             f0, f1 = f * self.per_file, min((f + 1) * self.per_file, self.nbuckets)
@@ -533,16 +535,16 @@ class _BucketStore:
             if total <= self.limit or hi - lo <= 1:
                 part, at = np.empty(total, dtype=self.dtype), 0
                 for offset, length in zip(offsets, lengths):
-                    os.preadv(self.files[f].fileno(), [memoryview(part)[at : at + length]], offset)
+                    os.preadv(fds[f], [part[at : at + length]], offset)
                     at += length
                 self.peak = max(self.peak, total)
                 yield lo, hi, part
                 del part  # the caller drops its own, so the next bucket is read with none held
                 continue
-            with type(self)(total, hi, self.chunk_target, lo, one_file=True) as child:
+            with type(self)(total, hi, self.chunk_target, lo, self.most, one_file=True) as child:
                 part = np.empty(max(lengths), dtype=self.dtype)  # one run slice at a time
                 for offset, length in zip(offsets, lengths):
-                    os.preadv(self.files[f].fileno(), [memoryview(part)[:length]], offset)
+                    os.preadv(fds[f], [part[:length]], offset)
                     child.add(part[:length])
                 del part  # not held while the child's buckets are checked
                 yield from child.iter_buckets()

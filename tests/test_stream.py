@@ -965,6 +965,36 @@ def test_stores_either_side_of_the_file_threshold_agree():
     assert per_bucket == one == [(False, [7, 150, 200]), [150]]
 
 
+# a batch thousands of buffers long fills the buffer piece by piece, and a bucket spilled in
+# batches far past the chunk is re-scattered into a child that takes each run slice in one batch
+def test_store_takes_batches_far_past_its_buffer():
+    with _BucketStore(5000, 5001, 1) as store:  # a buffer of two values
+        store.add(np.arange(1, 5001, dtype=np.int64))
+        assert (store.peak, store.runs) == (2, 2500)
+        assert _check_permutation(store, 5000) == (True, [])
+    for repeats in ([], [7777]):
+        values = np.arange(1, 12_001, dtype=np.int64)
+        values[[v - 2 for v in repeats]] = repeats  # 7776 becomes 7777
+        with _BucketStore(12_000, 512 * 20_000, 1, most=5000) as store:  # 12,000 in bucket 0; limit 10,002
+            for start in range(0, 12_000, 5000):
+                store.add(values[start : start + 5000])
+            assert _collect_duplicates(store) == repeats
+            assert store.spills == 2 and store.peak <= 2 * 5000 + 1  # the run file and the child's
+
+
+# at chunk 1 every batch spills a run of its own; the index is sized for those batches, where
+# sizing it for one run per value reserved 22 MB of it here
+def test_stream_verify_run_index_is_sized_for_the_batches():
+    stream_verify(FamilySpec(PRISM, 5, 1))  # warm-up: lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert stream_verify(FamilySpec(LATTICE, 120, 120), chunk_target=1).antimagic
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
 @pytest.mark.parametrize("chunk_target", FLUSH_BOUNDARIES)
 @given(multisets())
 @settings(max_examples=150, deadline=None)
