@@ -17,13 +17,15 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .errors import FormatError, InvalidParameterError, SizeRefusalError
 from .families import FAMILIES, LATTICE, PRISM, FamilySpec, build_graph, check_materializable
-from .formats import labeling_blocks, labeling_tsv_rows, read_labeling, text_blocks
+from .formats import labeling_blocks, labeling_tsv_rows, read_tally, text_blocks
 from .labelings import label
 from .oracle import check_search_size, exhaustive_search, random_search
 from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, iter_sum_blocks, stream_verify
-from .verification import check_antimagic, check_paper_properties
+from .verification import Tally, check_antimagic, check_paper_properties
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -52,9 +54,19 @@ def _open_output(path):
 
 
 def _read_input(path):
-    """The labeling in the file at ``path``, or on stdin for ``-``, read block by block when seekable."""
+    """The tally or labeling in the file at ``path``, or on stdin for ``-``, read block by block when seekable."""
     with contextlib.nullcontext(sys.stdin) if path is None or path == "-" else open(path, encoding="utf-8") as handle:
-        return read_labeling(handle)
+        return read_tally(handle)
+
+
+def _closed_form_sums(spec):
+    """A :class:`Tally` of a lattice's or prism's vertex sums, filled block by block from the closed forms."""
+    check_materializable(spec)
+    sums, at = np.empty(spec.vertex_count(), np.int64), 0
+    for block in iter_sum_blocks(spec):
+        sums[at : at + len(block)] = block[:, 2]
+        at += len(block)
+    return Tally(spec, None, None, sums)
 
 
 def _print_report(report, fmt):
@@ -81,8 +93,7 @@ def _cmd_generate(args):
 
 
 def _cmd_verify(args):
-    lab = _read_input(args.input)
-    verdict = check_antimagic(lab)
+    verdict = check_antimagic(_read_input(args.input))
     _print_report(verdict, args.format)
     return EXIT_OK if verdict.antimagic else EXIT_NEGATIVE
 
@@ -92,14 +103,14 @@ def _cmd_properties(args):
         if args.family is not None:
             raise InvalidParameterError("give either a family spec or --input, not both")
         lab = _read_input(args.input)
-        spec = lab.graph.spec
+        spec = lab.spec
         if spec is None:
             raise InvalidParameterError("input has no family header; properties need one")
     else:
         if args.family is None or args.m is None:
             raise InvalidParameterError("properties needs a family and size, or --input")
         spec = _spec_from(args.family, args.m, args.n)
-        lab = label(spec)
+        lab = _closed_form_sums(spec) if spec.family in (LATTICE, PRISM) else label(spec)
     report = check_paper_properties(spec, lab)
     _print_report(report, args.format)
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE

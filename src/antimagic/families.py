@@ -222,14 +222,14 @@ def check_materializable(spec):
     return count
 
 
-def _ranges(spec, count):
-    """``(at, copies, endpoints)`` for each ``RANGE_EDGES`` canonical positions of ``spec``'s ``count`` edges.
+def _ranges(spec, count, start=0):
+    """``(at, copies, endpoints)`` for each ``RANGE_EDGES`` of ``spec``'s canonical positions ``start..count - 1``.
 
     ``at`` is their slice, ``copies`` the ``(first, k, pos)`` arrays of :func:`_copy_at` and
     ``endpoints`` the four columns of :func:`_copy_endpoints`, so no temporary spans every edge.
     """
     factors = factor_kinds(spec)
-    for low in range(0, count, RANGE_EDGES):
+    for low in range(start, count, RANGE_EDGES):
         at = slice(low, min(count, low + RANGE_EDGES))
         copies = _copy_at(*factors, np.arange(at.start, at.stop))
         yield at, copies, _copy_endpoints(*factors, *copies)
@@ -258,17 +258,25 @@ def _materialize(spec, label_of=None):
     return _spec_graph(spec, edges), labels
 
 
+def _canonical(spec, edges, start=0):
+    """Whether the (B, 4+) int rows ``edges`` are ``spec``'s canonical edges at positions ``start`` on.
+
+    They are compared range by range with :func:`_ranges`, so they are not made a second time.
+    """
+    return all(
+        np.array_equal(edges[at.start - start : at.stop - start, column], values)
+        for at, _, endpoints in _ranges(spec, start + len(edges), start)
+        for column, values in enumerate(endpoints)
+    )
+
+
 def _parsed_graph(spec, edges):
     """``spec``'s graph on the (E, 4) int ``edges`` if they are its canonical edges, else None.
 
-    The spec is checked, and the edge count compared, before any edge; the edges are then compared
-    range by range with :func:`_ranges`, so they are not made a second time.
+    The spec is checked, and the edge count compared, before any edge.
     """
-    if len(edges) != check_materializable(spec):
+    if len(edges) != check_materializable(spec) or not _canonical(spec, edges):
         return None
-    for at, _, endpoints in _ranges(spec, len(edges)):
-        if not all(np.array_equal(edges[at, column], values) for column, values in enumerate(endpoints)):
-            return None
     return _spec_graph(spec, edges)
 
 

@@ -18,6 +18,12 @@ text is held.  Any other file takes that slower path, over its whole text:
 ``json.loads`` and a walk over its edge entries, or a TSV walk line by line;
 either names the first bad field.  Both paths end in the edge-list check that
 ``graph_from_edges`` also runs.
+
+The command line's checks read a file with :func:`read_tally` instead: each piece's
+rows become label counts and vertex sums and are dropped, so neither rows nor a graph
+are held.  A headered JSON file's edges are compared with its family's closed forms,
+and a TSV file is read twice, for its extent and then for its sums.  Any other file
+is parsed as above, with the same results and messages.
 """
 
 from __future__ import annotations
@@ -39,14 +45,17 @@ from .families import (
     PRISM,
     FamilySpec,
     _adhoc_graph,
+    _canonical,
     _canonical_rows,
+    _lex_greater,
     _parsed_graph,
+    check_materializable,
 )
 from .labelings import Labeling
-from .verification import vertex_sums
+from .verification import Tally, vertex_sums
 
 _ROWS_PER_BLOCK = 1 << 11
-_READ_CHARS = 1 << 17  # input text read, decoded and compared with the writer's at once
+_READ_CHARS = 1 << 16  # input text read, decoded and compared with the writer's at once
 _LINE_CHARS = 1 << 10  # more than any line the writers make; an unfinished line this long is not theirs
 _TSV_FIELDS = ("r1", "c1", "r2", "c2", "label")
 _TSV_LINE = "%d\t%d\t%d\t%d\t%d\n"
@@ -233,16 +242,19 @@ def _pieces(blocks):
         raise _NotWriter from exc
 
 
-def _records(text, fmt, kept):
-    """Check that ``text`` is exactly ``fmt`` over its decimals, rendered as one block; keep their rows in ``kept``."""
+def _records(text, fmt, kept, check=True):
+    """Check that ``text`` is exactly ``fmt`` over its decimals, rendered as one block; keep their rows in ``kept``.
+
+    Without ``check`` the rows are only decoded, as a guess that a later, checked read must confirm.
+    """
     rows = _decimal_rows(text, fmt.count("%d"))
-    if rows is None or _block_text(fmt, rows) != text:
+    if rows is None or check and _block_text(fmt, rows) != text:
         raise _NotWriter
     if kept is not None:
         kept.append(rows)
 
 
-def _section(pieces, text, fmt, end, kept):
+def _section(pieces, text, fmt, end, kept, check=True):
     """Check the records of ``fmt`` in ``text`` and then ``pieces``, up to the first ``end`` (None: the end).
 
     Whole records are cut off and checked as they arrive, by :func:`_records`; the unfinished one is
@@ -254,7 +266,7 @@ def _section(pieces, text, fmt, end, kept):
     while end is None or (stop := text.find(end)) < 0:
         at = text.rfind(joint)
         cut = at + len(literals[-1]) if at >= 0 else 0
-        _records(text[:cut], fmt, kept)
+        _records(text[:cut], fmt, kept, check)
         text = text[cut:]
         if len(text) > _LINE_CHARS:
             raise _NotWriter
@@ -262,10 +274,10 @@ def _section(pieces, text, fmt, end, kept):
         if piece is None:
             if end is not None:
                 raise _NotWriter
-            _records(text, fmt, kept)
+            _records(text, fmt, kept, check)
             return ""
         text += piece
-    _records(text[:stop], fmt, kept)
+    _records(text[:stop], fmt, kept, check)
     return text[stop + len(end) :]
 
 
@@ -305,14 +317,103 @@ class _Rows:
         return self._fields.T
 
 
-def _writer_tsv(blocks):
-    """The (E, 5) rows of the text ``blocks`` if ``tsv_text`` renders them as exactly that text, else None."""
-    rows = _Rows(5)
+def _bounds(rows, start=((math.inf, -math.inf),) * 2):
+    """Each axis's least and greatest value, as ints, in the edge rows ``rows`` and the bounds ``start``."""
+    if not len(rows):
+        return start
+    axes = rows[:, 0:4:2], rows[:, 1:4:2]
+    return [(min(low, int(v.min())), max(high, int(v.max()))) for v, (low, high) in zip(axes, start)]
+
+
+class _Extent:
+    """The count and :func:`_bounds` of edge rows appended block by block."""
+
+    def __init__(self):
+        self.count, self.bounds = 0, _bounds([])
+
+    def append(self, rows):
+        self.count, self.bounds = self.count + len(rows), _bounds(rows, self.bounds)
+
+    def done(self):
+        """The :class:`_Counts` for the rows, declined if their key table spans more keys than there are endpoints."""
+        (low_r, high_r), (low_c, high_c) = self.bounds
+        if not self.count or (high_r - low_r + 1) * (high_c - low_c + 1) > 2 * self.count:
+            raise _NotWriter
+        return _Counts(None, self.count, self.bounds)
+
+
+class _Counts:
+    """The :class:`Tally` of edge rows ``r1, c1, r2, c2, label`` appended block by block, each dropped once counted.
+
+    The rows are ``spec``'s canonical edges in turn or, without a spec, canonical and strictly
+    ascending within the axis ``bounds``.  Vertex (r, c) keeps its sum at key ``(r - low_r) * width
+    + c - low_c``, which sorts as (r, c).  A label of 1..``count`` is counted up to 2; any other is
+    kept.  Other rows, too many or too few, or a sum that could pass int64, raise :class:`_NotWriter`.
+    """
+
+    def __init__(self, spec, count, bounds):
+        (low_r, high_r), (low_c, high_c) = bounds
+        self.spec, self.count, self.bounds = spec, count, bounds
+        self.low, self.width = (low_r, low_c), high_c - low_c + 1
+        self.taken, self.last = 0, np.empty((0, 4), np.int64)
+        self.counts, self.outside = np.zeros(count + 1, np.uint8), [np.empty(0, np.int64)]
+        self.sums = np.zeros((high_r - low_r + 1) * self.width, np.int64)
+        self.used = np.zeros(len(self.sums), bool)
+
+    @classmethod
+    def of_header(cls, header):
+        """For a headered JSON file's rows; a header :func:`parse_json` would refuse raises :class:`_NotWriter`."""
+        family, m, n = header["family"], header["m"], header["n"]
+        spec = FamilySpec(family, m, n if family in (LATTICE, PRISM) else 0)
+        try:
+            return cls(spec, check_materializable(spec), ((1, spec.row_count()), (1, spec.col_count())))
+        except ValueError as exc:  # the slow read names the fault
+            raise _NotWriter from exc
+
+    def append(self, rows):
+        at, self.taken = self.taken, self.taken + len(rows)
+        if self.taken > self.count or not (_canonical(self.spec, rows, at) if self.spec else self._ascending(rows)):
+            raise _NotWriter
+        keys = (rows[:, 0:4:2] - self.low[0]) * self.width + rows[:, 1:4:2] - self.low[1]
+        labels = rows[:, 4]
+        np.add.at(self.sums, keys, labels[:, None])
+        self.used[keys] = True
+        inside = (labels >= 1) & (labels <= self.count)
+        values, times = np.unique(labels[inside], return_counts=True)
+        self.counts[values] = np.minimum(self.counts[values] + times, 2)
+        self.outside.append(labels[~inside])
+
+    def _ascending(self, rows):
+        edges = np.concatenate((self.last, rows[:, :4]))
+        self.last = edges[-1:].copy()
+        ordered = _lex_greater(edges[:, 2:], edges[:, :2]).all() and _lex_greater(edges[1:], edges[:-1]).all()
+        return ordered and _bounds(edges, self.bounds) == list(self.bounds)
+
+    def done(self):
+        outside, used = np.concatenate(self.outside), self.used
+        peak = max(-int(outside.min(initial=0)), int(outside.max(initial=0)))
+        if self.taken < self.count or peak * self.count >= 1 << 63:
+            raise _NotWriter
+
+        def vertex(i):
+            r, c = divmod(int(np.flatnonzero(used)[i]), self.width)
+            return r + self.low[0], c + self.low[1]
+
+        return Tally(self.spec, self.counts, outside, self.sums if used.all() else self.sums[used], vertex)
+
+
+def _writer_tsv(blocks, kept=None, check=True):
+    """The (E, 5) rows of the text ``blocks`` if ``tsv_text`` renders them as exactly that text, else None.
+
+    The rows are appended to ``kept``, a new :class:`_Rows` by default, and its done() is returned;
+    either may raise :class:`_NotWriter`.  ``check`` is :func:`_records`'.
+    """
+    kept = _Rows(5) if kept is None else kept
     try:
-        _section(_pieces(blocks), "", _TSV_LINE, None, rows)
+        _section(_pieces(blocks), "", _TSV_LINE, None, kept, check)
+        return kept.done()
     except _NotWriter:
         return None
-    return rows.done()
 
 
 def _tsv_rows(text):
@@ -344,13 +445,15 @@ def parse_tsv(text):
     return _tsv_labeling([text], lambda: text)
 
 
-def _writer_json(blocks):
+def _writer_json(blocks, keep=lambda header: _Rows(5)):
     """``(header, rows)`` if ``labeling_to_json`` renders them as exactly the text ``blocks``, else None.
 
-    The header is the ``family``/``m``/``n`` dict.  The sum lines are checked to render back from
-    their own values and then dropped, since no parser reads the sums.
+    The header is the ``family``/``m``/``n`` dict.  The edge rows are appended to ``keep(header)``
+    and ``rows`` is its done(), by default the (E, 5) rows; either may raise :class:`_NotWriter`.
+    The sum lines are checked to render back from their own values and then dropped, since no
+    parser reads the sums.
     """
-    pieces, text, rows = _pieces(blocks), "", _Rows(5)
+    pieces, text = _pieces(blocks), ""
     try:
         while (at := text.find(_JSON_EDGES)) < 0:
             piece = next(pieces, None)
@@ -366,12 +469,13 @@ def _writer_json(blocks):
         if not text.startswith(head):
             return None
         # every record but a section's first starts with ",\n"
+        rows = keep(header)
         text = _section(pieces, ",\n" + text[len(head) :], _JSON_EDGE, _JSON_SUMS, rows)
         if _section(pieces, ",\n" + text, _JSON_SUM, _JSON_END, None) or next(pieces, None) is not None:
             return None
+        return header, rows.done()
     except _NotWriter:
         return None
-    return header, rows.done()
 
 
 def _json_rows(entries):
@@ -454,22 +558,43 @@ def parse_labeling(text):
     return _labeling([text], lambda: text)
 
 
-def read_labeling(handle):
-    """:func:`parse_labeling` of what the open text stream ``handle`` reads.
+def _tally(blocks):
+    """The :class:`Tally` of a writer's headered JSON or TSV, ``blocks()`` giving its text anew; else None.
 
-    A seekable stream is read ``_READ_CHARS`` characters at a time and again from where it started
-    if the slow path needs its whole text, so the fast read holds no copy of it; any other stream is
-    read whole first.
+    A TSV file is read twice: its decimals for their extent, then its checked rows for their counts and sums.
+    """
+    try:
+        if next(blocks(), "").startswith("{"):
+            parsed = _writer_json(blocks(), _Counts.of_header)
+            return parsed and parsed[1]
+    except UnicodeDecodeError:
+        return None
+    counts = _writer_tsv(blocks(), _Extent(), check=False)
+    return counts and _writer_tsv(blocks(), counts)
+
+
+def read_tally(handle):
+    """What :func:`check_antimagic` and :func:`check_paper_properties` read of the labeling the open
+    text stream ``handle`` reads: a :class:`Tally` of a writer's TSV or headered JSON, else its
+    :func:`parse_labeling`.
+
+    A seekable stream is read ``_READ_CHARS`` characters at a time, from where it started each time,
+    so no copy of the text is held; any other stream is read whole first.
     """
     try:
         if not handle.seekable():
-            return parse_labeling(handle.read())
+            text = handle.read()
+            return _tally(lambda: iter([text])) or parse_labeling(text)
         start = handle.tell()
+
+        def blocks():
+            handle.seek(start)
+            return iter(functools.partial(handle.read, _READ_CHARS), "")
 
         def whole():
             handle.seek(start)
             return handle.read()
 
-        return _labeling(iter(functools.partial(handle.read, _READ_CHARS), ""), whole)
+        return _tally(blocks) or _labeling(blocks(), whole)
     except UnicodeDecodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc

@@ -28,7 +28,7 @@ class Labeling:
     integer arrays are widened).  A mapping edge -> int64 label is accepted
     too; when it misses or adds edges, ``labels`` is None and only the
     mapping is kept.  ``assignment`` is the read-only edge -> label view,
-    built on first read.
+    built on first read; ``spec`` is the graph's.
     """
 
     def __init__(self, graph, labels):
@@ -54,6 +54,8 @@ class Labeling:
             covered = values is not None and len(values) == len(self._given)
             labels = np.array(values, dtype=np.int64) if covered else None
         self.labels = labels
+
+    spec = property(lambda self: self.graph.spec)
 
     @cached_property
     def assignment(self):

@@ -4,7 +4,8 @@ The antimagic check is the contract every labeling here must pass: labels
 form a bijection onto 1..|E| and the induced vertex sums are pairwise
 distinct.  The property checks go further and test the ordered sum chains
 that make the constructions work; they are the machine-checkable form of the
-arguments behind each scheme.
+arguments behind each scheme.  Both read a labeling, or just its label counts
+and vertex sums in a :class:`Tally`, through one core each.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ class SumReport:
     component2 = cached_property(lambda self: self._view(False))
 
 
-def _incident_sums(graph, labels):
-    """Exact sum of ``labels`` over the edges at each vertex."""
+def _incident_sums(graph, labels, peak=None):
+    """Exact sum of ``labels`` over the edges at each vertex; ``peak``, if given, bounds their magnitude."""
     count = len(graph.vertex_array)
-    if max(-int(labels.min(initial=0)), int(labels.max(initial=0))) * len(labels) < 1 << 53:
+    if peak is None:
+        peak = max(-int(labels.min(initial=0)), int(labels.max(initial=0)))
+    if peak * len(labels) < 1 << 53:
         # no partial sum reaches 2**53, so the float accumulation is exact
         sums = np.bincount(graph.ends[:, 0], labels, count) + np.bincount(graph.ends[:, 1], labels, count)
         return sums.astype(np.int64)
@@ -92,37 +95,76 @@ class Verdict:
         return lines
 
 
-def _label_issues(values, ne):
-    """Labels missing from, repeated in, or outside 1..ne, ascending."""
-    values = np.sort(values)
-    repeated = values[1:][values[1:] == values[:-1]]
-    outside = values[(values < 1) | (values > ne)]
-    missing = np.setdiff1d(np.arange(1, ne + 1), values)
-    return sorted(set(repeated.tolist()) | set(outside.tolist()) | set(missing.tolist()))
+@dataclass(eq=False)
+class Tally:
+    """What the checks read of a labeling: how often each label occurs, and the vertex sums.
+
+    ``counts[x]`` counts label x of 1..|E| (capped at 2 or more; ``counts[0]`` is 0) and
+    ``outside`` holds the labels outside 1..|E|.  ``sums`` holds the vertex sums in vertex order,
+    ``vertex(i)`` gives the i-th vertex as an ``(r, c)`` tuple, and ``spec`` is the family's spec,
+    None for an ad-hoc graph.  The command line reads a file into one without holding its edges.
+    """
+
+    spec: FamilySpec | None
+    counts: np.ndarray | None
+    outside: np.ndarray | None
+    sums: np.ndarray
+    vertex: object = None
+
+
+def _counts(labels, ne):
+    """How often each of 0..ne occurs in ``labels`` (0 never does), and the labels outside 1..ne."""
+    counts = np.bincount(np.minimum(np.maximum(labels, 0), ne + 1), minlength=ne + 2)
+    outside = labels[(labels < 1) | (labels > ne)] if counts[0] or counts[ne + 1] else labels[:0]
+    counts[0] = 0
+    return counts[: ne + 1], outside
+
+
+def _label_issues(counts, outside):
+    """Labels missing from, repeated in, or outside 1..ne, ascending, from a :class:`Tally`'s ``counts`` and ``outside``."""
+    if not outside.size and np.count_nonzero(counts == 1) == len(counts) - 1:  # counts[0] is 0
+        return []
+    return sorted(set(outside.tolist()) | set((np.flatnonzero(counts[1:] != 1) + 1).tolist()))
+
+
+def _verdict(counts, outside, sums, vertex):
+    """The verdict from label ``counts`` and ``outside`` labels, and ``sums()``, the vertex sums in vertex order.
+
+    ``sums`` is called only if the labels are a bijection.  Vertices are sorted, and the stable
+    sort keeps each sum's vertices in order: the pair starting at the least repeated vertex comes first.
+    """
+    issues = _label_issues(counts, outside)
+    if issues:
+        return Verdict(False, False, None, issues)
+    sums = sums()
+    order = np.argsort(sums, kind="stable")
+    ordered = sums[order]
+    repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if not repeated.size:
+        return Verdict(True, True, None, [])
+    at = repeated[np.argmin(order[repeated])]
+    return Verdict(False, True, (vertex(int(order[at])), vertex(int(order[at + 1]))), [])
 
 
 def check_antimagic(lab):
-    """Decide whether ``lab`` is an antimagic labeling of its graph.
+    """Decide whether ``lab``, a labeling or a :class:`Tally`, is an antimagic labeling of its graph.
 
     On a sum collision, ``duplicate`` names the lexicographically first
     offending vertex pair.  A broken bijection short-circuits: the sums are
     not evaluated and ``duplicate`` stays ``None``.
     """
+    if isinstance(lab, Tally):
+        return _verdict(lab.counts, lab.outside, lambda: lab.sums, lab.vertex)
     ne = len(lab.graph.edge_array)
-    if lab.labels is None:
-        return Verdict(False, False, None, _label_issues(np.array(list(lab.assignment.values())), ne))
-    if not (np.sort(lab.labels) == np.arange(1, ne + 1)).all():
-        return Verdict(False, False, None, _label_issues(lab.labels, ne))
-    sums = vertex_sums(lab).sums
-    order = np.argsort(sums, kind="stable")
-    repeated = (sums[order[1:]] == sums[order[:-1]]).nonzero()[0]
-    if not repeated.size:
-        return Verdict(True, True, None, [])
-    # vertices are sorted, and the stable sort keeps each sum's vertices in
-    # order: the pair starting at the least repeated vertex comes first
-    at = repeated[np.argmin(order[repeated])]
-    vertices = lab.graph.vertex_array
-    return Verdict(False, True, (tuple(vertices[order[at]].tolist()), tuple(vertices[order[at + 1]].tolist())), [])
+    if lab.labels is None:  # a mapping that misses or adds edges
+        values = np.array(list(lab.assignment.values()), np.int64)
+        return Verdict(False, False, None, _label_issues(*_counts(values, ne)))
+    graph = lab.graph
+    return _verdict(
+        *_counts(lab.labels, ne),
+        lambda: _incident_sums(graph, lab.labels, ne),  # labels 1..ne: no sum reaches 2**53
+        lambda i: tuple(graph.vertex_array[i].tolist()),
+    )
 
 
 @dataclass
@@ -168,82 +210,75 @@ class PropertyReport:
         return lines
 
 
-def _coords(rows, cols, by_column=False):
-    """The (r, c) pairs of ``rows`` x ``cols`` as (L, 2) rows, row by row or column by column."""
-    r, c = np.meshgrid(rows, cols, indexing="xy" if by_column else "ij")
-    return np.stack((r.ravel(), c.ravel()), axis=1)
-
-
-def _sums_at(total, vertices):
-    return total[vertices[:, 0] - 1, vertices[:, 1] - 1]
-
-
-def _chain_check(name, chain, total, note=None):
-    """Strictly increasing sums along ``chain``, (L, 2) vertex rows, in the sum matrix ``total``."""
-    if len(chain) == 0:
+def _chain_check(name, sums, vertex):
+    """Strictly increasing ``sums``, a 1-D array along a chain whose i-th vertex is ``vertex(i)``."""
+    if len(sums) == 0:
         return PropertyCheck(name, True, note="empty range")
-    sums = _sums_at(total, chain)
     bad = np.flatnonzero(sums[:-1] >= sums[1:])
     if bad.size:
-        at = bad[0]
-        cert = {
-            "vertices": [chain[at].tolist(), chain[at + 1].tolist()],
-            "sums": [int(sums[at]), int(sums[at + 1])],
-        }
-        return PropertyCheck(name, False, cert, note)
-    return PropertyCheck(name, True, note=note)
-
-
-def _parity_check(name, vertices, total, want_even):
-    sums = _sums_at(total, vertices)
-    bad = np.flatnonzero(sums % 2 != (0 if want_even else 1))
-    if bad.size:
-        cert = {"vertex": vertices[bad[0]].tolist(), "sum": int(sums[bad[0]])}
+        at = int(bad[0])
+        cert = {"vertices": [vertex(at), vertex(at + 1)], "sums": [int(sums[at]), int(sums[at + 1])]}
         return PropertyCheck(name, False, cert)
     return PropertyCheck(name, True)
 
 
-def _distinct_check(name, vertices, total):
-    sums = _sums_at(total, vertices)
+def _parity_check(name, sums, vertex, want_even):
+    bad = np.flatnonzero(sums % 2 != (0 if want_even else 1))
+    if bad.size:
+        return PropertyCheck(name, False, {"vertex": vertex(int(bad[0])), "sum": int(sums[bad[0]])})
+    return PropertyCheck(name, True)
+
+
+def _distinct_check(name, sums, vertex):
     repeat = _first_repeat(sums[:, None])
     if repeat is not None:
         earlier, later = repeat
-        cert = {
-            "vertices": [vertices[earlier].tolist(), vertices[later].tolist()],
-            "sum": int(sums[later]),
-        }
-        return PropertyCheck(name, False, cert)
+        return PropertyCheck(name, False, {"vertices": [vertex(earlier), vertex(later)], "sum": int(sums[later])})
     return PropertyCheck(name, True)
 
 
 def _grid_checks(m, n, total):
-    """The m x n grid's sum orderings; a tall grid's vertex rows are laid out in its transpose and flipped back."""
-    flip = -1 if m > n else 1
+    """The m x n grid's sum orderings, read in the transpose of a tall grid; certificates name the caller's vertices.
+
+    Each check reads a slice or a masked gather of the sum matrix ``total``; a vertex is located
+    only for a certificate.
+    """
+    flip = m > n
     m, n = sorted((m, n))
-    if m == 1:
-        chain = _coords([1, 2], range(1, n + 2), by_column=True)[:, ::flip]
-        return [_chain_check("thin-interleaved-chain" if n >= 2 else "square-chain", chain, total)]
+    total = total.T if flip else total
+
+    def vertex(a, b):  # the 0-based (a, b) of the m <= n grid, in the caller's 1-based coordinates
+        return [b + 1, a + 1] if flip else [a + 1, b + 1]
+
+    def at(mask):  # the vertex of the i-th True of ``mask``
+        return lambda i: vertex(*divmod(int(np.flatnonzero(mask)[i]), n + 1))
+
+    if m == 1:  # column by column
+        name = "thin-interleaved-chain" if n >= 2 else "square-chain"
+        return [_chain_check(name, total.T.ravel(), lambda i: vertex(i % 2, i // 2))]
     # interior columns 2..n, row by row; the last row stops 2t columns early
     t = (n - m) // 2
     interior = np.zeros((m + 1, n + 1), dtype=bool)
     interior[:m, 1:n] = True
     interior[m, 1 : n - 2 * t] = True
-    chain = (np.argwhere(interior) + 1)[:, ::flip]
-    rest = (np.argwhere(~interior) + 1)[:, ::flip]
+    chain = total[interior]
     checks = [
-        _parity_check("interior-sums-even", chain, total, True),
-        _chain_check("interior-even-chain", chain, total),
-        _parity_check("boundary-sums-odd", rest, total, False),
-        _distinct_check("boundary-odd-distinct", rest, total),
+        _parity_check("interior-sums-even", chain, at(interior), True),
+        _chain_check("interior-even-chain", chain, at(interior)),
+    ]
+    del chain
+    rest = ~interior
+    checks += [
+        _parity_check("boundary-sums-odd", total[rest], at(rest), False),
+        _distinct_check("boundary-odd-distinct", total[rest], at(rest)),
     ]
     if m % 2 == 0:
-        anchors = np.array([[2, n + 1], [2, 1]])[:, ::flip]
-        lo, hi = _sums_at(total, anchors).tolist()
+        lo, hi = int(total[1, n]), int(total[1, 0])
         ok = lo == 6 * n + 3 and hi == 6 * n + 5
         cert = None
         if not ok:
             cert = {
-                "vertices": anchors.tolist(),
+                "vertices": [vertex(1, n), vertex(1, 0)],
                 "sums": [lo, hi],
                 "expected": [6 * n + 3, 6 * n + 5],
             }
@@ -255,12 +290,13 @@ def _prism_column_checks(m, n, total):
     reversed_second = n % 2 == 0
     checks = []
     for j in range(1, n + 2):
-        column = _coords(range(1, m + 1), [j])
         if reversed_second and j == 2:
-            checks.append(_chain_check("layer-2-reversed-chain", column[::-1], total))
+            checks.append(_chain_check("layer-2-reversed-chain", total[::-1, 1], lambda i: [m - i, 2]))
         else:
-            checks.append(_chain_check(f"layer-{j}-chain", column, total))
-    flat = np.sort(total, axis=0).T.ravel()
+            checks.append(_chain_check(f"layer-{j}-chain", total[:, j - 1], lambda i, j=j: [i + 1, j]))
+    columns = total.T.copy()
+    columns.sort()
+    flat = columns.ravel()
     bad = np.flatnonzero(flat[:-1] >= flat[1:])
     cert = None
     if bad.size:
@@ -270,28 +306,26 @@ def _prism_column_checks(m, n, total):
 
 
 def check_paper_properties(spec, lab):
-    """Evaluate the structural sum orderings appropriate for ``spec``.
+    """Evaluate the structural sum orderings appropriate for ``spec``; ``lab`` is a labeling or a :class:`Tally`.
 
     Grid shapes with m > n are evaluated in transposed orientation (the one
     the construction actually works in); certificates are mapped back to the
     caller's coordinates.
     """
     spec.validate()
-    if lab.graph.spec != spec:
+    if lab.spec != spec:
         raise InvalidParameterError("labeling was not produced for this spec")
     # the sum at vertex (r, c) sits at total[r - 1, c - 1]
-    total = vertex_sums(lab).sums.reshape(spec.row_count(), spec.col_count())
+    sums = lab.sums if isinstance(lab, Tally) else vertex_sums(lab).sums
+    total = sums.reshape(spec.row_count(), spec.col_count())
     m, n = spec.m, spec.n
-    if spec.family == PATH:
-        checks = [_chain_check("path-chain", _coords(range(1, m + 2), [1]), total)]
-    elif spec.family == CYCLE:
-        checks = [_chain_check("cycle-chain", _coords(range(1, m + 1), [1]), total)]
+    if spec.family in (PATH, CYCLE):
+        checks = [_chain_check(f"{spec.family}-chain", total[:, 0], lambda i: [i + 1, 1])]
     elif spec.family == PRISM:
         if n >= 2:
             checks = _prism_column_checks(m, n, total)
         else:
-            chain = _coords(range(1, m + 1), [1, 2])
-            checks = [_chain_check("two-layer-chain", chain, total)]
+            checks = [_chain_check("two-layer-chain", total.ravel(), lambda i: [i // 2 + 1, i % 2 + 1])]
     else:
         checks = _grid_checks(m, n, total)
     return PropertyReport(spec, spec.family == LATTICE and m > n, checks)

@@ -155,6 +155,30 @@ def test_reading_a_file_costs_little_beyond_its_labeling(capsys, tmp_path, fmt):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "{dir}/lattice.json"], ["verify", "{dir}/lattice.tsv"], ["properties", "--input", "{dir}/lattice.json"],
+     ["properties", "lattice", "161", "162"]],
+    ids=["verify-json", "verify-tsv", "properties-input", "properties-spec"],
+)
+def test_checks_hold_no_edge_rows_or_graph(capsys, tmp_path, argv):
+    # one 64 Ki-character piece with its rows, the label counts and the vertex sums peak at about
+    # 1.2 MB here, the closed-form sums and the checks at 0.75 MB; the rows, graph and coordinate
+    # tables of the parse-to-labeling path and of label() peaked at 4.7 to 5.3 MB
+    for fmt in ("json", "tsv"):
+        main(["generate", "lattice", "161", "162", "--format", fmt, "-o", str(tmp_path / f"lattice.{fmt}")])
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main(argv) == 0  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2 << 20
+
+
 def test_generate_stream_by_label(capsys):
     code, out, _ = run(
         capsys, ["generate", "lattice", "3", "2", "--format", "tsv", "--stream", "--by-label"]
@@ -494,8 +518,8 @@ def test_memory_error_exits_4_with_one_line(capsys, monkeypatch, error, line):
     def exhausted(spec):
         raise error
 
-    monkeypatch.setattr(cli, "label", exhausted)
-    assert run(capsys, ["properties", "lattice", "3", "3"]) == (4, "", f"antimagic: {line}\n")
+    monkeypatch.setattr(cli, "label", exhausted)  # properties labels a cycle in memory
+    assert run(capsys, ["properties", "cycle", "3"]) == (4, "", f"antimagic: {line}\n")
 
 
 def _run_child(argv, **kwargs):
@@ -509,13 +533,13 @@ def _run_child(argv, **kwargs):
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, **kwargs)
 
 
-def _run_under_one_gib(argv):
+def _run_under_one_gib(argv, stdout=subprocess.DEVNULL):
     """The console entry point in a child whose address space is capped at 1 GiB; this process keeps its limits."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    return _run_child(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=cap)
+    return _run_child(argv, stdout=stdout, stderr=subprocess.PIPE, preexec_fn=cap)
 
 
 def test_verify_reads_a_pipe_as_it_reads_the_file(tmp_path):
@@ -540,11 +564,19 @@ def test_verify_reads_a_pipe_as_it_reads_the_file(tmp_path):
 
 
 def test_out_of_memory_in_numpy_exits_4_without_a_traceback():
-    # 18,006,000 edges pass the materialization cap, but their arrays do not fit in 1 GiB
-    done = _run_under_one_gib(["properties", "lattice", "3000", "3000"])
+    # 99,999,998 edges pass the materialization cap, but a path's arrays (about 3 GiB) do not fit in 1 GiB
+    done = _run_under_one_gib(["generate", "path", "99999999"])
     err = done.stderr.decode()
     assert done.returncode == 4, err
     assert err.startswith("antimagic: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_properties_of_a_large_lattice_fit_in_one_gib():
+    # the 18,006,000-edge lattice's checks read its 9,006,001 vertex sums from the closed forms, not a labeling
+    done = _run_under_one_gib(["properties", "lattice", "3000", "3000"], stdout=subprocess.PIPE)
+    lines = done.stdout.decode().splitlines()
+    assert done.returncode == 0, done.stderr.decode()
+    assert lines[-1] == "PASS overall" and all(line.startswith("PASS ") for line in lines)
 
 
 def test_bench_reports_stats(capsys):
