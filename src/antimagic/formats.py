@@ -14,22 +14,23 @@ unfinished line into the next.  The whole lines of a piece are read as signed
 decimals in one numpy call, and kept only if the writer renders them back as
 exactly those lines: that proves the file is valid, every value fits int64, and
 ``json.loads`` or the line walk would give the same rows, while no copy of the
-text is held.  Any other file takes that slower path, over its whole text:
-``json.loads`` and a walk over its edge entries, or a TSV walk line by line;
-either names the first bad field.  Both paths end in the edge-list check that
-``graph_from_edges`` also runs.
+text is held.
 
-The command line's checks read a file with :func:`read_tally` instead: each piece's
-rows become label counts and vertex sums and are dropped, so neither rows nor a graph
-are held.  A headered JSON file's edges are compared with its family's closed forms,
-and a TSV file is read twice, for its extent and then for its sums.  Any other file
-is parsed as above, with the same results and messages.
+One reader, ``_read``, sniffs the first piece once.  A text whose first piece
+starts with whitespace or does not decode is not the writer's and is parsed
+whole: ``json.loads`` and a walk over its edge entries, or a TSV walk line by
+line, which name the first bad field.  Otherwise :func:`read_tally` tries a
+tally first, whose pieces become label counts and vertex sums and are dropped:
+a headered JSON file in one read, checked against its family's closed forms,
+and an edge-order TSV file in two, for its extent and then its sums.  Any other
+text takes the block-wise read, and the whole-text parse only if that gives up.
+Both parses give the same results and messages and end in the edge-list check
+that ``graph_from_edges`` also runs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import warnings
@@ -537,54 +538,43 @@ def parse_json(text):
     return _json_labeling([text], lambda: text)
 
 
-def _labeling(blocks, whole):
-    """:func:`parse_labeling` of the text the str ``blocks`` make up; ``whole()`` gives it at once.
+def _read(blocks, whole, tally=False):
+    """The labeling, or with ``tally`` the :class:`Tally`, of the text ``blocks()`` gives anew block by block.
 
-    The fast read takes the blocks in turn, and ``whole`` is called only if it gives up.
+    ``whole()`` gives the text at once, for the parse of a text the block-wise reads give up on.
     """
-    pieces = _pieces(blocks)
     try:
-        first = next(pieces, "")
-    except _NotWriter:
+        first = next(_pieces(blocks()), "")
+    except _NotWriter:  # the first piece does not decode
         first = None
-    if first is None or first[:1].isspace():  # not the writer's: sniff the whole text
+    if first is None or first[:1].isspace():  # not the writer's: parse the whole text
         text = whole()
         return (parse_json if text.lstrip().startswith("{") else parse_tsv)(text)
-    return (_json_labeling if first.startswith("{") else _tsv_labeling)(itertools.chain([first], pieces), whole)
+    is_json = first.startswith("{")
+    if tally:  # headered JSON in one read; edge-order TSV in an extent read, then a counts read
+        if is_json:
+            tallied = (parsed := _writer_json(blocks(), _Counts.of_header)) and parsed[1]
+        else:
+            tallied = (extent := _writer_tsv(blocks(), _Extent(), check=False)) and _writer_tsv(blocks(), extent)
+        if tallied:
+            return tallied
+    return (_json_labeling if is_json else _tsv_labeling)(blocks(), whole)
 
 
 def parse_labeling(text):
     """Sniff JSON (leading '{') vs TSV and parse accordingly."""
-    return _labeling([text], lambda: text)
-
-
-def _tally(blocks):
-    """The :class:`Tally` of a writer's headered JSON or TSV, ``blocks()`` giving its text anew; else None.
-
-    A TSV file is read twice: its decimals for their extent, then its checked rows for their counts and sums.
-    """
-    try:
-        if next(blocks(), "").startswith("{"):
-            parsed = _writer_json(blocks(), _Counts.of_header)
-            return parsed and parsed[1]
-    except UnicodeDecodeError:
-        return None
-    counts = _writer_tsv(blocks(), _Extent(), check=False)
-    return counts and _writer_tsv(blocks(), counts)
+    return _read(lambda: iter([text]), lambda: text)
 
 
 def read_tally(handle):
-    """What :func:`check_antimagic` and :func:`check_paper_properties` read of the labeling the open
-    text stream ``handle`` reads: a :class:`Tally` of a writer's TSV or headered JSON, else its
-    :func:`parse_labeling`.
-
-    A seekable stream is read ``_READ_CHARS`` characters at a time, from where it started each time,
-    so no copy of the text is held; any other stream is read whole first.
+    """What :func:`check_antimagic` and :func:`check_paper_properties` read of the labeling the open text
+    stream ``handle`` reads: the :class:`Tally` of a writer's headered JSON or edge-order TSV, else its
+    :func:`parse_labeling`.  A seekable stream is read anew from where it started for each pass; a pipe is read whole.
     """
     try:
         if not handle.seekable():
             text = handle.read()
-            return _tally(lambda: iter([text])) or parse_labeling(text)
+            return _read(lambda: iter([text]), lambda: text, tally=True)
         start = handle.tell()
 
         def blocks():
@@ -595,6 +585,6 @@ def read_tally(handle):
             handle.seek(start)
             return handle.read()
 
-        return _tally(blocks) or _labeling(blocks(), whole)
+        return _read(blocks, whole, tally=True)
     except UnicodeDecodeError as exc:
         raise FormatError(f"input is not UTF-8 text: {exc}") from exc

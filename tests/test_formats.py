@@ -504,7 +504,7 @@ def block_outcome(text, cuts):
         return text
 
     try:
-        lab = formats._labeling(iter(blocks), whole)
+        lab = formats._read(lambda: iter(blocks), whole)
     except Exception as exc:
         return (type(exc).__name__, str(exc)), wholes
     graph = lab.graph

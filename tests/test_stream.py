@@ -669,6 +669,20 @@ def test_sum_bounds_are_the_least_and_greatest_vertex_sums():
             assert _forms(spec).sum_bounds() == (sums.min(), sums.max()), spec
 
 
+# the four nominal perfbench stream_verify shapes, then thin, square and near-square ones
+LARGE_SHAPES = [(LATTICE, 2000, 2000), (LATTICE, 3000, 1000), (PRISM, 2000, 2000), (PRISM, 200000, 2)] + [
+    (LATTICE, 1, 5000), (LATTICE, 5000, 1), (LATTICE, 300, 301),
+    (PRISM, 5000, 1), (PRISM, 5000, 2), (PRISM, 3, 3000), (PRISM, 301, 300),
+]
+
+
+@pytest.mark.parametrize(("family", "m", "n"), LARGE_SHAPES)
+def test_sum_bounds_hold_beyond_40x40(family, m, n):
+    spec = FamilySpec(family, m, n)
+    lows, highs = zip(*((int(block[:, 2].min()), int(block[:, 2].max())) for block in iter_sum_blocks(spec)))
+    assert _forms(spec).sum_bounds() == (min(lows), max(highs))
+
+
 def _faulty_labeling(spec, construction, monkeypatch):
     forms = _forms(spec)
     monkeypatch.setitem(stream._CONSTRUCTIONS, (forms.row_kind, forms.col_kind), construction)

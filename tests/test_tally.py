@@ -119,7 +119,10 @@ def assert_cli_equals_library(text, path):
     for command in COMMANDS:
         assert cli_outcome([*command, str(path)]) == want[command], command
     assert cli_outcome(["verify", "-"], _Pipe(text)) == want[("verify",)]
-    return formats._tally(lambda: iter([text])) is None
+    try:
+        return not isinstance(formats._read(lambda: iter([text]), lambda: text, tally=True), Tally)
+    except FormatError:
+        return True
 
 
 SMALL = st.one_of(
@@ -154,11 +157,43 @@ def test_tally_counts_labels_and_sums_as_the_labeling_does():
     spec = FamilySpec(PRISM, 7, 4)
     lab = label(spec)
     for text in (labeling_to_json(lab), tsv_text(labeling_tsv_rows(lab))):
-        tally = formats._tally(lambda text=text: iter([text]))
+        tally = formats._read(lambda text=text: iter([text]), lambda text=text: text, tally=True)
         assert isinstance(tally, Tally)
         assert tally.counts.dtype == np.uint8 and (tally.counts[1:] == 1).all() and not tally.outside.size
         assert np.array_equal(tally.sums, vertex_sums(lab).sums)
         assert [tally.vertex(i) for i in range(len(tally.sums))] == lab.graph.vertices
+
+
+class _Counted(io.StringIO):
+    """A seekable file that counts the characters its reads return."""
+
+    chars = 0
+
+    def read(self, size=-1):
+        text = super().read(size)
+        self.chars += len(text)
+        return text
+
+
+@pytest.mark.parametrize(
+    ("form", "passes", "pieces", "tallied"),
+    [("json", 1, 1, True), ("tsv", 2, 1, True), ("by-label", 2, 2, False), ("newline-json", 1, 1, False)],
+)
+def test_a_file_is_read_once_per_pass_it_needs(form, passes, pieces, tallied):
+    """Headered JSON takes one pass and edge-order TSV two; by-label TSV is declined after one counts
+    piece and parsed block-wise; a text starting with whitespace goes straight to the whole-text parse.
+    Each also reads one first piece to sniff.
+    """
+    lab = label(FamilySpec(LATTICE, 161, 162))
+    text = {
+        "json": labeling_to_json(lab),
+        "tsv": tsv_text(labeling_tsv_rows(lab)),
+        "by-label": tsv_text(labeling_tsv_rows(lab, by_label=True)),
+        "newline-json": "\n" + labeling_to_json(lab),
+    }[form]
+    handle = _Counted(text)
+    assert isinstance(formats.read_tally(handle), Tally) == tallied
+    assert handle.chars <= passes * len(text) + pieces * formats._READ_CHARS
 
 
 def _swapped(construction, a, b):
