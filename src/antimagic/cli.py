@@ -7,25 +7,32 @@ orderings), ``search`` (exhaustive or random oracle over small graphs), and
 
 Exit codes: 0 success / antimagic, 1 not antimagic or a failed property,
 2 invalid input, 3 unparseable file, 4 size refusal or out of memory.
+
+A process starts and stops cheaply: it loads ``oracle`` for ``search`` only and
+``verification`` only where a handler needs it, defaults OpenBLAS to one thread,
+and :func:`entrypoint` ends it without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
 
-import numpy as np
+# The command line does no linear algebra, and each further OpenBLAS thread costs numpy's import
+# a spinning start-up and address space; a count the caller set is kept.  Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# ``stream``, the largest module, first: it then compiles before numpy loads, at a lower peak RSS
+from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, iter_sum_blocks, stream_verify
 from .errors import FormatError, InvalidParameterError, SizeRefusalError
 from .families import FAMILIES, LATTICE, PRISM, FamilySpec, build_graph, check_materializable
 from .formats import labeling_blocks, labeling_tsv_rows, read_tally, text_blocks
 from .labelings import label
-from .oracle import check_search_size, exhaustive_search, random_search
-from .stream import DEFAULT_CHUNK_TARGET, StreamStats, iter_edge_blocks, iter_sum_blocks, stream_verify
-from .verification import Tally, check_antimagic, check_paper_properties
+import numpy as np
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -44,9 +51,17 @@ def _spec_from(family, m, n):
     return spec
 
 
+def _standard(name):
+    """``sys.stdin`` or ``sys.stdout``; an OSError if the process started with that descriptor closed."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
+
+
 def _open_output(path):
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(_standard("stdout"))
     base = os.environ.get("ANTIMAGIC_OUTPUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -55,12 +70,14 @@ def _open_output(path):
 
 def _read_input(path):
     """The tally or labeling in the file at ``path``, or on stdin for ``-``, read block by block when seekable."""
-    with contextlib.nullcontext(sys.stdin) if path is None or path == "-" else open(path, encoding="utf-8") as handle:
+    stdin = path is None or path == "-"
+    with contextlib.nullcontext(_standard("stdin")) if stdin else open(path, encoding="utf-8") as handle:
         return read_tally(handle)
 
 
 def _closed_form_sums(spec):
     """A :class:`Tally` of a lattice's or prism's vertex sums, filled block by block from the closed forms."""
+    from .verification import Tally
     check_materializable(spec)
     sums, at = np.empty(spec.vertex_count(), np.int64), 0
     for block in iter_sum_blocks(spec):
@@ -71,7 +88,8 @@ def _closed_form_sums(spec):
 
 def _print_report(report, fmt):
     """Print a verdict or property report as indented JSON or as its text lines."""
-    print(json.dumps(report.to_json_dict(), indent=2) if fmt == "json" else "\n".join(report.to_text_lines()))
+    text = json.dumps(report.to_json_dict(), indent=2) if fmt == "json" else "\n".join(report.to_text_lines())
+    print(text, file=_standard("stdout"))
 
 
 def _cmd_generate(args):
@@ -93,12 +111,14 @@ def _cmd_generate(args):
 
 
 def _cmd_verify(args):
+    from .verification import check_antimagic
     verdict = check_antimagic(_read_input(args.input))
     _print_report(verdict, args.format)
     return EXIT_OK if verdict.antimagic else EXIT_NEGATIVE
 
 
 def _cmd_properties(args):
+    from .verification import check_paper_properties
     if args.input is not None:
         if args.family is not None:
             raise InvalidParameterError("give either a family spec or --input, not both")
@@ -117,6 +137,7 @@ def _cmd_properties(args):
 
 
 def _cmd_search(args):
+    from .oracle import check_search_size, exhaustive_search, random_search
     spec = _spec_from(args.family, args.m, args.n)
     exhaustive = args.random is None
     if args.prune and not exhaustive:
@@ -141,7 +162,7 @@ def _cmd_search(args):
         "contains_constructed": result.contains_constructed,
         "first_antimagic": first,
     }
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2), file=_standard("stdout"))
     return EXIT_OK
 
 
@@ -226,12 +247,34 @@ def main(argv=None):
     except BrokenPipeError:
         return EXIT_OK
     except (InvalidParameterError, FormatError, SizeRefusalError, OSError, MemoryError) as exc:
-        print(f"antimagic: {str(exc) or 'out of memory'}", file=sys.stderr)  # numpy's MemoryError names the array
-        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_INVALID)
+        return _failure(exc)
+
+
+def _failure(exc):
+    """Report ``exc`` as one ``antimagic:`` line on stderr and return its exit code."""
+    print(f"antimagic: {str(exc) or 'out of memory'}", file=sys.stderr)  # numpy's MemoryError names the array
+    return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_INVALID)
 
 
 def entrypoint():
-    sys.exit(main())
+    """The console script and ``python -m antimagic.cli``: :func:`main`, then the end of the process.
+
+    Output still buffered is flushed here, and a flush that fails exits as a failed write does in
+    :func:`main`.  ``os._exit`` then ends the process without the interpreter's teardown, which a
+    one-shot command does not need.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_OK
+    except OSError as exc:
+        code = _failure(exc)
+    with contextlib.suppress(OSError):  # nowhere left to report it
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -52,8 +52,9 @@ from .families import (
     _parsed_graph,
     check_materializable,
 )
-from .labelings import Labeling
-from .verification import Tally, vertex_sums
+
+# ``labelings`` and ``verification`` are imported in the functions that use them, so that writing a
+# lattice or prism from its closed forms loads neither
 
 _ROWS_PER_BLOCK = 1 << 11
 _READ_CHARS = 1 << 16  # input text read, decoded and compared with the writer's at once
@@ -165,6 +166,7 @@ def text_blocks(fmt, header, edges, sums):
 
 def labeling_blocks(lab):
     """``(header, edges, sums)`` of a labeling for :func:`text_blocks`, as slices of its arrays."""
+    from .verification import vertex_sums
     graph, sums = lab.graph, vertex_sums(lab).sums
     header = graph.spec.header() if graph.spec is not None else dict.fromkeys(("family", "m", "n"))
     edges = (np.column_stack((graph.edge_array[at], lab.labels[at])) for at in _blocks(range(len(lab.labels))))
@@ -208,6 +210,7 @@ def _checked_rows(rows):
 
 
 def _headerless(rows):
+    from .labelings import Labeling
     rows = _checked_rows(rows)
     return Labeling(_adhoc_graph(rows[:, :4]), rows[:, 4])
 
@@ -400,6 +403,7 @@ class _Counts:
             r, c = divmod(int(np.flatnonzero(used)[i]), self.width)
             return r + self.low[0], c + self.low[1]
 
+        from .verification import Tally
         return Tally(self.spec, self.counts, outside, self.sums if used.all() else self.sums[used], vertex)
 
 
@@ -531,6 +535,7 @@ def _json_labeling(blocks, whole):
         raise FormatError(str(exc)) from exc
     if graph is None:
         raise FormatError(f"edges do not match {family} m={m}" + (f" n={n}" if n else ""))
+    from .labelings import Labeling
     return Labeling(graph, rows[:, 4])
 
 

@@ -50,7 +50,6 @@ from .families import (
     _select,
     factor_kinds,
 )
-from .verification import Verdict
 
 DEFAULT_CHUNK_TARGET = 1 << 16
 MAX_STREAM_DIMENSION = 1 << 30
@@ -610,6 +609,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     of a chunk and a span each; value-range buckets on disk carry the rest, read back one bucket of
     at most about two buffers at a time, and a stream that never fills a buffer touches no disk.
     """
+    from .verification import Verdict  # here, so that streaming a labeling out loads no verifier
     start = time.perf_counter()
     forms = _forms(spec)
     _check_ints(chunk_target=chunk_target)

@@ -579,6 +579,170 @@ def test_properties_of_a_large_lattice_fit_in_one_gib():
     assert lines[-1] == "PASS overall" and all(line.startswith("PASS ") for line in lines)
 
 
+# --- process start and exit -------------------------------------------------
+
+_SUBMODULES = ("cli", "errors", "families", "formats", "labelings", "oracle", "stream", "verification")
+
+
+def _child_env(**extra):
+    """This environment with ``src`` first, no OpenBLAS thread count and buffered output, plus ``extra``."""
+    env = {key: value for key, value in os.environ.items() if key not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def _run_module(argv, unbuffered="", **kwargs):
+    """``python -m antimagic.cli`` in a child process, with ``subprocess.run``'s ``kwargs``; stdout is
+    buffered unless ``unbuffered`` is a non-empty string."""
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)
+    return subprocess.run([sys.executable, "-m", "antimagic.cli", *argv], env=env, **kwargs)
+
+
+def _closing(fd):
+    def close():  # runs in the child only, after its standard descriptors are set up
+        os.close(fd)
+
+    return close
+
+
+@pytest.mark.parametrize(
+    "fd,argv",
+    [
+        (0, ["verify"]),
+        (0, ["verify", "-"]),
+        (0, ["properties", "--input", "-"]),
+        (1, ["generate", "lattice", "2", "2"]),
+        (1, ["generate", "prism", "3", "2", "--format", "tsv", "--stream"]),
+        (1, ["generate", "cycle", "3", "--format", "dot"]),
+        (1, ["properties", "lattice", "3", "3"]),
+        (1, ["bench", "prism", "3", "2"]),
+        (1, ["search", "cycle", "3"]),
+    ],
+)
+def test_a_closed_stdin_or_stdout_exits_with_one_line(fd, argv):
+    done = _run_module(argv, stdin=subprocess.DEVNULL, capture_output=True, preexec_fn=_closing(fd))
+    name = ("stdin", "stdout")[fd]
+    assert (done.returncode, done.stderr.decode()) == (2, f"antimagic: [Errno 9] {name} is closed\n")
+
+
+def test_a_closed_stdout_does_not_stop_output_to_a_file(tmp_path):
+    argv = ["generate", "lattice", "2", "2", "-o", str(tmp_path / "g.json")]
+    done = _run_module(argv, capture_output=True, preexec_fn=_closing(1))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (tmp_path / "g.json").read_text() == labeling_to_json(label(FamilySpec(LATTICE, 2, 2)))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_stops_early_ends_the_writer_quietly(unbuffered):
+    # `generate lattice 300 300 --format tsv | head -c 1`: 180,600 rows, far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antimagic.cli", "generate", "lattice", "300", "300", "--format", "tsv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(PYTHONUNBUFFERED=unbuffered),
+    )
+    with proc:
+        assert proc.stdout.read(1) == b"1"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_output_still_buffered_at_exit_is_flushed_and_a_closed_pipe_is_quiet():
+    # a short report stays in stdout's buffer until the process ends (the process skips the
+    # interpreter's own flush at teardown), and its reader is gone by then
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antimagic.cli", "properties", "lattice", "3", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    with proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+    done = _run_module(["properties", "lattice", "3", "3"], capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().splitlines()[-1] == "PASS overall"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])  # fails at the end or at once
+@pytest.mark.parametrize("argv", [["generate", "lattice", "1", "1"], ["properties", "lattice", "3", "3"]])
+def test_a_full_device_exits_2_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = _run_module(argv, unbuffered, stdout=full, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (2, b"antimagic: [Errno 28] No space left on device\n")
+
+
+def test_import_antimagic_loads_nothing_until_a_name_is_used():
+    code = (
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import antimagic\n"
+        "loaded = sorted(name for name in sys.modules if name == 'numpy' or name.startswith('antimagic.'))\n"
+        "unchanged = dict(os.environ) == before\n"
+        "names = {}\n"
+        "exec('from antimagic import *', names)\n"
+        "missing = [name for name in antimagic.__all__ if name not in names]\n"
+        "reached = [getattr(antimagic, name).__name__ for name in sys.argv[1:]]\n"
+        "print(json.dumps([loaded, unchanged, missing, reached]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *_SUBMODULES], env=_child_env(), capture_output=True, check=True)
+    loaded, unchanged, missing, reached = json.loads(done.stdout)
+    assert loaded == [] and unchanged and missing == []
+    assert reached == [f"antimagic.{name}" for name in _SUBMODULES]
+
+
+def test_the_root_resolves_each_public_name_to_its_definition():
+    import antimagic
+
+    for name in set(antimagic.__all__) - {"stream"}:
+        assert getattr(antimagic, name) is getattr(sys.modules[f"antimagic.{antimagic._HOME[name]}"], name), name
+    assert antimagic.stream is stream and antimagic.oracle is oracle
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        getattr(antimagic, "nothing")
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["generate", "lattice", "2", "3"], {"oracle", "verification"}),
+        (["generate", "prism", "3", "2", "--format", "tsv", "--stream"], {"oracle", "verification"}),
+        (["bench", "lattice", "3", "3"], {"oracle"}),
+        (["properties", "lattice", "3", "3"], {"oracle"}),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_uses(argv, absent):
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "antimagic.cli", *argv], env=_child_env(), capture_output=True
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    # -X importtime writes one line per module that the process imports, ending in its dotted name
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.decode().splitlines() if "|" in line}
+    assert {"numpy", "antimagic", "antimagic.stream"} <= loaded
+    assert not {f"antimagic.{name}" for name in absent} & loaded
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_the_command_line_defaults_openblas_to_one_thread(preset, expected):
+    code = (
+        "import os, sys\n"
+        "from antimagic.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    threads = next(line.split()[1] for line in status if line.startswith('Threads:'))\n"
+        "sys.stderr.write(f\"{rc} {threads} {os.environ['OPENBLAS_NUM_THREADS']}\")\n"
+    )
+    env = _child_env() if preset is None else _child_env(OPENBLAS_NUM_THREADS=preset)
+    done = subprocess.run([sys.executable, "-c", code, "properties", "lattice", "3", "3"], env=env, capture_output=True)
+    rc, threads, setting = done.stderr.decode().split()
+    assert (rc, setting) == ("0", expected)
+    if preset is None:
+        assert threads == "1"
+
+
 def test_bench_reports_stats(capsys):
     code, out, _ = run(capsys, ["bench", "lattice", "4", "4"])
     assert code == 0
