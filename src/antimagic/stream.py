@@ -5,7 +5,8 @@ forms are their one source: ``label()`` reads them into the materialized view, a
 the functions here read them edge by edge or block by block.  A construction is one
 class with two label formulas, ``first(k, j)`` for first-factor edge ``k`` in column
 ``j`` and ``second(i, k)`` for second-factor edge ``k`` in row ``i``, and their
-inverse ``invert``; all three are branch-free arithmetic over ints or int64 arrays.
+inverse ``invert``; all three are branch-free arithmetic over ints or int64 arrays, and
+the column sweep hands ``first`` and ``second`` a span's column-invariant terms instead.
 There are four: the general grid, the 1 x 1 grid, the general prism, and the
 ladder, which covers both the two-row grid and the two-layer prism.
 
@@ -67,10 +68,14 @@ def _usual(size, k):
     return (((k + 1) >> 1) ^ (~k & size)) & 1 == 1
 
 
+def _head(m, n):
+    # the merge sequence's first head entries are the odds 2p-1
+    return m * n + (m + n + 1) // 2 - (n - m) // 2
+
+
 def _merge(m, n, p):
-    # the first head entries are the odds 2p-1; past the head, offsets q
-    # alternate between the tail evens (q odd) and the remaining odds
-    head = m * n + (m + n + 1) // 2 - (n - m) // 2
+    # past the head, offsets q alternate between the tail evens (q odd) and the remaining odds
+    head = _head(m, n)
     q = p - head
     return 2 * p - 1 + (q > 0) * ((q & 1) * (2 * m * n + 2 * m + 2 - 2 * head) - q)
 
@@ -96,9 +101,11 @@ class _Forms:
 
     A subclass gives ``first(k, j)``, ``second(i, k)`` and their inverse ``invert(label)
     -> (first, k, pos)``, where ``first`` tells which formula gave the label; ints give
-    exact Python ints, and the caller passes valid indices only.  ``transposed`` says
-    whether the forms label the caller's spec through its transpose, and ``factors`` is
-    that spec's own ``factor_kinds``.  The forms hold no arrays, so a cached entry stays small.
+    exact Python ints, and the caller passes valid indices only.  ``first`` and ``second``
+    also take what ``span_terms`` makes of a sweep span's edges and rows: those arrays, or on a
+    grid tuples of column-invariant terms.  ``transposed`` says whether the forms label the
+    caller's spec through its transpose, and ``factors`` is that spec's own ``factor_kinds``.
+    The forms hold no arrays, so a cached entry stays small.
     """
 
     def __init__(self, spec, transposed):
@@ -121,50 +128,77 @@ class _Forms:
 
         return total(1, 1), max(total(self.rows, c) for c in {self.cols, max(1, self.cols - 1)})
 
+    def span_terms(self, edges, rows):
+        """A sweep span's column-invariant terms, taken by ``first`` and ``second`` for its edges and rows."""
+        return edges, rows
+
     def columns(self, span, keep):
         """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
 
-        The rows are swept in spans of at most ``span``, each span column by column.  A column's
-        first-factor block is gathered over the incidence of the row factor's edges meeting the
-        span, and the blocks of the second-factor edges meeting the column add in row by row,
-        reusing the one the previous column ended with (edge j-1 on a grid; skip-path blocks are
-        made in both columns).  ``keep`` is handed the blocks whose labels the span's column ``j``
-        owns while they are live: its first-factor edges whose listing index is a row of the span,
-        then second-factor edge ``j``.  Its index arrays live only while it runs.
+        The rows are swept in spans of at most ``span``, each span column by column, from the
+        span's ``span_terms``.  A column's first-factor block is gathered over the incidence of the
+        row factor's edges meeting the span, and the blocks of the second-factor edges meeting the
+        column add in row by row.  Column ``j`` meets edges ``j - gap`` and ``j`` of its path (the
+        last column its path's last one or two), so a block is made once, in column ``k``, and
+        carried to the other column it meets.  ``keep`` is handed the blocks whose labels the
+        span's column ``j`` owns while they are live: its first-factor edges whose listing index
+        is a row of the span, then second-factor edge ``j``.  Its arrays live only while it runs.
         """
         count = _factor_edge_count(self.row_kind, self.rows)
+        gap, last = 1 + (self.col_kind == SKIP_PATH), _factor_edge_count(self.col_kind, self.cols)
         for r0 in range(1, self.rows + 1, span):
             r1 = min(self.rows, r0 + span - 1)
-            rows = np.arange(r0, r1 + 1, dtype=np.int64)
             edges, a, b, single = _incidence(self.row_kind, self.rows, r0, r1)
             owned = slice(r0 - edges[0], min(r1, count) + 1 - edges[0])
-            last = carried = None  # the previous column's last second-factor edge and its block
+            # where the edge window covers the span's rows (always on a ring), they are a view of it
+            rows = edges[owned] if r1 <= count else np.arange(r0, r1 + 1, dtype=np.int64)
+            edge_terms, row_terms = self.span_terms(edges, rows)
+            del edges, rows
+            carried = {}  # the blocks a later column meets, by edge
             for j in range(1, self.cols + 1):
-                meeting = _factor_edges_at(self.col_kind, self.cols, j)
-                carried = carried if last in meeting else None  # free a block no column shares
-                block = self.first(edges, j)
+                block = self.first(edge_terms, j)
                 sums = block[a] + block[b]
                 sums[single] -= block[a[single]]
                 keep(block[owned])
-                for k in meeting:
-                    block = carried if k == last else self.second(rows, k)
+                hi = min(j, last)
+                for k in (j - gap, hi) if 0 < j - gap < hi else (hi,):
+                    block = carried.pop(k) if k < j else self.second(row_terms, k)
                     sums += block
                     if k == j:
                         keep(block)
-                last, carried = k, block
+                        carried[k] = block
                 yield j, r0, sums
 
 
 class _GridForms(_Forms):
     """Closed forms for the general grid construction (2 <= m <= n)."""
 
+    def span_terms(self, edges, rows):
+        # an edge's U/R colour and block offset are the same in every column, so its label in column
+        # j is base + j * step (an int8 step of -2 or 2); row i is kept as the odd 2(i - 1)n - 1
+        n, usual = self.n, _usual(self.m + 1, edges)
+        base = 2 * (n + 1) * (edges - 1) + 2 * (n + 2) - usual * (2 * n + 4)
+        return (base, (4 * usual - 2).astype(np.int8)), (2 * n * (rows - 1) - 1,)
+
     def first(self, k, j):
+        if type(k) is tuple:  # a span's (base, step)
+            block = np.multiply(k[1], j, dtype=np.int64)
+            block += k[0]
+            return block
         # the j-th even of the k-th block of n+1, counted from the far end for an R edge
         n = self.n
         return 2 * (n + 1) * (k - 1) + 2 * (n + 2 - j) + _usual(self.m + 1, k) * (4 * j - 2 * n - 4)
 
     def second(self, i, k):
-        return _merge(self.m, self.n, (i - 1) * self.n + k)
+        if type(i) is not tuple:
+            return _merge(self.m, self.n, (i - 1) * self.n + k)
+        # a span's odds 2p - 1, p = (i - 1)n: merge position p + k takes the odd 2(p + k) - 1 up to
+        # the head, on a prefix of the rows (all but the last when m <= n); a row past it takes _merge
+        (odds,), m, n = i, self.m, self.n
+        block = odds + 2 * k
+        for t in range(np.searchsorted(odds, 2 * (_head(m, n) - k) - 1, side="right"), block.size):
+            block[t] = _merge(m, n, (int(odds[t]) + 1) // 2 + k)
+        return block
 
     def invert(self, lab):
         m, n = self.m, self.n
@@ -174,7 +208,7 @@ class _GridForms(_Forms):
         offset = (lab - 2 * (k - 1) * (n + 1)) // 2
         j = _select(_usual(m + 1, k), offset, n + 2 - offset)
         # merge position p: odds 2p-1 up to the head, then odds and tail evens alternate
-        head = m * n + (m + n + 1) // 2 - (n - m) // 2
+        head = _head(m, n)
         p = (lab + 1) // 2
         p = _select(lab % 2, _select(p > head, lab + 1 - head, p), head + lab - 2 * m * n - 2 * m - 1)
         return first, _select(first, k, (p - 1) % n + 1), _select(first, j, (p - 1) // n + 1)
@@ -223,8 +257,7 @@ class _PrismForms(_Forms):
 
     def first(self, k, j):
         # ring copy j takes (j-1)m+1..jm; for even n, layer 2's block is reversed in place
-        flip = (self.n % 2 == 0) * (j == 2)
-        return (1 - 2 * flip) * ((j - 1) * self.m + k) + flip * (3 * self.m + 1)
+        return _select((self.n % 2 == 0) * (j == 2), 2 * self.m + 1 - k, (j - 1) * self.m + k)
 
     def second(self, i, k):
         # path edge k deals mn+km+1..mn+(k+1)m along the ring, reversed for an R edge

@@ -404,15 +404,26 @@ def test_sum_blocks_refuse_what_the_stream_refuses():
 # --- streaming verification ----------------------------------------------
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS)
+@pytest.mark.parametrize(
+    "spec", SMALL_SPECS + [FamilySpec(LATTICE, 37, 100), FamilySpec(LATTICE, 100, 37), FamilySpec(PRISM, 301, 4)]
+)
 def test_streamed_column_sums_match_vertex_sums(spec):
-    # verdicts alone would miss a block kernel that permutes labels inside a block
+    # verdicts alone would miss a block kernel that permutes labels inside a block; so each
+    # column's kept blocks, in order, are checked against the scalar forms too
     total = vertex_sums(label(spec)).total
     forms = _forms(spec)
-    for span in (1, 2, 3, forms.rows):  # a span may end inside a factor edge's reach
-        streamed = {}
-        for j, r0, column in forms.columns(span, lambda block: None):
-            for i, value in enumerate(column.tolist(), start=r0):
+    count = _factor_edge_count(forms.row_kind, forms.rows)
+    last = _factor_edge_count(forms.col_kind, forms.cols)
+    # a span may end inside a factor edge's reach, or between a grid's rows and those past its merge head
+    for span in (1, 2, 3, forms.rows):
+        streamed, kept = {}, []
+        for j, r0, column in forms.columns(span, kept.append):
+            rows = range(r0, r0 + column.size)
+            want = [[forms.first(k, j) for k in rows if k <= count]]
+            want += [[forms.second(i, j) for i in rows]] if j <= last else []
+            assert [block.tolist() for block in kept] == want, (span, j, r0)
+            kept.clear()
+            for i, value in zip(rows, column.tolist()):
                 streamed[(j, i) if forms.transposed else (i, j)] = value
         assert streamed == total, span
 
@@ -575,6 +586,41 @@ def test_stream_verify_reports_injected_faults(spec, swap, chunk_target, fresh_f
             expected.missing_or_repeated_labels,
             expected.duplicate,
         )
+
+
+# at the default chunk a grid sweeps whole columns from its per-span terms: 40x41 and 41x40 (odd
+# n) and 41x42 (even n) deal every second-factor row below the merge head; once n - m >= 2 the
+# last row of the later columns is past it and takes _merge itself, and the swap moves one of its labels
+@pytest.mark.parametrize(
+    "spec, swap",
+    [
+        (FamilySpec(LATTICE, 40, 41), (1, 7)),
+        (FamilySpec(LATTICE, 41, 40), (1, 7)),
+        (FamilySpec(LATTICE, 41, 42), (1, 7)),
+        (FamilySpec(LATTICE, 40, 43), (1, 3522)),
+        (FamilySpec(LATTICE, 44, 41), (2, 3692)),
+    ],
+    ids=str,
+)
+def test_stream_verify_reports_faults_injected_into_the_grid_sweep(spec, swap, fresh_forms, monkeypatch):
+    forms = _forms(spec)
+    m, n, rows = forms.m, forms.n, forms.rows
+    head = m * n + (m + n + 1) // 2 - (n - m) // 2
+    below = [sum((i - 1) * n + k <= head for i in range(1, rows + 1)) for k in range(1, n + 1)]
+    assert any(0 < count < rows for count in below) == (n - m >= 2)
+    merge, past_head = stream._merge, []
+
+    def counting(m, n, p):
+        if type(p) is int:  # a swept row past the head; the other paths this test runs pass arrays
+            past_head.append(p)
+        return merge(m, n, p)
+
+    monkeypatch.setattr(stream, "_merge", counting)
+    for remap, broken in ((_bump(spec.edge_count()), "bijection"), (_swap(*swap), "sums")):
+        expected = check_antimagic(_faulty_labeling(spec, _faulty(type(forms), remap), monkeypatch))
+        assert (expected.antimagic, expected.duplicate is not None) == (False, broken == "sums")
+        assert _verdict_fields(stream_verify(spec)) == _verdict_fields(expected)
+    assert bool(past_head) == (n - m >= 2)
 
 
 # labels at -1 and 2**32 widen both stores to int64, after some buckets spilled; at chunk 4
@@ -868,6 +914,28 @@ def test_column_label_arrays_match_scalar_forms(spec):
             assert second[0].tolist() == [forms.second(i, j) for i in range(1, forms.rows + 1)]
         seen += [v for block in (first, *second) for v in block.tolist()]
     assert sorted(seen) == list(range(1, spec.edge_count() + 1))
+
+
+# the array paths keep nothing between calls: an unsorted index array, and the same array
+# after it changed in place, get the scalar forms' labels
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec(LATTICE, 37, 100), FamilySpec(LATTICE, 100, 37), FamilySpec(PRISM, 301, 4), FamilySpec(PRISM, 30, 7)],
+    ids=str,
+)
+def test_array_forms_match_scalar_forms_on_any_index_array(spec):
+    forms = _forms(spec)
+    rng = np.random.default_rng(0)
+    edges = rng.permutation(_factor_edge_count(forms.row_kind, forms.rows)) + 1
+    rows = rng.permutation(forms.rows) + 1
+    columns, second = (1, 2, forms.cols), (1, 2, _factor_edge_count(forms.col_kind, forms.cols))
+    for _ in range(2):
+        for j in columns:
+            assert forms.first(edges, j).tolist() == [forms.first(k, j) for k in edges.tolist()]
+        for k in second:
+            assert forms.second(rows, k).tolist() == [forms.second(i, k) for i in rows.tolist()]
+        edges.sort()
+        rows[:] = rows[::-1].copy()
 
 
 def test_stream_verify_family_and_size_guards():
