@@ -18,7 +18,8 @@ in vertex order; and ``stream_verify``, which sweeps the columns in spans of row
 and checks bijectivity and sum distinctness exactly: labels and sums are buffered,
 and each full buffer is spilled as a sorted run into value-range buckets in anonymous
 files (a file per bucket, or past ``RUN_BUCKETS`` buckets one), so live state stays at
-one span of a column plus the two buffers and one bucket.
+one span of a column plus the two buffers and one bucket.  Only a broken construction
+makes a value outside 0..2**32-1; such strays are held in memory and counted.
 """
 
 from __future__ import annotations
@@ -438,7 +439,7 @@ class StreamStats:
 
     ``spill_files`` counts the files the two stores opened, one per bucket that spilled a value, or
     one per store past ``RUN_BUCKETS`` buckets, and one per re-scattered bucket; ``spill_bytes``
-    every byte written to them, widening rewrites and re-scatters included.
+    every byte written to them, re-scatters included.
     """
 
     edges_labeled: int = 0
@@ -461,21 +462,20 @@ class _BucketStore:
     ``RUN_BUCKETS`` buckets, and all of them in a larger one or a ``one_file`` store; a store
     whose buffer never fills opens none.  Files are anonymous (``tempfile.TemporaryFile``): the
     kernel frees one when it is closed or the process dies, so no spill outlives the process.
-    Values are ``uint32`` while the range fits and every value does; the first value outside
-    0..2**32-1 widens the store to int64, rewriting each open file in place, a chunk at a time, and
-    the cuts, which count values, stay valid.  Iterating yields every bucket, unsorted, while only
-    one is live, read with one ``os.preadv`` per run holding part of it; a spilled bucket of more
-    than two buffers is instead re-scattered, one run slice at a time, into a child ``one_file`` store
-    over its own range (an end bucket's reaches the least or greatest value spilled), whose buckets
-    are yielded in its place.  ``peak`` counts the most values held at once (the index is metadata,
-    like a file's buffer, and is not counted), ``written`` the bytes written to files, a child's
-    too.  As a context manager it closes every file on exit.
+    The dtype, ``uint32`` if the range fits and int64 if not, is fixed when the store is built.
+    A ``uint32`` store keeps each value outside 0..2**32-1, which only a broken construction makes,
+    in ``side``, in memory, counted in ``count`` and ``peak``; bucket 0 takes it.  Iterating yields
+    every bucket, unsorted, while only one is live, read with one ``os.preadv`` per run holding part
+    of it.  A spilled bucket of more than two buffers is instead re-scattered, one run slice at a
+    time, into a child ``one_file`` store over its own range (bucket 0's ``side`` too), whose
+    buckets are yielded in its place.  ``peak`` counts the most values held at once (the index is
+    metadata, like a file's buffer, and is not counted), ``written`` the bytes written to files, a
+    child's too.  As a context manager it closes every file on exit.
     """
 
     def __init__(self, expected, upper, chunk_target, lower=0, most=1, one_file=False):
         self.nbuckets = min(512, -(-expected // chunk_target))
-        self.lower, self.width = lower, max(1, -(-(upper - lower) // self.nbuckets))
-        self.ends = lower, upper  # widened to the least and greatest value spilled
+        self.lower, self.upper, self.width = lower, upper, max(1, -(-(upper - lower) // self.nbuckets))
         bounds = lower + self.width * np.arange(1, self.nbuckets, dtype=np.int64)
         self.dtype = np.dtype(np.uint32 if 0 <= lower and bounds.max(initial=upper) < 1 << 32 else np.int64)
         self.bounds = bounds.astype(self.dtype)  # searchsorted on like dtypes copies nothing
@@ -487,6 +487,7 @@ class _BucketStore:
         runs = expected // max(chunk_target, most) + 1  # a spill takes a chunk, or a batch that passes one
         self.index = np.empty((runs, self.nbuckets + 1), np.min_scalar_type(self.buffer.size))
         self.buffered = self.count = self.runs = self.spills = self.written = self.peak = 0
+        self.side = np.empty(0, np.int64)  # what a uint32 store cannot hold; bucket 0 takes it
 
     def __enter__(self):
         return self
@@ -497,26 +498,17 @@ class _BucketStore:
         self.files = [None] * len(self.files)
 
     def add(self, values):
+        self.count += values.size
         if self.dtype == np.uint32 and np.bitwise_or.reduce(values) >> 32:  # one below 0 or past 2**32-1
-            self._widen()
+            wide = values >> 32 != 0
+            self.side, values = np.concatenate((self.side, values[wide])), values[~wide]
+            self.peak = max(self.peak, self.buffered + self.side.size)
         while values.size:  # a batch past the buffer's room fills it, which spills, and goes on
             end = min(self.buffer.size, self.buffered + values.size)
             self.buffer[self.buffered : end], values = values[: end - self.buffered], values[end - self.buffered :]
-            self.buffered, self.count, self.peak = end, self.count + end - self.buffered, max(self.peak, end)
+            self.buffered, self.peak = end, max(self.peak, end + self.side.size)
             if end >= self.chunk_target or end == self.buffer.size:  # full: past ``expected``, or mid-batch
                 self._scatter()
-
-    def _widen(self):
-        self.dtype = np.dtype(np.int64)
-        for handle in filter(None, self.files):  # from the end back: int64 at 8i covers no unread uint32
-            for i in reversed(range(0, handle.seek(0, os.SEEK_END) // 4, self.chunk_target)):
-                handle.seek(4 * i)
-                part = np.frombuffer(handle.read(4 * self.chunk_target), np.uint32).astype(np.int64)
-                handle.seek(8 * i)
-                self.written += handle.write(part)
-                self.peak = max(self.peak, self.buffered + part.size)
-            handle.seek(0, os.SEEK_END)
-        self.buffer, self.bounds = self.buffer.astype(np.int64), self.bounds.astype(np.int64)
 
     def _take_buffer(self):
         """The buffered values sorted in place, with the bucket bounds cut into them; empties the buffer."""
@@ -529,7 +521,6 @@ class _BucketStore:
         if self.runs == len(self.index):  # more values than expected, or smaller batches
             self.index = np.concatenate((self.index, self.index))
         self.index[self.runs], self.runs = cuts, self.runs + 1
-        self.ends = min(self.ends[0], int(values[0])), max(self.ends[1], int(values[-1]) + 1)
         for f, handle in enumerate(self.files):
             start, stop = cuts[f * self.per_file], cuts[min((f + 1) * self.per_file, self.nbuckets)]
             if stop > start:
@@ -541,13 +532,15 @@ class _BucketStore:
     def iter_buckets(self):
         """Yield ``(lo, hi, values)`` for every bucket, ascending; the values are unsorted.
 
-        A bucket holds the values in ``lo..hi-1``; the first also takes those
-        below its range and the last those above.
+        A bucket holds the values in ``lo..hi-1``, within ``lower..upper-1``; the first also
+        takes those below its range and ``side``, and the last those above.
         """
+        marks = [min(self.lower + c * self.width, self.upper) for c in range(self.nbuckets + 1)]
         if not self.spills:  # every value is in the buffer
             values, cuts = self._take_buffer()
             for b in range(self.nbuckets):
-                yield *self._range(b), values[cuts[b] : cuts[b + 1]]
+                part = values[cuts[b] : cuts[b + 1]]
+                yield marks[b], marks[b + 1], np.concatenate((part, self.side)) if b == 0 and self.side.size else part
             return
         if self.buffered:
             self._scatter()
@@ -563,17 +556,19 @@ class _BucketStore:
             hit = lengths > 0  # runs holding part of the bucket, at their slice's place in file f
             offsets = ((np.cumsum(sizes) - sizes + cuts[:, 1] - cuts[:, 0])[hit] * self.dtype.itemsize).tolist()
             lengths, total = lengths[hit].tolist(), int(lengths.sum())
-            lo, hi = self._range(b)
+            lo, hi = marks[b], marks[b + 1]
             if total <= self.limit or hi - lo <= 1:
                 part, at = np.empty(total, dtype=self.dtype), 0
                 for offset, length in zip(offsets, lengths):
                     os.preadv(fds[f], [part[at : at + length]], offset)
                     at += length
-                self.peak = max(self.peak, total)
+                part = np.concatenate((part, self.side)) if b == 0 and self.side.size else part
+                self.peak = max(self.peak, part.size)
                 yield lo, hi, part
                 del part  # the caller drops its own, so the next bucket is read with none held
                 continue
             with type(self)(total, hi, self.chunk_target, lo, self.most, one_file=True) as child:
+                child.add(self.side if b == 0 else self.side[:0])  # bucket 0's strays go with it
                 part = np.empty(max(lengths), dtype=self.dtype)  # one run slice at a time
                 for offset, length in zip(offsets, lengths):
                     os.preadv(fds[f], [part[:length]], offset)
@@ -582,11 +577,6 @@ class _BucketStore:
                 yield from child.iter_buckets()
             self.peak = max(self.peak, max(lengths) + child.peak)
             self.spills, self.written = self.spills + child.spills, self.written + child.written
-
-    def _range(self, b):
-        """Bucket ``b``'s values ``lo..hi-1``: the end buckets reach the least and greatest value spilled."""
-        lo, hi = (min(self.lower + c * self.width, self.ends[1]) for c in (b, b + 1))
-        return self.ends[0] if b == 0 else lo, self.ends[1] if b == self.nbuckets - 1 else hi
 
 
 def _distinct(chunk):
@@ -600,7 +590,7 @@ def _check_permutation(store, n):
     issues = set()
     ok = store.count == n
     for lo, hi, chunk in store.iter_buckets():
-        first, stop = max(lo, 1), max(lo, 1, min(hi, n + 1))  # the bucket's share of 1..n
+        first, stop = max(lo, 1), max(lo, 1, hi)  # the bucket's share of 1..n
         distinct = _distinct(chunk)  # sorted now: distinct and as long as its share, it is the share if its ends are
         ends = (chunk[0], chunk[-1]) if chunk.size else (first, stop - 1)
         if not (distinct and chunk.size == stop - first and ends == (first, stop - 1)):
@@ -641,6 +631,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     ``max(min(chunk_target // 4, 2048), 8 * (min(m, n) + 2))`` rows, plus a label and a sum buffer
     of a chunk and a span each; value-range buckets on disk carry the rest, read back one bucket of
     at most about two buffers at a time, and a stream that never fills a buffer touches no disk.
+    A broken construction's labels or sums outside 0..2**32-1 are held in memory and counted.
     """
     from .verification import Verdict  # here, so that streaming a labeling out loads no verifier
     start = time.perf_counter()
@@ -651,7 +642,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     nv, ne = spec.vertex_count(), spec.edge_count()
     # rows per sweep span; a grid column, at most the short side plus one rows, always fits in one
     span = min(forms.rows, max(min(chunk_target // 4, 2048), 8 * (min(spec.m, spec.n) + 2)))
-    # a run store's sum buckets are cut over the real sums; a stray sum lands in an end bucket
+    # a run store's sum buckets are cut over the real sums; a stray sum lands in an end bucket or aside
     least, greatest = forms.sum_bounds() if nv > RUN_BUCKETS * chunk_target else (0, 4 * ne)
     with _BucketStore(ne, ne + 1, chunk_target, 0, span) as label_store, _BucketStore(
         nv, greatest + 1, chunk_target, least, span

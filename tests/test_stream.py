@@ -623,9 +623,9 @@ def test_stream_verify_reports_faults_injected_into_the_grid_sweep(spec, swap, f
     assert bool(past_head) == (n - m >= 2)
 
 
-# labels at -1 and 2**32 widen both stores to int64, after some buckets spilled; at chunk 4
-# lattice 12x12 (78 label and 43 sum buckets) and prism 13x9 spill runs, and the sum store
-# widens after its first runs, so the run file is rewritten as int64 under its index
+# labels at -1 and 2**32, and the sums they reach past 2**32-1, are set aside by a uint32 store,
+# which keeps its dtype; at chunk 4 lattice 12x12 (78 label and 43 sum buckets) and prism 13x9
+# spill runs, and lattice 12x12's sum store, cut over the faulty forms' bounds, is int64 from the start
 @pytest.mark.parametrize(
     "spec",
     [
@@ -638,8 +638,14 @@ def test_stream_verify_reports_faults_injected_into_the_grid_sweep(spec, swap, f
 )
 @pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
 def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_forms, monkeypatch):
-    stores = []
-    monkeypatch.setattr(stream, "_BucketStore", lambda *args: stores.append(_BucketStore(*args)) or stores[-1])
+    stores, built = [], []  # the two stores, and each one's dtype when it was built
+
+    def recording(*args):
+        stores.append(_BucketStore(*args))
+        built.append(stores[-1].dtype)
+        return stores[-1]
+
+    monkeypatch.setattr(stream, "_BucketStore", recording)
     forms = _forms(spec)
     low, high = 2, spec.edge_count() - 1
     moved = _faulty(type(forms), lambda lab: lab - (lab == low) * (low + 1) + (lab == high) * ((1 << 32) - high))
@@ -657,17 +663,23 @@ def test_stream_verify_reports_labels_outside_uint32(spec, chunk_target, fresh_f
         expected.duplicate,
     )
     label_store, sum_store = stores
-    assert label_store.dtype == sum_store.dtype == np.int64
+    assert [store.dtype for store in stores] == built
+    assert label_store.dtype == np.uint32 and sorted(label_store.side.tolist()) == [-1, 1 << 32]
+    sums = np.concatenate([block[:, 2] for block in iter_sum_blocks(spec)]).tolist()
+    wide = sorted(v for v in sums if not 0 <= v < 1 << 32) if sum_store.dtype == np.uint32 else []
+    assert sorted(sum_store.side.tolist()) == wide
     if chunk_target == 4 and spec.m >= 12:
         assert min(label_store.nbuckets, sum_store.nbuckets) > RUN_BUCKETS
         assert label_store.per_file > 1 and sum_store.per_file > 1
-        # more than 8 bytes a value: uint32 runs were written, then rewritten as int64
-        assert sum_store.written > 8 * sum_store.count
+        # lattice 12x12's faulty sum bounds leave uint32, so its sum store is int64 from the start
+        assert (sum_store.dtype == np.int64) == (spec.family == LATTICE)
+        # 4 bytes a label kept: uint32 runs, written once and never rewritten
+        assert label_store.written == 4 * (label_store.count - 2)
 
 
-# only label E-1 moves to 2**32, so the label store widens late, after it spilled most of its
-# runs; the rewrite holds one chunk of a file at a time, not the whole file
-def test_late_widening_keeps_live_state_bounded(fresh_forms, monkeypatch):
+# only label E-1 moves to 2**32, late, after the label store spilled most of its runs; it is
+# set aside in memory, and the runs already written stay as they are
+def test_late_stray_keeps_live_state_bounded(fresh_forms, monkeypatch):
     spec, chunk = FamilySpec(LATTICE, 40, 40), 16
     forms = _forms(spec)
     high = spec.edge_count() - 1
@@ -680,6 +692,25 @@ def test_late_widening_keeps_live_state_bounded(fresh_forms, monkeypatch):
     assert _verdict_fields(stream_verify(spec, chunk_target=chunk, stats=stats)) == _verdict_fields(expected)
     assert not expected.bijection_ok
     assert stats.peak_live_values <= 12 * chunk + 64 * (min(spec.m, spec.n) + 2)
+
+
+# every label shifted by -2**33: the label stores hold nothing but strays, set aside in memory,
+# as are the sums of a uint32 sum store; every one is checked and counted as live
+@pytest.mark.parametrize("spec", [FamilySpec(LATTICE, 12, 12), FamilySpec(PRISM, 13, 9)], ids=str)
+@pytest.mark.parametrize("chunk_target", [4, DEFAULT_CHUNK_TARGET])
+def test_stream_verify_reports_every_label_a_stray(spec, chunk_target, fresh_forms, monkeypatch):
+    forms = _forms(spec)
+    expected = check_antimagic(_faulty_labeling(spec, _faulty(type(forms), lambda lab: lab - (1 << 33)), monkeypatch))
+    stats = StreamStats()
+    got = stream_verify(spec, chunk_target=chunk_target, stats=stats)
+    assert (got.antimagic, got.bijection_ok, got.duplicate) == (
+        expected.antimagic,
+        expected.bijection_ok,
+        expected.duplicate,
+    )
+    assert got.missing_or_repeated_labels
+    assert set(got.missing_or_repeated_labels) <= set(expected.missing_or_repeated_labels)
+    assert stats.peak_live_values >= spec.edge_count()
 
 
 # a thin ring at chunk 256 fills each 3,516-label bucket with 13.7 chunks, and its sums cluster;
@@ -1098,10 +1129,10 @@ def check_against_unique_reference(n, values, chunk_target):
     present = set(unique.tolist())
     repeated = unique[counts > 1].tolist()
     outside = [v for v in present if not 1 <= v <= n]
-    wide = any(not 0 <= v < 1 << 32 for v in values)
     with filled_store(values, n + 1, chunk_target) as store:
         ok, issues = _check_permutation(store, n)
-        assert store.dtype == (np.int64 if wide else np.uint32)
+        assert store.dtype == np.uint32
+        assert sorted(store.side.tolist()) == sorted(v for v in values if not 0 <= v < 1 << 32)
     assert ok == (len(values) == n and present == set(range(1, n + 1)))
     assert issues == sorted({*repeated, *outside, *(set(range(1, n + 1)) - present)})
     with filled_store(values, n + 1, chunk_target) as store:
