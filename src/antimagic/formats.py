@@ -22,8 +22,9 @@ whole: ``json.loads`` and a walk over its edge entries, or a TSV walk line by
 line, which name the first bad field.  Otherwise :func:`read_tally` tries a
 tally first, whose pieces become label counts and vertex sums and are dropped:
 a headered JSON file in one read, checked against its family's closed forms,
-and an edge-order TSV file in two, for its extent and then its sums.  Any other
-text takes the block-wise read, and the whole-text parse only if that gives up.
+and a TSV file with its rows in any order in two, for its extent and then its
+sums.  Any other text takes the block-wise read, and the whole-text parse only if
+that gives up.
 Both parses give the same results and messages and end in the edge-list check
 that ``graph_from_edges`` also runs.
 """
@@ -48,7 +49,6 @@ from .families import (
     _adhoc_graph,
     _canonical,
     _canonical_rows,
-    _lex_greater,
     _parsed_graph,
     check_materializable,
 )
@@ -285,40 +285,20 @@ def _section(pieces, text, fmt, end, kept, check=True):
     return text[stop + len(end) :]
 
 
-class _Rows:
-    """Rows of int64 fields appended block by block and held field by field, in place.
+class _Rows(list):
+    """Blocks of (B, width) int64 rows, appended as read and joined once.
 
-    One (width, capacity) array holds them.  It doubles by ``ndarray.resize``, whose realloc moves
-    a large array without a second copy beside it, and then each field past the first is copied up
-    to its new place.  :meth:`done` trims it to the rows held and returns them as (N, width) rows in
-    column order, so each field, the labels among them, is a contiguous view.
+    :meth:`done` copies them into one (width, N) array, holding the rows twice while it copies, and
+    returns it as (N, width) rows in column order: each field, the labels among them, is a
+    contiguous view.  Every read appends at least one block, if only an empty one.
     """
 
-    def __init__(self, width):
-        self._fields, self._count = np.empty((width, 0), np.int64), 0
-
-    def append(self, rows):
-        count = self._count + len(rows)
-        if count > self._fields.shape[1]:
-            self._move(max(count, 2 * self._fields.shape[1]))
-        self._fields[:, self._count : count] = rows.T
-        self._count = count
-
-    def _move(self, capacity):
-        """Make room for ``capacity`` rows, keeping those held; no other view of the array may exist."""
-        width, old = self._fields.shape
-        if capacity > old:
-            self._fields.resize((width, capacity), refcheck=False)
-        flat = self._fields.reshape(-1)
-        for field in range(width - 1, 0, -1) if capacity > old else range(1, width):  # never onto an unmoved field
-            flat[field * capacity : field * capacity + self._count] = flat[field * old : field * old + self._count]
-        del flat
-        if capacity < old:
-            self._fields.resize((width, capacity), refcheck=False)
-
     def done(self):
-        self._move(self._count)
-        return self._fields.T
+        fields, at = np.empty((self[0].shape[1], sum(map(len, self))), np.int64), 0
+        for rows in self:
+            fields[:, at : at + len(rows)] = rows.T
+            at += len(rows)
+        return fields.T
 
 
 def _bounds(rows, start=((math.inf, -math.inf),) * 2):
@@ -349,20 +329,23 @@ class _Extent:
 class _Counts:
     """The :class:`Tally` of edge rows ``r1, c1, r2, c2, label`` appended block by block, each dropped once counted.
 
-    The rows are ``spec``'s canonical edges in turn or, without a spec, canonical and strictly
-    ascending within the axis ``bounds``.  Vertex (r, c) keeps its sum at key ``(r - low_r) * width
-    + c - low_c``, which sorts as (r, c).  A label of 1..``count`` is counted up to 2; any other is
-    kept.  Other rows, too many or too few, or a sum that could pass int64, raise :class:`_NotWriter`.
+    The rows are ``spec``'s canonical edges in turn or, without a spec, edges in any order within
+    the axis ``bounds`` whose offset ``(r2 - r1, c2 - c1)`` is one the factor namings make: (1, 0),
+    (2, 0), (0, 1) or (0, 2).  Vertex (r, c) keeps its sum at key ``(r - low_r) * width + c -
+    low_c``, which sorts as (r, c).  Each row without a spec marks its first endpoint's key in its
+    offset's plane of ``marks``, so a repeated edge, in one block or across two, leaves fewer marks
+    than rows.  A label of 1..``count`` is counted up to 2; any other is kept.  Other rows, too many
+    or too few, a repeat, or a sum that could pass int64 raise :class:`_NotWriter`.
     """
 
     def __init__(self, spec, count, bounds):
         (low_r, high_r), (low_c, high_c) = bounds
         self.spec, self.count, self.bounds = spec, count, bounds
-        self.low, self.width = (low_r, low_c), high_c - low_c + 1
-        self.taken, self.last = 0, np.empty((0, 4), np.int64)
+        self.low, self.width, self.taken = (low_r, low_c), high_c - low_c + 1, 0
         self.counts, self.outside = np.zeros(count + 1, np.uint8), [np.empty(0, np.int64)]
         self.sums = np.zeros((high_r - low_r + 1) * self.width, np.int64)
         self.used = np.zeros(len(self.sums), bool)
+        self.marks = None if spec else np.zeros((4, len(self.sums)), bool)
 
     @classmethod
     def of_header(cls, header):
@@ -376,9 +359,9 @@ class _Counts:
 
     def append(self, rows):
         at, self.taken = self.taken, self.taken + len(rows)
-        if self.taken > self.count or not (_canonical(self.spec, rows, at) if self.spec else self._ascending(rows)):
-            raise _NotWriter
         keys = (rows[:, 0:4:2] - self.low[0]) * self.width + rows[:, 1:4:2] - self.low[1]
+        if self.taken > self.count or not (_canonical(self.spec, rows, at) if self.spec else self._mark(rows, keys)):
+            raise _NotWriter
         labels = rows[:, 4]
         np.add.at(self.sums, keys, labels[:, None])
         self.used[keys] = True
@@ -387,16 +370,20 @@ class _Counts:
         self.counts[values] = np.minimum(self.counts[values] + times, 2)
         self.outside.append(labels[~inside])
 
-    def _ascending(self, rows):
-        edges = np.concatenate((self.last, rows[:, :4]))
-        self.last = edges[-1:].copy()
-        ordered = _lex_greater(edges[:, 2:], edges[:, :2]).all() and _lex_greater(edges[1:], edges[:-1]).all()
-        return ordered and _bounds(edges, self.bounds) == list(self.bounds)
+    def _mark(self, rows, keys):
+        """Whether ``rows`` lie within ``bounds`` at the factor namings' offsets; if so, marks them."""
+        dr, dc = rows[:, 2] - rows[:, 0], rows[:, 3] - rows[:, 1]
+        step = dr + dc
+        if _bounds(rows, self.bounds) != list(self.bounds) or (dr * dc).any() or ((step < 1) | (step > 2)).any():
+            return False
+        self.marks[step - 1 + 2 * (dr == 0), keys[:, 0]] = True
+        return True
 
     def done(self):
         outside, used = np.concatenate(self.outside), self.used
         peak = max(-int(outside.min(initial=0)), int(outside.max(initial=0)))
-        if self.taken < self.count or peak * self.count >= 1 << 63:
+        repeated = self.marks is not None and np.count_nonzero(self.marks) < self.count
+        if self.taken < self.count or repeated or peak * self.count >= 1 << 63:
             raise _NotWriter
 
         def vertex(i):
@@ -413,7 +400,7 @@ def _writer_tsv(blocks, kept=None, check=True):
     The rows are appended to ``kept``, a new :class:`_Rows` by default, and its done() is returned;
     either may raise :class:`_NotWriter`.  ``check`` is :func:`_records`'.
     """
-    kept = _Rows(5) if kept is None else kept
+    kept = _Rows() if kept is None else kept
     try:
         _section(_pieces(blocks), "", _TSV_LINE, None, kept, check)
         return kept.done()
@@ -450,7 +437,7 @@ def parse_tsv(text):
     return _tsv_labeling([text], lambda: text)
 
 
-def _writer_json(blocks, keep=lambda header: _Rows(5)):
+def _writer_json(blocks, keep=lambda header: _Rows()):
     """``(header, rows)`` if ``labeling_to_json`` renders them as exactly the text ``blocks``, else None.
 
     The header is the ``family``/``m``/``n`` dict.  The edge rows are appended to ``keep(header)``
@@ -523,12 +510,9 @@ def _json_labeling(blocks, whole):
     m, n = doc.get("m"), doc.get("n")
     if isinstance(m, bool) or not isinstance(m, int):
         raise FormatError(f'"m" must be an integer, got {m!r}')
-    if family in (LATTICE, PRISM):
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise FormatError(f'"n" must be an integer for {family}, got {n!r}')
-        spec = FamilySpec(family, m, n)
-    else:
-        spec = FamilySpec(family, m)
+    if family in (LATTICE, PRISM) and (isinstance(n, bool) or not isinstance(n, int)):
+        raise FormatError(f'"n" must be an integer for {family}, got {n!r}')
+    spec = FamilySpec(family, m, n if family in (LATTICE, PRISM) else 0)
     try:  # a spec above the cap is refused before the count is compared
         graph = _parsed_graph(spec, rows[:, :4])
     except InvalidParameterError as exc:
@@ -556,7 +540,7 @@ def _read(blocks, whole, tally=False):
         text = whole()
         return (parse_json if text.lstrip().startswith("{") else parse_tsv)(text)
     is_json = first.startswith("{")
-    if tally:  # headered JSON in one read; edge-order TSV in an extent read, then a counts read
+    if tally:  # headered JSON in one read; TSV in any row order in an extent read, then a counts read
         if is_json:
             tallied = (parsed := _writer_json(blocks(), _Counts.of_header)) and parsed[1]
         else:
@@ -573,7 +557,7 @@ def parse_labeling(text):
 
 def read_tally(handle):
     """What :func:`check_antimagic` and :func:`check_paper_properties` read of the labeling the open text
-    stream ``handle`` reads: the :class:`Tally` of a writer's headered JSON or edge-order TSV, else its
+    stream ``handle`` reads: the :class:`Tally` of a writer's headered JSON or TSV in any row order, else its
     :func:`parse_labeling`.  A seekable stream is read anew from where it started for each pass; a pipe is read whole.
     """
     try:

@@ -617,9 +617,9 @@ def test_parse_peak_memory_at_lattice_161x162(fmt):
 
 
 def test_json_fast_read_holds_no_second_text():
-    # the text is read a piece at a time and only the edge rows are kept, in an array that doubles
-    # (1.36 times the text here); a whole second text and per-section slices once took the peak to
-    # 2.8 times the text
+    # the text is read a piece at a time and only the edge rows are kept, as blocks joined once (1.29
+    # times the text here, 1.24 in an array that doubled); a whole second text and per-section slices
+    # once took the peak to 2.8 times the text
     lab = label(FamilySpec(LATTICE, 161, 162))
     text = labeling_to_json(lab)
     tracemalloc.start()

@@ -35,7 +35,8 @@ from antimagic.formats import labeling_blocks, labeling_tsv_rows, text_blocks, t
 from antimagic.verification import Tally
 
 FAULTS = ("none", "collision", "repeated", "zero", "above", "huge", "header", "reversed")
-DECLINED = ("header", "reversed")  # the block checker gives these to the slow read
+# the block checker gives these to the slow read; a TSV in any row order is tallied
+DECLINED = {"json": ("header", "reversed"), "tsv": ()}
 
 
 class _Pipe(io.StringIO):
@@ -139,7 +140,7 @@ def test_small_faulty_files_check_as_the_library_does_hypothesis(tmp_path_factor
     text = faulty_text(spec, fmt, fault, random.Random(seed))
     declined = assert_cli_equals_library(text, tmp_path_factory.mktemp("tally") / f"input.{fmt}")
     if fault != "header" or fmt == "json":
-        assert declined == (fault in DECLINED), fault
+        assert declined == (fault in DECLINED[fmt]), fault
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
@@ -150,7 +151,60 @@ def test_large_faulty_files_check_as_the_library_does(tmp_path, family, fmt, fau
         pytest.skip("a TSV file has no header")
     spec = FamilySpec(family, 161, 162)
     text = faulty_text(spec, fmt, fault, random.Random(f"{family}-{fmt}-{fault}"))
-    assert assert_cli_equals_library(text, tmp_path / f"input.{fmt}") == (fault in DECLINED)
+    assert assert_cli_equals_library(text, tmp_path / f"input.{fmt}") == (fault in DECLINED[fmt])
+
+
+EDGE_FAULTS = ("none", "collision", "repeated-edge", "self-loop", "swapped-endpoints", "truncated", "diagonal")
+
+
+def faulty_tsv(spec, order, fault, rng):
+    """The TSV text of ``spec``'s labeling with its rows in ``order`` ("by-label" or "shuffled") and ``fault`` made in one."""
+    lab = label(spec)
+    if fault == "collision":
+        lab = Labeling(lab.graph, _collision(lab, rng))
+    rows = labeling_tsv_rows(lab, by_label=order == "by-label")
+    if order == "shuffled":
+        rows = rows[rng.sample(range(len(rows)), len(rows))]
+    at, other = rng.sample(range(len(rows)), 2)
+    if fault == "repeated-edge":
+        rows[at, :4] = rows[other, :4]
+    elif fault == "self-loop":
+        rows[at, 2:4] = rows[at, :2]
+    elif fault == "swapped-endpoints":
+        rows[at, :4] = rows[at, [2, 3, 0, 1]]
+    elif fault == "diagonal":  # an offset of (1, 1) within the file's bounds
+        at = rng.choice(np.flatnonzero((rows[:, 0] < rows[:, 0].max()) & (rows[:, 1] < rows[:, 1].max())).tolist())
+        rows[at, 2:4] = rows[at, :2] + 1
+    text = tsv_text(rows)
+    return text[: text.rfind("\t")] if fault == "truncated" else text
+
+
+@pytest.mark.parametrize("order", ["by-label", "shuffled"])
+@pytest.mark.parametrize("family", [LATTICE, PRISM])
+@pytest.mark.parametrize("fault", EDGE_FAULTS)
+def test_tsv_files_in_any_row_order_check_as_the_library_does(tmp_path, family, order, fault):
+    spec = FamilySpec(family, 161, 162)
+    text = faulty_tsv(spec, order, fault, random.Random(f"{family}-{order}-{fault}"))
+    # only a writer's rows, in whatever order, are tallied; every other fault is the slow read's
+    assert assert_cli_equals_library(text, tmp_path / "input.tsv") == (fault not in ("none", "collision"))
+
+
+@pytest.mark.parametrize(("copy", "cut"), [(None, 6), (2, 12), (5, 6)], ids=["none", "one-block", "two-blocks"])
+def test_a_repeated_edge_is_declined_within_one_block_and_across_two(copy, cut):
+    """Row 9 repeats row ``copy`` of a by-label file, appended as the rows before ``cut`` and those after."""
+    rows = labeling_tsv_rows(label(FamilySpec(LATTICE, 3, 4)), by_label=True)
+    if copy is not None:
+        rows[9, :4] = rows[copy, :4]
+    extent = formats._Extent()
+    extent.append(rows)
+    counts = extent.done()
+    counts.append(rows[:cut])
+    counts.append(rows[cut:])
+    if copy is None:
+        assert isinstance(counts.done(), Tally)
+    else:
+        with pytest.raises(formats._NotWriter):
+            counts.done()
 
 
 def test_tally_counts_labels_and_sums_as_the_labeling_does():
@@ -177,12 +231,11 @@ class _Counted(io.StringIO):
 
 @pytest.mark.parametrize(
     ("form", "passes", "pieces", "tallied"),
-    [("json", 1, 1, True), ("tsv", 2, 1, True), ("by-label", 2, 2, False), ("newline-json", 1, 1, False)],
+    [("json", 1, 1, True), ("tsv", 2, 1, True), ("by-label", 2, 1, True), ("newline-json", 1, 1, False)],
 )
 def test_a_file_is_read_once_per_pass_it_needs(form, passes, pieces, tallied):
-    """Headered JSON takes one pass and edge-order TSV two; by-label TSV is declined after one counts
-    piece and parsed block-wise; a text starting with whitespace goes straight to the whole-text parse.
-    Each also reads one first piece to sniff.
+    """Headered JSON takes one pass and TSV two, in edge or label order alike; a text starting with
+    whitespace goes straight to the whole-text parse.  Each also reads one first piece to sniff.
     """
     lab = label(FamilySpec(LATTICE, 161, 162))
     text = {
