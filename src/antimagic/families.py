@@ -63,14 +63,17 @@ def _factor_edge_index(kind, size, a, b):
 
 
 def _factor_edges_at(kind, size, v):
-    """Listing indices of the factor edges meeting vertex ``v``, ascending.
+    """``(a, b)``, ``a <= b``: the listing indices of the factor edges meeting vertex ``v``, in O(1).
 
-    Every edge ``k`` has both endpoints in ``k-1..k+2`` (a cycle's edge 1
-    joins 1 and 2, its last edge the last two vertices), so the edges at
-    ``v`` are among ``v-2..v+1``.
+    Ints give ints, integer arrays arrays; ``a == b`` at a vertex of degree 1.  Away from the ends,
+    ``v`` meets edges ``v-2, v`` of a skip path, ``v-1, v`` of a consecutive one, ``v-1, v+1`` of a cycle.
     """
-    count = _factor_edge_count(kind, size)
-    return [k for k in range(v - 2, v + 2) if 1 <= k <= count and v in _factor_edge_endpoints(kind, size, k)]
+    if kind == SKIP_CYCLE:
+        return v - 1 + (v == 1), v + 1 - (v == size)
+    b = v - (v == size)
+    if kind == CONSECUTIVE_PATH:
+        return v - (v > 1), b
+    return b - (v >= 3) * (2 - (v == size)), b
 
 
 def _check_ints(**values):

@@ -180,8 +180,10 @@ def labeling_to_json(lab):
 
 def labeling_tsv_rows(lab, by_label=False):
     """The labeling as (E, 5) int64 rows ``r1, c1, r2, c2, label``, in edge or label order."""
-    rows = np.column_stack((lab.graph.edge_array, lab.labels))
-    return rows[np.argsort(lab.labels, kind="stable")] if by_label else rows
+    from .verification import _labels
+    labels = _labels(lab)
+    rows = np.column_stack((lab.graph.edge_array, labels))
+    return rows[np.argsort(labels, kind="stable")] if by_label else rows
 
 
 def labeling_tsv_lines(lab, by_label=False):

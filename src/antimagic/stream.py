@@ -14,7 +14,7 @@ ladder, which covers both the two-row grid and the two-layer prism.
 ``copy_label``.  On it sit ``closed_form_label``; ``iter_edge_blocks``, every edge as
 int64 rows, ``BLOCK_EDGES`` canonical positions or labels at a time
 (``iter_labeled_edges`` is its per-edge view); ``iter_sum_blocks``, every vertex sum
-in vertex order; and ``stream_verify``, which sweeps the columns in spans of rows
+in vertex order by ``sums_at``; and ``stream_verify``, which sweeps the columns in spans of rows
 and checks bijectivity and sum distinctness exactly: labels and sums are buffered,
 and each full buffer is spilled as a sorted run into value-range buckets in anonymous
 files (a file per bucket, or past ``RUN_BUCKETS`` buckets one), so live state stays at
@@ -46,7 +46,6 @@ from .families import (
     _copy_at,
     _copy_endpoints,
     _factor_edge_count,
-    _factor_edge_endpoints,
     _factor_edge_index,
     _factor_edges_at,
     _select,
@@ -81,22 +80,6 @@ def _merge(m, n, p):
     return 2 * p - 1 + (q > 0) * ((q & 1) * (2 * m * n + 2 * m + 2 - 2 * head) - q)
 
 
-def _incidence(kind, size, r0, r1):
-    """``(edges, a, b, single)``: vertex ``r0 + v`` meets factor edges ``edges[a[v]]`` and ``edges[b[v]]``.
-
-    The two coincide for the degree-1 vertices listed in ``single``.  By the window of
-    ``_factor_edges_at`` the candidates are edges ``r0-2..r1+1``.
-    """
-    edges = np.arange(max(1, r0 - 2), min(_factor_edge_count(kind, size), r1 + 1) + 1, dtype=np.int64)
-    ends = np.concatenate(_factor_edge_endpoints(kind, size, edges)) - r0
-    inside = (ends >= 0) & (ends <= r1 - r0)
-    ends, offsets = ends[inside], np.tile(np.arange(edges.size), 2)[inside]
-    edge_of = offsets[np.argsort(ends, kind="stable")]
-    degree = np.bincount(ends, minlength=r1 - r0 + 1)
-    last = np.cumsum(degree) - 1
-    return edges, edge_of[last - degree + 1], edge_of[last], np.flatnonzero(degree == 1)
-
-
 class _Forms:
     """One construction's closed forms, in the normalized orientation.
 
@@ -104,9 +87,9 @@ class _Forms:
     -> (first, k, pos)``, where ``first`` tells which formula gave the label; ints give
     exact Python ints, and the caller passes valid indices only.  ``first`` and ``second``
     also take what ``span_terms`` makes of a sweep span's edges and rows: those arrays, or on a
-    grid tuples of column-invariant terms.  ``transposed`` says whether the forms label the
-    caller's spec through its transpose, and ``factors`` is that spec's own ``factor_kinds``.
-    The forms hold no arrays, so a cached entry stays small.
+    grid tuples of column-invariant terms; ``sums_at`` adds them into vertex sums.  ``transposed``
+    says whether the forms label the caller's spec through its transpose, and ``factors`` is that
+    spec's own ``factor_kinds``.  The forms hold no arrays, so a cached entry stays small.
     """
 
     def __init__(self, spec, transposed):
@@ -121,13 +104,15 @@ class _Forms:
             return self.first(k, pos) if first else self.second(pos, k)
         return _select(first, self.first(k, pos), self.second(pos, k))
 
+    def sums_at(self, r, c):
+        """The vertex sums at rows ``r`` and columns ``c``: ints, or int64 arrays that broadcast."""
+        a, b = _factor_edges_at(self.row_kind, self.rows, r)  # a == b at a degree-1 vertex: counted once
+        x, y = _factor_edges_at(self.col_kind, self.cols, c)
+        return self.first(a, c) + self.first(b, c) * (a != b) + self.second(r, x) + self.second(r, y) * (x != y)
+
     def sum_bounds(self):
         """The least and greatest vertex sum: at vertex (1, 1), and in the last row's last two columns."""
-        def total(r, c):  # the labels of the copies meeting vertex (r, c)
-            first = sum(self.first(k, c) for k in _factor_edges_at(self.row_kind, self.rows, r))
-            return first + sum(self.second(r, k) for k in _factor_edges_at(self.col_kind, self.cols, c))
-
-        return total(1, 1), max(total(self.rows, c) for c in {self.cols, max(1, self.cols - 1)})
+        return self.sums_at(1, 1), max(self.sums_at(self.rows, c) for c in {self.cols, max(1, self.cols - 1)})
 
     def span_terms(self, edges, rows):
         """A sweep span's column-invariant terms, taken by ``first`` and ``second`` for its edges and rows."""
@@ -137,8 +122,8 @@ class _Forms:
         """Yield ``(j, r0, sums)``: the vertex sums of column ``j`` at rows ``r0, r0 + 1, ...``.
 
         The rows are swept in spans of at most ``span``, each span column by column, from the
-        span's ``span_terms``.  A column's first-factor block is gathered over the incidence of the
-        row factor's edges meeting the span, and the blocks of the second-factor edges meeting the
+        span's ``span_terms``.  Each row gathers its first-factor edges (``_factor_edges_at``) from
+        the block of those meeting the span, and the blocks of the second-factor edges meeting the
         column add in row by row.  Column ``j`` meets edges ``j - gap`` and ``j`` of its path (the
         last column its path's last one or two), so a block is made once, in column ``k``, and
         carried to the other column it meets.  ``keep`` is handed the blocks whose labels the
@@ -149,10 +134,11 @@ class _Forms:
         gap, last = 1 + (self.col_kind == SKIP_PATH), _factor_edge_count(self.col_kind, self.cols)
         for r0 in range(1, self.rows + 1, span):
             r1 = min(self.rows, r0 + span - 1)
-            edges, a, b, single = _incidence(self.row_kind, self.rows, r0, r1)
+            edges = np.arange(max(1, r0 - 2), min(count, r1 + 1) + 1, dtype=np.int64)  # all that meet the span
+            rows = np.arange(r0, r1 + 1, dtype=np.int64)
+            a, b = np.subtract(_factor_edges_at(self.row_kind, self.rows, rows), edges[0])  # window offsets
+            single = np.flatnonzero(a == b)
             owned = slice(r0 - edges[0], min(r1, count) + 1 - edges[0])
-            # where the edge window covers the span's rows (always on a ring), they are a view of it
-            rows = edges[owned] if r1 <= count else np.arange(r0, r1 + 1, dtype=np.int64)
             edge_terms, row_terms = self.span_terms(edges, rows)
             del edges, rows
             carried = {}  # the blocks a later column meets, by edge
@@ -412,18 +398,12 @@ def iter_sum_blocks(spec):
     adds the labels of the factor-edge copies meeting it.  The spec is checked at the first block.
     """
     forms = _forms(spec)
-    row_kind, col_kind, rows, cols = forms.factors
-
-    def meeting(kind, size, lo, hi, first, axis, pos):  # labels of the copies at vertices lo..hi of a factor
-        edges, a, b, _ = _incidence(kind, size, lo, hi)
-        a, b, twice = (np.expand_dims(v, axis) for v in (edges[a], edges[b], a != b))
-        return forms.copy_label(first, a, pos) + forms.copy_label(first, b, pos) * twice
-
+    _, _, rows, cols = forms.factors
     height, width = max(1, BLOCK_EDGES // cols), min(cols, BLOCK_EDGES)
     for r0, c0 in itertools.product(range(1, rows + 1, height), range(1, cols + 1, width)):
         r1, c1 = min(rows, r0 + height - 1), min(cols, c0 + width - 1)
         r, c = np.arange(r0, r1 + 1)[:, None], np.arange(c0, c1 + 1)
-        sums = meeting(row_kind, rows, r0, r1, True, 1, c) + meeting(col_kind, cols, c0, c1, False, 0, r)
+        sums = forms.sums_at(c, r) if forms.transposed else forms.sums_at(r, c)
         yield np.column_stack((np.repeat(r, c.size), np.tile(c, r.size), sums.ravel()))
 
 
@@ -660,7 +640,7 @@ def stream_verify(spec, *, chunk_target=DEFAULT_CHUNK_TARGET, stats=None):
     if stats is not None:
         stats.edges_labeled = ne
         stats.sums_checked = nv
-        # the sweep holds a span's row indices, the incidence's two edges per row and
+        # the sweep holds a span's row indices, two edge offsets per row and
         # its degree-1 rows (two on a path, none on a cycle), and one passing block
         # that is not kept; the span's sums and kept blocks count in the stores
         single = 2 * (forms.rows - _factor_edge_count(forms.row_kind, forms.rows))

@@ -61,11 +61,16 @@ def _incident_sums(graph, labels, peak=None):
     return sums
 
 
-def vertex_sums(lab):
-    """Accumulate label sums at every vertex of ``lab``'s graph."""
+def _labels(lab):
+    """``lab``'s label array; a mapping that misses or adds edges raises."""
     if lab.labels is None:
         raise InvalidParameterError("labeling does not cover exactly the graph's edges")
-    return SumReport(lab.graph, lab.labels, _incident_sums(lab.graph, lab.labels))
+    return lab.labels
+
+
+def vertex_sums(lab):
+    """Accumulate label sums at every vertex of ``lab``'s graph."""
+    return SumReport(lab.graph, labels := _labels(lab), _incident_sums(lab.graph, labels))
 
 
 @dataclass

@@ -94,10 +94,13 @@ def test_endpoint_forms_match_listing(kind):
             assert _factor_edge_index(kind, size, a, b) == k
         for v in range(1, size + 1):
             at = [k for k, e in enumerate(edges, start=1) if v in e]
-            assert _factor_edges_at(kind, size, v) == at
+            a, b = _factor_edges_at(kind, size, v)
+            assert type(a) is type(b) is int and a <= b and sorted({a, b}) == at
             # the starts _copy_at counts on: one edge per vertex but the last, two at a cycle's vertex 1
             starting = [k for k, (a, b) in enumerate(edges, start=1) if a == v]
             assert len(starting) == 1 + (kind == SKIP_CYCLE and v == 1) - (v == size)
+        a, b = _factor_edges_at(kind, size, np.arange(1, size + 1))
+        assert list(zip(a.tolist(), b.tolist())) == [_factor_edges_at(kind, size, v) for v in range(1, size + 1)]
         assert list(edges) == sorted(edges)
         with pytest.raises(InvalidParameterError):
             _factor_edge_index(kind, size, size, size + 1)

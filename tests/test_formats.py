@@ -18,6 +18,7 @@ from antimagic import (
     PRISM,
     FamilySpec,
     FormatError,
+    InvalidParameterError,
     Labeling,
     SizeRefusalError,
     check_antimagic,
@@ -138,6 +139,18 @@ def test_tsv_by_label_orders_lines_by_label():
     lab = label(FamilySpec(LATTICE, 2, 2))
     values = [int(ln.split("\t")[4]) for ln in labeling_tsv_lines(lab, by_label=True)]
     assert values == list(range(1, len(values) + 1))
+
+
+@pytest.mark.parametrize(
+    "writer",
+    [labeling_to_json, labeling_to_dot, labeling_tsv_rows, lambda lab: list(labeling_tsv_lines(lab))],
+    ids=["json", "dot", "tsv-rows", "tsv-lines"],
+)
+def test_every_writer_names_a_labeling_that_misses_edges(writer):
+    graph = label(FamilySpec(PATH, 3)).graph
+    for given in ({graph.edges[0]: 1}, {**dict.fromkeys(graph.edges, 1), ((9, 9), (9, 10)): 4}):
+        with pytest.raises(InvalidParameterError, match="does not cover exactly the graph's edges"):
+            writer(Labeling(graph, given))
 
 
 def test_tsv_default_order_follows_graph_edges():

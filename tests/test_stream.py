@@ -737,6 +737,19 @@ def test_stream_verify_traced_peak_stays_under_one_megabyte(spec):
     assert peak <= 1_000_000
 
 
+# one form gives a vertex's sum from Python ints and a whole grid's from two broadcasting arrays
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_sums_at_takes_ints_or_broadcasting_arrays(spec):
+    forms = _forms(spec)
+    want = vertex_sums(label(spec)).sums.reshape(spec.row_count(), spec.col_count())
+    want = (want.T if forms.transposed else want).tolist()
+    rows, cols = range(1, forms.rows + 1), range(1, forms.cols + 1)
+    scalar = [[forms.sums_at(r, c) for c in cols] for r in rows]
+    assert all(type(total) is int for row in scalar for total in row)
+    assert scalar == want
+    assert forms.sums_at(np.arange(1, forms.rows + 1)[:, None], np.arange(1, forms.cols + 1)).tolist() == want
+
+
 # a store of more than RUN_BUCKETS buckets cuts its sum buckets over these two closed forms
 def test_sum_bounds_are_the_least_and_greatest_vertex_sums():
     for family, ms, ns in ((LATTICE, range(1, 41), range(1, 41)), (PRISM, range(3, 41), range(1, 41))):
